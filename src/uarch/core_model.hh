@@ -20,6 +20,14 @@
  *    from another windowed view of the same trace — with bit-identical
  *    results.  This is the timing-model half of the sharded-replay
  *    checkpoints (docs/parallelism.md).
+ *
+ * The issue stage is event-driven (docs/timing_model.md): the window
+ * is a ring indexed by sequence number, an instruction waits on its
+ * unissued producers' wake-up lists, becomes issuable at the cycle its
+ * last operand completes, and runs of cycles in which nothing can
+ * retire, issue or fetch are skipped in one step.  Cycle counts, stall
+ * attribution, D-cache access order and checkpoint bytes are exactly
+ * those of stepping every cycle and scanning the whole window.
  */
 
 #ifndef TPRED_UARCH_CORE_MODEL_HH
@@ -27,7 +35,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "core/frontend_predictor.hh"
 #include "obs/metrics.hh"
@@ -42,7 +50,11 @@ namespace tpred
 class StateWriter;
 class StateReader;
 
-/** Machine parameters (paper section 4.1 and DESIGN.md section 5). */
+/**
+ * Machine parameters (paper section 4.1 and DESIGN.md section 5).
+ * width, window and fuCount must be nonzero (CoreModel throws
+ * std::invalid_argument otherwise: a zero would never retire).
+ */
 struct CoreParams
 {
     unsigned width = 8;     ///< fetch / issue / retire bandwidth
@@ -106,18 +118,18 @@ class CoreModel
 
     /**
      * Simulates until @p max_instrs retire (or the trace ends) and
-     * returns cycle/IPC/accuracy results.
+     * returns cycle/IPC/accuracy results: one whole session.
+     * @p Source is any runSession() source — a TraceSource, or the
+     * non-virtual CompactReplay block decoder.
      */
-    CoreResult run(TraceSource &trace, FrontendPredictor &frontend,
-                   uint64_t max_instrs);
-
-    /**
-     * Devirtualized overload: fetches through the non-virtual
-     * CompactReplay block decoder instead of a TraceSource vtable
-     * dispatch per instruction.  Same simulation, same bits.
-     */
-    CoreResult run(CompactReplay &trace, FrontendPredictor &frontend,
-                   uint64_t max_instrs);
+    template <typename Source>
+    CoreResult
+    run(Source &trace, FrontendPredictor &frontend, uint64_t max_instrs)
+    {
+        beginSession();
+        runSession(trace, frontend, max_instrs, UINT64_MAX);
+        return endSession(frontend);
+    }
 
     /** Resets all session state; call once before runSession(). */
     void beginSession();
@@ -147,65 +159,41 @@ class CoreModel
 
         for (;;) {
             if (!inFetch_) {
-                if (!(instructions_ < max_instrs &&
-                      (!traceEnded_ || !window_.empty())))
+                if (!running(max_instrs))
                     return false;
 
                 // ---- Retire: in order, up to width per cycle. -------
                 unsigned retired = 0;
-                while (!window_.empty() && retired < params_.width) {
-                    const InFlight &head = window_.front();
+                while (headSeq_ != nextSeq_ && retired < params_.width) {
+                    const InFlight &head = at(headSeq_);
                     if (!head.issued || head.doneCycle > cycle_)
                         break;
                     // A retiring writer's value is ready by
                     // construction; drop its writer record if it is
                     // still the latest.
                     if (head.op.dstReg != kNoReg &&
-                        lastWriter_[head.op.dstReg] == head.seq) {
+                        lastWriter_[head.op.dstReg] == headSeq_) {
                         lastWriter_[head.op.dstReg] = 0;
                     }
-                    window_.pop_front();
+                    ++headSeq_;
                     ++instructions_;
                     ++retired;
                 }
 
                 // ---- Issue/execute: oldest-first, <= fuCount/cycle. -
-                unsigned issued = 0;
-                const uint64_t issue_base =
-                    window_.empty() ? nextSeq_ : window_.front().seq;
-                for (auto &entry : window_) {
-                    if (issued >= params_.fuCount)
+                wakeDue();
+                for (unsigned issued = 0; issued < params_.fuCount;
+                     ++issued) {
+                    const uint32_t slot = oldestReady();
+                    if (slot == kNoSlot)
                         break;
-                    if (entry.issued)
-                        continue;
-                    if (!sourcesReady(entry, issue_base, cycle_))
-                        continue;
-                    entry.issued = true;
-                    unsigned latency = executionLatency(entry.op.cls);
-                    if (entry.op.cls == InstClass::Load ||
-                        entry.op.cls == InstClass::Store) {
-                        latency += dcache_.access(
-                            entry.op.memAddr,
-                            entry.op.cls == InstClass::Store);
-                    }
-                    entry.doneCycle = cycle_ + latency;
-                    ++issued;
-                    if (entry.mispredicted) {
-                        // Checkpoint repair: correct-path fetch
-                        // restarts the cycle after the branch resolves.
-                        fetchAllowed_ = entry.doneCycle + 1;
-                        redirectPending_ = false;
-                    }
+                    issue(slot);
                 }
 
                 const bool fetch_blocked =
                     redirectPending_ || cycle_ < fetchAllowed_;
-                if (fetch_blocked && !traceEnded_) {
-                    if (stallKind_ != BranchKind::None)
-                        ++stallByKind_[static_cast<size_t>(stallKind_)];
-                    else if (btbStallPending_)
-                        ++btbMissStall_;
-                }
+                if (fetch_blocked && !traceEnded_)
+                    chargeStall(1);
                 if (!traceEnded_ && !fetch_blocked) {
                     stallKind_ = BranchKind::None;
                     btbStallPending_ = false;
@@ -220,7 +208,7 @@ class CoreModel
             // re-enters the same fetch group mid-cycle.
             if (inFetch_) {
                 while (fetched_ < params_.width &&
-                       window_.size() < params_.window) {
+                       nextSeq_ - headSeq_ < params_.window) {
                     if (totalFetched_ == stop_after_fetched)
                         return true;  // suspended at an op boundary
                     MicroOp op;
@@ -231,23 +219,12 @@ class CoreModel
                     ++totalFetched_;
                     PredictionOutcome outcome =
                         frontend.onInstruction(op);
-
-                    InFlight entry;
-                    entry.op = op;
-                    entry.seq = nextSeq_++;
-                    for (unsigned s = 0; s < 2; ++s) {
-                        const RegIndex reg = op.srcRegs[s];
-                        entry.srcSeq[s] =
-                            reg == kNoReg ? 0 : lastWriter_[reg];
-                    }
-                    if (op.dstReg != kNoReg)
-                        lastWriter_[op.dstReg] = entry.seq;
-                    entry.mispredicted =
+                    const bool mispredicted =
                         op.isBranch() && !outcome.correct;
-                    window_.push_back(entry);
+                    dispatch(op, mispredicted);
                     ++fetched_;
 
-                    if (entry.mispredicted) {
+                    if (mispredicted) {
                         // Wrong-path fetch until this branch executes.
                         redirectPending_ = true;
                         stallKind_ = op.branch;
@@ -271,6 +248,9 @@ class CoreModel
                 inFetch_ = false;
             }
 
+            // ---- Jump over cycles in which no stage can act. --------
+            if (running(max_instrs))
+                skipIdleCycles();
             ++cycle_;
         }
     }
@@ -280,7 +260,8 @@ class CoreModel
      * @p count_metrics gates the global core.cycles_simulated /
      * core.instructions_retired counters — sharded-replay warm-up and
      * verification passes pass false so the deterministic counters
-     * stay identical to a continuous run.
+     * stay identical to a continuous run.  It also gates the runtime
+     * core.idle_cycles_skipped counter.
      */
     CoreResult endSession(FrontendPredictor &frontend,
                           bool count_metrics = true);
@@ -292,24 +273,42 @@ class CoreModel
     uint64_t cycles() const { return cycle_; }
 
     /**
+     * Of cycles(), those the loop jumped over because nothing could
+     * retire, issue or fetch in them — counted since this object last
+     * began, restored or forked a session.
+     */
+    uint64_t idleCyclesSkipped() const { return idleCyclesSkipped_; }
+
+    /**
      * Serializes the complete session state — cycle counters, window
      * contents, register writer map, fetch/stall flags and the data
      * cache.  The front end is checkpointed separately by the caller.
      */
     void saveState(StateWriter &w) const;
 
-    /** Restores a saveState() snapshot; params must match. */
+    /**
+     * Restores a saveState() snapshot; params must match.
+     * @throws StateFormatError when the window does not fit this core
+     *         or its sequence numbers are not consecutive.
+     */
     void restoreState(StateReader &r);
 
     /**
-     * Clones another core's complete session state into this one via an
-     * in-memory saveState()/restoreState() round trip — the
-     * fork-from-checkpoint entry point of the copy-on-divergence timing
-     * sweep (harness/sweep_kernel.cc).  Params must match @p other's.
+     * Makes this core an exact copy of @p other mid-session — the
+     * fork entry point of the copy-on-divergence timing sweep
+     * (harness/sweep_kernel.cc).  Equivalent to a saveState() /
+     * restoreState() round trip, without the serialization.
      */
     void forkFrom(const CoreModel &other);
 
   private:
+    static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+    /**
+     * One window entry.  The first six fields are the serialized
+     * state; the rest is the wake-up bookkeeping restoreState()
+     * rebuilds from them.
+     */
     struct InFlight
     {
         MicroOp op;
@@ -318,14 +317,61 @@ class CoreModel
         uint64_t doneCycle = 0;
         bool issued = false;
         bool mispredicted = false;
+
+        uint8_t pending = 0;      ///< producers not yet issued
+        uint64_t readyCycle = 0;  ///< when the issued producers finish
+        /// Consumers waiting on this entry, as slot * 2 + operand.
+        uint32_t waiters = kNoSlot;
+        /// Next link of operand s's entry in its producer's list.
+        uint32_t nextWaiter[2] = {kNoSlot, kNoSlot};
     };
 
-    bool sourcesReady(const InFlight &entry, uint64_t base_seq,
-                      uint64_t cycle) const;
+    /** An entry whose producers have all issued, keyed by readiness. */
+    struct Wakeup
+    {
+        uint64_t cycle;
+        uint32_t slot;
+
+        bool
+        operator>(const Wakeup &o) const
+        {
+            return cycle > o.cycle;
+        }
+    };
+
+    InFlight &at(uint64_t seq) { return ring_[seq & mask_]; }
+    const InFlight &at(uint64_t seq) const { return ring_[seq & mask_]; }
+
+    /** The loop's continuation test, checked at the top of a cycle. */
+    bool
+    running(uint64_t max_instrs) const
+    {
+        return instructions_ < max_instrs &&
+               (!traceEnded_ || headSeq_ != nextSeq_);
+    }
+
+    void dispatch(const MicroOp &op, bool mispredicted);
+    void linkSources(uint32_t slot);
+    void markReady(uint32_t slot);
+    void wakeDue();
+    uint32_t oldestReady() const;
+    void issue(uint32_t slot);
+    void chargeStall(uint64_t cycles);
+    void skipIdleCycles();
+    void rebuildWakeups();
 
     CoreParams params_;
     DCache dcache_;
-    std::deque<InFlight> window_;
+
+    // ---- Window: ring of in-flight entries, slot = seq & mask_ -------
+    std::vector<InFlight> ring_;
+    uint64_t mask_ = 0;
+    uint64_t headSeq_ = 1;  ///< oldest in-flight seq (== nextSeq_: empty)
+    /// Issuable entries, one bit per ring slot.
+    std::vector<uint64_t> readyBits_;
+    /// Min-heap of entries waiting only for an operand's latency.
+    std::vector<Wakeup> wakeups_;
+    uint64_t idleCyclesSkipped_ = 0;
 
     // ---- Resumable session state ------------------------------------
     /// Sequence number of the last writer of each register; 0 = value

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hh"
 #include "test_util.hh"
 #include "uarch/core_model.hh"
 
@@ -16,64 +15,13 @@ namespace tpred
 namespace
 {
 
-std::vector<MicroOp>
-randomTrace(uint64_t seed, size_t length)
-{
-    Rng rng(seed);
-    std::vector<MicroOp> ops;
-    ops.reserve(length);
-    uint64_t pc = 0x1000;
-    std::vector<uint64_t> call_stack;
-    for (size_t i = 0; i < length; ++i) {
-        const double draw = rng.uniform();
-        if (draw < 0.55) {
-            MicroOp op = test::plainOp(
-                pc, static_cast<InstClass>(rng.below(7)));
-            if (op.cls == InstClass::Load ||
-                op.cls == InstClass::Store)
-                op.memAddr = rng.below(1 << 22);
-            op.srcRegs[0] = static_cast<RegIndex>(rng.below(64));
-            op.srcRegs[1] = rng.chance(0.5)
-                                ? static_cast<RegIndex>(rng.below(64))
-                                : kNoReg;
-            if (op.cls != InstClass::Store)
-                op.dstReg = static_cast<RegIndex>(rng.below(64));
-            ops.push_back(op);
-            pc += 4;
-        } else if (draw < 0.75) {
-            const bool taken = rng.chance(0.6);
-            const uint64_t target = 0x1000 + rng.below(4096) * 4;
-            ops.push_back(test::branchOp(pc, BranchKind::CondDirect,
-                                         target, taken));
-            pc = taken ? target : pc + 4;
-        } else if (draw < 0.85) {
-            const uint64_t target = 0x1000 + rng.below(4096) * 4;
-            ops.push_back(test::indirectOp(pc, target, rng.below(16)));
-            pc = target;
-        } else if (draw < 0.93 || call_stack.empty()) {
-            const uint64_t target = 0x1000 + rng.below(4096) * 4;
-            ops.push_back(
-                test::branchOp(pc, BranchKind::Call, target));
-            call_stack.push_back(pc + 4);
-            pc = target;
-        } else {
-            const uint64_t ret_to = call_stack.back();
-            call_stack.pop_back();
-            ops.push_back(
-                test::branchOp(pc, BranchKind::Return, ret_to));
-            pc = ret_to;
-        }
-    }
-    return ops;
-}
-
 class CoreFuzz : public ::testing::TestWithParam<uint64_t>
 {
 };
 
 TEST_P(CoreFuzz, TerminatesAndRetiresEverything)
 {
-    auto ops = randomTrace(GetParam(), 20000);
+    auto ops = test::randomTrace(GetParam(), 20000);
     VectorTraceSource trace(ops);
     FrontendPredictor frontend{FrontendConfig{}};
     CoreParams params;
@@ -91,7 +39,7 @@ TEST_P(CoreFuzz, TerminatesAndRetiresEverything)
 
 TEST_P(CoreFuzz, AccuracyHarnessHandlesArbitraryTraces)
 {
-    auto ops = randomTrace(GetParam() ^ 0xabcdef, 20000);
+    auto ops = test::randomTrace(GetParam() ^ 0xabcdef, 20000);
     VectorTraceSource trace(ops);
     FrontendPredictor frontend{FrontendConfig{}};
     MicroOp op;

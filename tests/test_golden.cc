@@ -26,6 +26,14 @@ struct Golden
     double taglessMiss;
 };
 
+// Print the workload only: gtest's default byte dump would put the
+// load address of the `workload` string into the test's listed name.
+void
+PrintTo(const Golden &golden, std::ostream *os)
+{
+    *os << golden.workload;
+}
+
 // Recorded at 100,000 instructions, seed 1.
 constexpr Golden kGolden[] = {
     {"compress", 0.2497, 0.2633},
