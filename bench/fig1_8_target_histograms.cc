@@ -3,11 +3,12 @@
  * Figures 1-8: "Number of Targets per Indirect Jump" — for each
  * benchmark, the distribution of dynamic indirect jumps over the
  * number of distinct targets their static site exhibits, with the
- * paper's ">=30" overflow bucket.
+ * paper's ">=30" overflow bucket.  The render body lives in
+ * e2e/fig1_8.hh, shared with the end-to-end benchmark driver.
  */
 
 #include "bench_util.hh"
-#include "trace/trace_stats.hh"
+#include "e2e/fig1_8.hh"
 
 using namespace tpred;
 
@@ -18,30 +19,6 @@ main(int argc, char **argv)
         bench::setup(argc, argv, kDefaultAccuracyOps).ops;
     bench::heading("Figures 1-8: number of targets per indirect jump",
                    ops);
-
-    const auto &names = spec95Names();
-    // One job per benchmark: profile its (cached) trace and render the
-    // whole figure block; blocks print afterwards in benchmark order.
-    const auto blocks = ParallelRunner().map<std::string>(
-        names.size(), [&](size_t w) {
-            const std::string &name = names[w];
-            TraceProfile profile;
-            cachedTrace(name, ops).forEachOp([&](const MicroOp &op) {
-                profile.counts.observe(op);
-                profile.targets.observe(op);
-            });
-            Histogram hist = profile.targets.buildHistogram();
-            std::string block =
-                hist.render("Figure (" + name + "): % of dynamic "
-                            "indirect jumps by targets of their "
-                            "static site") +
-                "\n  static sites: " +
-                std::to_string(profile.targets.staticSites()) +
-                ", dynamic indirect jumps: " +
-                formatCount(profile.targets.dynamicJumps()) + "\n\n";
-            return block;
-        });
-    for (const auto &block : blocks)
-        std::printf("%s", block.c_str());
+    std::printf("%s", e2e::renderTargetHistograms(ops).c_str());
     return 0;
 }

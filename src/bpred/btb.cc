@@ -70,21 +70,6 @@ Btb::lookup(uint64_t pc)
     return BtbPrediction{entry->target, entry->fallthrough, entry->kind};
 }
 
-std::optional<BtbPrediction>
-Btb::peek(uint64_t pc) const
-{
-    const uint64_t set = setIndex(pc);
-    const uint64_t tag = tagOf(pc);
-    const Entry *base = &entries_[set * config_.ways];
-    for (unsigned w = 0; w < config_.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            return BtbPrediction{base[w].target, base[w].fallthrough,
-                                 base[w].kind};
-        }
-    }
-    return std::nullopt;
-}
-
 void
 Btb::update(const MicroOp &op)
 {

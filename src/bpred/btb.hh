@@ -75,17 +75,6 @@ class Btb
     std::optional<BtbPrediction> lookup(uint64_t pc);
 
     /**
-     * Side-effect-free probe: what lookup(pc) *would* return, without
-     * refreshing LRU state or the probe memo.  The fused timing sweep
-     * uses this to evaluate every batch member's fetch-time prediction
-     * against the lead front end's BTB before the lead itself fetches
-     * the op (harness/sweep_kernel.cc) — the lead's own lookup() then
-     * applies the one architectural LRU refresh, exactly as in a
-     * per-config run.
-     */
-    std::optional<BtbPrediction> peek(uint64_t pc) const;
-
-    /**
      * Resolution-time update: allocates on miss, refreshes the kind and
      * fall-through, and applies the configured target-update strategy.
      * Conditional branches only update the target when taken.

@@ -67,12 +67,6 @@ class SingleLevelBtb final : public BtbHierarchy
         return probe;
     }
 
-    BtbProbe
-    peek(uint64_t pc) const override
-    {
-        return {btb_.peek(pc), 0};
-    }
-
     void update(const MicroOp &op) override { btb_.update(op); }
 
     size_t validEntries() const override { return btb_.validEntries(); }
@@ -128,16 +122,6 @@ class TwoLevelBtb final : public BtbHierarchy
         slot = promoted;
         slot.lastUsed = ++l1_.useClock;
         return {predictionOf(slot), config_.missPenalty};
-    }
-
-    BtbProbe
-    peek(uint64_t pc) const override
-    {
-        if (const Entry *hit = l1_.find(pc))
-            return {predictionOf(*hit), 0};
-        if (const Entry *lower = l2_.find(pc))
-            return {predictionOf(*lower), config_.missPenalty};
-        return {std::nullopt, 0};
     }
 
     void
@@ -224,12 +208,6 @@ class TwoLevelBtb final : public BtbHierarchy
                     return &base[w];
             }
             return nullptr;
-        }
-
-        const Entry *
-        find(uint64_t pc) const
-        {
-            return const_cast<Level *>(this)->find(pc);
         }
 
         Entry &

@@ -81,9 +81,7 @@ struct BtbHierarchyStats
 /**
  * Fetch-time target/kind detection, one or two levels deep.
  *
- * The contract every implementation honours (the fused sweeps depend
- * on it): peek(pc) returns exactly the prediction and bubble that
- * lookup(pc) would, without any side effect; lookup() applies the one
+ * The contract every implementation honours: lookup() applies the one
  * architectural LRU refresh / promotion; update() trains wherever the
  * entry currently lives and allocates into L1 on a full miss.
  */
@@ -94,9 +92,6 @@ class BtbHierarchy
 
     /** Fetch-time probe; may move entries between levels. */
     virtual BtbProbe lookup(uint64_t pc) = 0;
-
-    /** Side-effect-free probe: what lookup(pc) *would* return. */
-    virtual BtbProbe peek(uint64_t pc) const = 0;
 
     /** Resolution-time training (see bpred/btb.hh for the policy). */
     virtual void update(const MicroOp &op) = 0;

@@ -67,7 +67,10 @@ struct FrontendStats
     }
 };
 
-/** What the front end decided for one instruction. */
+/**
+ * What the front end decided for one instruction.  The core model
+ * reads only correct and fetchBubbleCycles.
+ */
 struct PredictionOutcome
 {
     uint64_t predictedNext = 0;
@@ -78,8 +81,8 @@ struct PredictionOutcome
      * for a two-level hierarchy, and only when the branch actually
      * consumed the probe (a not-taken-predicted conditional does not).
      * Depends solely on batch-shared front-end state, never on a batch
-     * member's predicted target — the fused timing sweep's
-     * correctness-only divergence coupling rests on that.
+     * member's predicted target — so the fused timing sweep's outcome
+     * tape records it once per branch for the whole batch.
      */
     unsigned fetchBubbleCycles = 0;
 };
@@ -124,15 +127,6 @@ class FrontendPredictor
 
     const FrontendStats &stats() const { return stats_; }
     void resetStats() { stats_ = FrontendStats{}; }
-
-    /**
-     * Overwrites the accuracy stats wholesale.  The fused timing sweep
-     * uses this after restoring a forked member from the lead's
-     * checkpoint: the shared-class counts are the lead's own, but
-     * indirectJumps (and hence allBranches) must be the member's
-     * (harness/sweep_kernel.cc).
-     */
-    void setStats(const FrontendStats &s) { stats_ = s; }
 
     const BtbHierarchy &btb() const { return *btb_; }
     IndirectPredictor *indirect() const { return indirect_; }

@@ -1,11 +1,9 @@
 #include "harness/batched_predictors.hh"
 
-#include <algorithm>
 #include <cassert>
 
 #include "common/bits.hh"
 #include "common/simd.hh"
-#include "common/state_io.hh"
 #include "core/cascaded.hh"
 
 namespace tpred
@@ -45,7 +43,6 @@ BatchedPredictors::TaggedBank::addSlot(const TaggedConfig &config)
     lastUsed.resize(g.base + config.entries, 0);
     geom.push_back(g);
     useClock.push_back(0);
-    conflictEvictions.push_back(0);
     return geom.size() - 1;
 }
 
@@ -81,8 +78,6 @@ BatchedPredictors::TaggedBank::update(size_t slot, uint64_t pc,
         e = base + simd::findVictim(valid.data() + base,
                                     lastUsed.data() + base,
                                     g.config.ways);
-        if (valid[e])
-            ++conflictEvictions[slot];
         valid[e] = 1;
         tag[e] = tg;
     }
@@ -90,126 +85,20 @@ BatchedPredictors::TaggedBank::update(size_t slot, uint64_t pc,
     lastUsed[e] = ++useClock[slot];
 }
 
-void
-BatchedPredictors::TaggedBank::save(size_t slot, StateWriter &w) const
-{
-    const TaggedGeom &g = geom[slot];
-    w.u64(useClock[slot]);
-    w.u64(conflictEvictions[slot]);
-    for (size_t e = g.base; e < g.base + g.config.entries; ++e) {
-        w.b(valid[e] != 0);
-        w.u64(tag[e]);
-        w.u64(target[e]);
-        w.u64(lastUsed[e]);
-    }
-}
-
-// --- Hot columns -----------------------------------------------------
-
-void
-BatchedPredictors::TaglessHot::push(size_t pos, const TaglessMeta &m)
-{
-    meta.push_back(pos);
-    member.push_back(m.member);
-    tracker.push_back(m.tracker);
-    base.push_back(m.base);
-    config.push_back(m.config);
-}
-
-void
-BatchedPredictors::TaglessHot::erase(size_t pos)
-{
-    for (size_t j = 0; j < meta.size(); ++j) {
-        if (meta[j] == pos) {
-            meta.erase(meta.begin() + j);
-            member.erase(member.begin() + j);
-            tracker.erase(tracker.begin() + j);
-            base.erase(base.begin() + j);
-            config.erase(config.begin() + j);
-            return;
-        }
-    }
-}
-
-void
-BatchedPredictors::TaggedHot::push(size_t pos, const TaggedMeta &m)
-{
-    meta.push_back(pos);
-    member.push_back(m.member);
-    tracker.push_back(m.tracker);
-    slot.push_back(m.slot);
-}
-
-void
-BatchedPredictors::TaggedHot::erase(size_t pos)
-{
-    for (size_t j = 0; j < meta.size(); ++j) {
-        if (meta[j] == pos) {
-            meta.erase(meta.begin() + j);
-            member.erase(member.begin() + j);
-            tracker.erase(tracker.begin() + j);
-            slot.erase(slot.begin() + j);
-            return;
-        }
-    }
-}
-
-void
-BatchedPredictors::CascadedHot::push(size_t pos, const CascadedMeta &m)
-{
-    meta.push_back(pos);
-    member.push_back(m.member);
-    tracker.push_back(m.tracker);
-    stage1Bits.push_back(m.stage1Bits);
-    stage1Base.push_back(m.stage1Base);
-    slot.push_back(m.slot);
-}
-
-void
-BatchedPredictors::CascadedHot::erase(size_t pos)
-{
-    for (size_t j = 0; j < meta.size(); ++j) {
-        if (meta[j] == pos) {
-            meta.erase(meta.begin() + j);
-            member.erase(member.begin() + j);
-            tracker.erase(tracker.begin() + j);
-            stage1Bits.erase(stage1Bits.begin() + j);
-            stage1Base.erase(stage1Base.begin() + j);
-            slot.erase(slot.begin() + j);
-            return;
-        }
-    }
-}
-
 // --- BatchedPredictors -----------------------------------------------
-
-bool
-BatchedPredictors::timingBatchable(const IndirectConfig &config)
-{
-    return config.structure != IndirectStructure::Ittage &&
-           config.structure != IndirectStructure::Oracle;
-}
 
 BatchedPredictors::BatchedPredictors(
     std::span<const IndirectConfig> configs)
     : members_(configs.size()),
-      directory_(configs.size()),
-      liveMembers_(configs.size()),
       hist_(configs.size(), 0),
       predicted_(configs.size(), 0),
       taglessIdx_(configs.size(), 0),
-      taggedHit_(configs.size(), kMiss),
-      cascadedS2Hit_(configs.size(), kMiss),
       indirect_(configs.size())
 {
-    for (size_t i = 0; i < members_; ++i)
-        liveMembers_[i] = i;
-
     for (size_t i = 0; i < configs.size(); ++i) {
         const IndirectConfig &c = configs[i];
         if (c.structure == IndirectStructure::None) {
-            directory_[i] = {Family::None, noneLive_.size()};
-            noneLive_.push_back(i);
+            none_.push_back(i);
             continue;
         }
 
@@ -228,56 +117,38 @@ BatchedPredictors::BatchedPredictors(
             assert(c.tagless.scheme != TaglessIndexScheme::GAs ||
                    c.tagless.historyBits + c.tagless.addrBits ==
                        c.tagless.entryBits);
-            TaglessMeta meta;
-            meta.config = c.tagless;
-            meta.member = i;
-            meta.tracker = t;
-            meta.base = taglessTargets_.size();
-            taglessTargets_.resize(meta.base + c.tagless.entries(), 0);
-            taglessWriterPc_.resize(meta.base + c.tagless.entries(), 0);
-            directory_[i] = {Family::Tagless, taglessMeta_.size()};
-            taglessHot_.push(taglessMeta_.size(), meta);
-            taglessMeta_.push_back(meta);
+            taglessHot_.member.push_back(i);
+            taglessHot_.tracker.push_back(t);
+            taglessHot_.base.push_back(taglessTargets_.size());
+            taglessHot_.config.push_back(c.tagless);
+            taglessTargets_.resize(
+                taglessTargets_.size() + c.tagless.entries(), 0);
             break;
           }
-          case IndirectStructure::Tagged: {
-            TaggedMeta meta;
-            meta.member = i;
-            meta.tracker = t;
-            meta.slot = tagged_.addSlot(c.tagged);
-            directory_[i] = {Family::Tagged, taggedMeta_.size()};
-            taggedHot_.push(taggedMeta_.size(), meta);
-            taggedMeta_.push_back(meta);
+          case IndirectStructure::Tagged:
+            taggedHot_.member.push_back(i);
+            taggedHot_.tracker.push_back(t);
+            taggedHot_.slot.push_back(tagged_.addSlot(c.tagged));
             break;
-          }
           case IndirectStructure::Cascaded: {
             assert(isPowerOfTwo(c.cascaded.stage1Entries));
-            CascadedMeta meta;
-            meta.member = i;
-            meta.tracker = t;
-            meta.stage1Bits = floorLog2(c.cascaded.stage1Entries);
-            meta.stage1Base = s1Valid_.size();
-            meta.stage1Entries = c.cascaded.stage1Entries;
-            s1Valid_.resize(meta.stage1Base + meta.stage1Entries, 0);
-            s1Tag_.resize(meta.stage1Base + meta.stage1Entries, 0);
-            s1Target_.resize(meta.stage1Base + meta.stage1Entries, 0);
-            meta.slot = cascadedStage2_.addSlot(c.cascaded.stage2);
-            directory_[i] = {Family::Cascaded, cascadedMeta_.size()};
-            cascadedHot_.push(cascadedMeta_.size(), meta);
-            cascadedMeta_.push_back(meta);
+            const size_t s1_base = s1Valid_.size();
+            const size_t s1_entries = c.cascaded.stage1Entries;
+            cascadedHot_.member.push_back(i);
+            cascadedHot_.tracker.push_back(t);
+            cascadedHot_.stage1Bits.push_back(floorLog2(s1_entries));
+            cascadedHot_.stage1Base.push_back(s1_base);
+            cascadedHot_.slot.push_back(
+                cascadedStage2_.addSlot(c.cascaded.stage2));
+            s1Valid_.resize(s1_base + s1_entries, 0);
+            s1Tag_.resize(s1_base + s1_entries, 0);
+            s1Target_.resize(s1_base + s1_entries, 0);
             break;
           }
           case IndirectStructure::Ittage:
-          case IndirectStructure::Oracle: {
-            ScalarMeta meta;
-            meta.member = i;
-            meta.tracker = t;
-            meta.predictor = buildStack(c).predictor;
-            directory_[i] = {Family::Scalar, scalarMeta_.size()};
-            scalarLive_.push_back(scalarMeta_.size());
-            scalarMeta_.push_back(std::move(meta));
+          case IndirectStructure::Oracle:
+            scalar_.push_back({i, t, buildStack(c).predictor});
             break;
-          }
           case IndirectStructure::None:
             break;  // handled above
         }
@@ -285,18 +156,11 @@ BatchedPredictors::BatchedPredictors(
     trackerVal_.assign(trackers_.size(), 0);
 }
 
-bool
-BatchedPredictors::hasPredictor(size_t m) const
-{
-    return directory_[m].family != Family::None;
-}
-
 void
-BatchedPredictors::computePredictions(const MicroOp &op, bool btb_hit,
-                                      uint64_t btb_target)
+BatchedPredictors::predictAll(const MicroOp &op, bool btb_hit,
+                              uint64_t btb_target)
 {
     pc_ = op.pc;
-    probeActive_ = btb_hit;
     const uint64_t fall = op.fallthrough;
 
     // One history computation per distinct spec — members sharing a
@@ -323,13 +187,16 @@ BatchedPredictors::computePredictions(const MicroOp &op, bool btb_hit,
         const size_t m = taggedHot_.member[j];
         const uint64_t h = trackerVal_[taggedHot_.tracker[j]];
         hist_[m] = h;
-        size_t e = kMiss;
         uint64_t p = fall;
         if (btb_hit) {
-            e = tagged_.probe(taggedHot_.slot[j], pc_, h);
-            p = e != kMiss ? tagged_.target[e] : btb_target;
+            const size_t slot = taggedHot_.slot[j];
+            const size_t e = tagged_.probe(slot, pc_, h);
+            p = btb_target;
+            if (e != kMiss) {
+                tagged_.touch(slot, e);
+                p = tagged_.target[e];
+            }
         }
-        taggedHit_[m] = e;
         predicted_[m] = p;
     }
 
@@ -337,11 +204,12 @@ BatchedPredictors::computePredictions(const MicroOp &op, bool btb_hit,
         const size_t m = cascadedHot_.member[j];
         const uint64_t h = trackerVal_[cascadedHot_.tracker[j]];
         hist_[m] = h;
-        size_t e = kMiss;
         uint64_t p = fall;
         if (btb_hit) {
-            e = cascadedStage2_.probe(cascadedHot_.slot[j], pc_, h);
+            const size_t slot = cascadedHot_.slot[j];
+            const size_t e = cascadedStage2_.probe(slot, pc_, h);
             if (e != kMiss) {
+                cascadedStage2_.touch(slot, e);
                 p = cascadedStage2_.target[e];
             } else {
                 const size_t s1 =
@@ -353,77 +221,36 @@ BatchedPredictors::computePredictions(const MicroOp &op, bool btb_hit,
                         : btb_target;
             }
         }
-        cascadedS2Hit_[m] = e;
         predicted_[m] = p;
     }
 
-    for (size_t k : scalarLive_) {
-        ScalarMeta &g = scalarMeta_[k];
+    for (ScalarMember &g : scalar_) {
         const uint64_t h = trackerVal_[g.tracker];
         hist_[g.member] = h;
         uint64_t p = fall;
         if (btb_hit) {
-            // Stateful probe — the reason these members are excluded
-            // from timing fusion (timingBatchable()).
             g.predictor->prime(op);
             p = g.predictor->predict(pc_, h).value_or(btb_target);
         }
         predicted_[g.member] = p;
     }
 
-    for (size_t m : noneLive_)
+    for (size_t m : none_)
         predicted_[m] = btb_hit ? btb_target : fall;
-}
-
-void
-BatchedPredictors::commitPredictions()
-{
-    if (!probeActive_)
-        return;  // BTB miss: the scalar path never probed
-
-    for (size_t j = 0; j < taglessHot_.size(); ++j) {
-        TaglessMeta &g = taglessMeta_[taglessHot_.meta[j]];
-        const size_t idx = taglessIdx_[taglessHot_.member[j]];
-        ++g.probes;
-        if (taglessWriterPc_[idx] != 0 && taglessWriterPc_[idx] != pc_)
-            ++g.crossBranchProbes;
-    }
-
-    for (size_t j = 0; j < taggedHot_.size(); ++j) {
-        const size_t e = taggedHit_[taggedHot_.member[j]];
-        if (e != kMiss)
-            tagged_.touch(taggedHot_.slot[j], e);
-    }
-
-    for (size_t j = 0; j < cascadedHot_.size(); ++j) {
-        CascadedMeta &g = cascadedMeta_[cascadedHot_.meta[j]];
-        ++g.probes;
-        const size_t e = cascadedS2Hit_[cascadedHot_.member[j]];
-        if (e != kMiss) {
-            ++g.stage2Hits;
-            cascadedStage2_.touch(cascadedHot_.slot[j], e);
-        }
-    }
-
-    // Scalar members committed inside computePredictions(); BTB-only
-    // members have no state.
 }
 
 void
 BatchedPredictors::recordOutcomes(uint64_t next_pc)
 {
-    for (size_t m : liveMembers_)
+    for (size_t m = 0; m < members_; ++m)
         indirect_[m].record(predicted_[m] == next_pc);
 }
 
 void
 BatchedPredictors::updateAll(uint64_t next_pc)
 {
-    for (size_t j = 0; j < taglessHot_.size(); ++j) {
-        const size_t idx = taglessIdx_[taglessHot_.member[j]];
-        taglessTargets_[idx] = next_pc;
-        taglessWriterPc_[idx] = pc_;
-    }
+    for (size_t j = 0; j < taglessHot_.size(); ++j)
+        taglessTargets_[taglessIdx_[taglessHot_.member[j]]] = next_pc;
 
     for (size_t j = 0; j < taggedHot_.size(); ++j) {
         tagged_.update(taggedHot_.slot[j], pc_,
@@ -451,10 +278,8 @@ BatchedPredictors::updateAll(uint64_t next_pc)
         s1Target_[s1] = next_pc;
     }
 
-    for (size_t k : scalarLive_) {
-        ScalarMeta &g = scalarMeta_[k];
+    for (ScalarMember &g : scalar_)
         g.predictor->update(pc_, hist_[g.member], next_pc);
-    }
 }
 
 void
@@ -462,96 +287,6 @@ BatchedPredictors::observeTrackers(const MicroOp &op)
 {
     for (auto &tracker : trackers_)
         tracker->observe(op);
-}
-
-void
-BatchedPredictors::retire(size_t m)
-{
-    std::erase(liveMembers_, m);
-    const DirEntry &d = directory_[m];
-    switch (d.family) {
-      case Family::None:
-        std::erase(noneLive_, m);
-        break;
-      case Family::Tagless:
-        taglessHot_.erase(d.pos);
-        break;
-      case Family::Tagged:
-        taggedHot_.erase(d.pos);
-        break;
-      case Family::Cascaded:
-        cascadedHot_.erase(d.pos);
-        break;
-      case Family::Scalar:
-        std::erase(scalarLive_, d.pos);
-        break;
-    }
-}
-
-void
-BatchedPredictors::savePredictorState(size_t m, StateWriter &w) const
-{
-    const DirEntry &d = directory_[m];
-    switch (d.family) {
-      case Family::Tagless: {
-        const TaglessMeta &g = taglessMeta_[d.pos];
-        const size_t n = g.config.entries();
-        for (size_t e = g.base; e < g.base + n; ++e)
-            w.u64(taglessTargets_[e]);
-        for (size_t e = g.base; e < g.base + n; ++e)
-            w.u64(taglessWriterPc_[e]);
-        w.u64(g.probes);
-        w.u64(g.crossBranchProbes);
-        break;
-      }
-      case Family::Tagged:
-        tagged_.save(taggedMeta_[d.pos].slot, w);
-        break;
-      case Family::Cascaded: {
-        const CascadedMeta &g = cascadedMeta_[d.pos];
-        for (size_t e = g.stage1Base;
-             e < g.stage1Base + g.stage1Entries; ++e) {
-            w.b(s1Valid_[e] != 0);
-            w.u64(s1Tag_[e]);
-            w.u64(s1Target_[e]);
-        }
-        cascadedStage2_.save(g.slot, w);
-        w.u64(g.stage2Hits);
-        w.u64(g.probes);
-        break;
-      }
-      case Family::Scalar:
-        scalarMeta_[d.pos].predictor->saveState(w);
-        break;
-      case Family::None:
-        assert(false && "BTB-only member has no predictor state");
-        break;
-    }
-}
-
-void
-BatchedPredictors::saveTrackerState(size_t m, StateWriter &w) const
-{
-    const DirEntry &d = directory_[m];
-    assert(d.family != Family::None);
-    size_t tracker = 0;
-    switch (d.family) {
-      case Family::Tagless:
-        tracker = taglessMeta_[d.pos].tracker;
-        break;
-      case Family::Tagged:
-        tracker = taggedMeta_[d.pos].tracker;
-        break;
-      case Family::Cascaded:
-        tracker = cascadedMeta_[d.pos].tracker;
-        break;
-      case Family::Scalar:
-        tracker = scalarMeta_[d.pos].tracker;
-        break;
-      case Family::None:
-        return;
-    }
-    trackers_[tracker]->saveState(w);
 }
 
 } // namespace tpred

@@ -9,58 +9,42 @@
  * table.  BatchedPredictors restructures that state as
  * structure-of-arrays, grouped by predictor family:
  *
- *  - **tagless** members share one contiguous target column and one
- *    last-writer column, `[member][entry]`, with per-member probe
- *    counters alongside;
+ *  - **tagless** members share one contiguous target column,
+ *    `[member][entry]`;
  *  - **tagged** members share one bank of parallel
  *    valid/tag/target/lastUsed columns, `[member][set][way]`;
  *  - **cascaded** members share stage-1 valid/tag/target columns plus
  *    a second tagged bank for their stage-2 caches;
  *  - **ITTAGE and oracle** members stay scalar behind the same
- *    interface (their predict() is inherently stateful — see
- *    timingBatchable());
+ *    interface (their predict() is inherently stateful, and runs in
+ *    place exactly as in a per-config front end);
  *  - **BTB-only** members carry no table at all.
  *
  * Lookups and updates then run as tight, devirtualized loops over the
  * family groups, sharing one history computation per distinct
  * HistorySpec per branch.  The per-branch loops walk dense *hot
  * columns* — parallel arrays holding exactly the fields the loop
- * reads (member, tracker, table base, geometry), compacted on
- * retire() — rather than chasing live-index -> meta-struct
- * indirection, and the tagged banks' way scans (tag compare, LRU
- * victim) go through the portable SIMD kernels in common/simd.hh
- * (vectorized under TPRED_NATIVE/AVX2, scalar otherwise, both
- * order-exact).  The index math is the *same code* the
- * scalar predictors run — taglessIndexOf / taggedIndexOf /
+ * reads (member, tracker, table base, geometry) — and the tagged
+ * banks' way scans (tag compare, LRU victim) go through the portable
+ * SIMD kernels in common/simd.hh (vectorized under TPRED_NATIVE/AVX2,
+ * scalar otherwise, both order-exact).  The index math is the *same
+ * code* the scalar predictors run — taglessIndexOf / taggedIndexOf /
  * cascadedStage1IndexOf are free functions over the geometry — so the
- * two paths cannot drift apart, and savePredictorState() emits the
- * exact byte format of the scalar predictor's saveState(), which is
- * what lets the copy-on-divergence timing fusion transplant a batch
- * member into a fresh per-config rig (harness/sweep_kernel.cc).
+ * two paths cannot drift apart.
  *
- * The per-branch protocol is split into a pure probe phase and a
- * side-effect phase:
+ * The per-branch protocol is the scalar front end's, member-wise:
  *
- *   computePredictions()  — reads tables, caches (history, index,
- *                           prediction) per member; mutates nothing
- *                           for the batched families;
- *   commitPredictions()   — applies the probe-time side effects the
- *                           scalar predictors perform inside
- *                           predict(): tagless probe/interference
- *                           counters, tagged LRU refresh, cascaded
- *                           probe counters + stage-2 LRU refresh;
- *   updateAll()           — resolution-time training with the cached
- *                           fetch-time histories.
+ *   predictAll()      — fetch-time histories, predictions, and the
+ *                       probe-time side effects (tagged LRU refresh,
+ *                       cascaded stage-2 refresh, scalar prime());
+ *   recordOutcomes()  — predicted-vs-resolved per member;
+ *   updateAll()       — resolution-time training with the cached
+ *                       fetch-time histories;
+ *   observeTrackers() — history advance, once per branch.
  *
- * The split exists for the timing fusion: a member that diverges at a
- * branch must be serialized with its *pre-branch* state, after
- * computePredictions() but before commitPredictions().  The accuracy
- * kernel simply calls both back to back (predictAll()).
- *
- * Scalar members (ITTAGE, oracle) cannot be probed without side
- * effects, so computePredictions() runs their virtual predict() in
- * place — harmless for accuracy sweeps, disqualifying for timing
- * fusion, which is exactly what timingBatchable() encodes.
+ * Both sweep kernels drive one BatchedPredictors through the same
+ * pass (harness/sweep_kernel.cc); timing sweeps read each member's
+ * prediction() there to record an outcome tape.
  */
 
 #ifndef TPRED_HARNESS_BATCHED_PREDICTORS_HH
@@ -101,74 +85,35 @@ class BatchedPredictors
   public:
     explicit BatchedPredictors(std::span<const IndirectConfig> configs);
 
-    /** Number of members in the batch (live or retired). */
+    /** Number of members in the batch. */
     size_t size() const { return members_; }
 
     /** Number of deduplicated history trackers. */
     size_t trackerCount() const { return trackers_.size(); }
 
-    /**
-     * Whether a config can join a *fused timing* batch.  ITTAGE and
-     * the oracle cannot: their predict()/prime() mutate state, so the
-     * pure probe the divergence check needs does not exist, and a
-     * forked member could not be serialized with pre-branch state.
-     * They take the per-config scalar path instead (the batching rule
-     * documented in docs/sweep_kernel.md).  Accuracy sweeps batch
-     * every structure.
-     */
-    static bool timingBatchable(const IndirectConfig &config);
-
-    /** True when member @p m carries an indirect predictor. */
-    bool hasPredictor(size_t m) const;
-
-    /** Members not yet retired, ascending batch order. */
-    std::span<const size_t> live() const { return liveMembers_; }
-
     // --- Per-indirect-branch protocol --------------------------------
 
     /**
-     * Probe phase: computes every live member's fetch-time history and
-     * predicted target for indirect branch @p op.  @p btb_hit /
-     * @p btb_target describe the shared front end's BTB probe; as in
-     * the per-config path, predictors are consulted (and their probe
-     * side effects later committed) only on a BTB hit, but histories
-     * are captured regardless because they index the update.
-     *
-     * Mutates nothing for tagless/tagged/cascaded/BTB-only members.
-     * Scalar members (ITTAGE, oracle) run their stateful predict()
-     * here — see timingBatchable().
+     * Computes every member's fetch-time history and predicted target
+     * for indirect branch @p op, applying the probe-time side effects
+     * the scalar predict() makes.  @p btb_hit / @p btb_target describe
+     * the shared front end's BTB probe; as in the per-config path,
+     * predictors are consulted only on a BTB hit, but histories are
+     * captured regardless because they index the update.
      */
-    void computePredictions(const MicroOp &op, bool btb_hit,
-                            uint64_t btb_target);
+    void predictAll(const MicroOp &op, bool btb_hit, uint64_t btb_target);
 
-    /** Member @p m's predicted target from computePredictions(). */
+    /** Member @p m's predicted target from predictAll(). */
     uint64_t prediction(size_t m) const { return predicted_[m]; }
 
-    /**
-     * Side-effect phase: applies the probe-time state changes the
-     * scalar predict() would have made (LRU refreshes, probe
-     * counters) for every live member.  No-op when the BTB missed —
-     * the scalar path never consulted the predictor.
-     */
-    void commitPredictions();
-
-    /** Records predicted-vs-resolved for every live member. */
+    /** Records predicted-vs-resolved for every member. */
     void recordOutcomes(uint64_t next_pc);
 
     /**
-     * Training phase: update(pc, history, target) for every live
-     * member, with the fetch-time histories cached by
-     * computePredictions().
+     * Training phase: update(pc, history, target) for every member,
+     * with the fetch-time histories cached by predictAll().
      */
     void updateAll(uint64_t next_pc);
-
-    /** Accuracy one-shot: compute + commit in one call. */
-    void
-    predictAll(const MicroOp &op, bool btb_hit, uint64_t btb_target)
-    {
-        computePredictions(op, btb_hit, btb_target);
-        commitPredictions();
-    }
 
     /** Advances every deduplicated tracker; call once per branch. */
     void observeTrackers(const MicroOp &op);
@@ -179,56 +124,8 @@ class BatchedPredictors
         return indirect_[m];
     }
 
-    // --- Copy-on-divergence support ----------------------------------
-
-    /**
-     * Removes member @p m from every live list: subsequent
-     * commit/record/update passes skip it.  Called after a diverged
-     * timing member has been serialized and forked onto its own core.
-     */
-    void retire(size_t m);
-
-    /**
-     * Serializes member @p m's predictor in the exact byte format of
-     * the scalar predictor's saveState(), so the bytes restore into a
-     * freshly built per-config stack.  Precondition: hasPredictor(m).
-     */
-    void savePredictorState(size_t m, StateWriter &w) const;
-
-    /**
-     * Serializes member @p m's (shared) history tracker.
-     * Precondition: hasPredictor(m).
-     */
-    void saveTrackerState(size_t m, StateWriter &w) const;
-
   private:
     static constexpr size_t kMiss = SIZE_MAX;
-
-    enum class Family : uint8_t
-    {
-        None,
-        Tagless,
-        Tagged,
-        Cascaded,
-        Scalar,
-    };
-
-    /** member index -> (family, position in that family's meta list) */
-    struct DirEntry
-    {
-        Family family = Family::None;
-        size_t pos = 0;
-    };
-
-    struct TaglessMeta
-    {
-        TaglessConfig config{};
-        size_t member = 0;
-        size_t tracker = 0;
-        size_t base = 0;  ///< first entry in the shared columns
-        uint64_t probes = 0;
-        uint64_t crossBranchProbes = 0;
-    };
 
     /** One member's geometry within a TaggedBank. */
     struct TaggedGeom
@@ -248,7 +145,6 @@ class BatchedPredictors
     {
         std::vector<TaggedGeom> geom;
         std::vector<uint64_t> useClock;
-        std::vector<uint64_t> conflictEvictions;
         std::vector<uint8_t> valid;
         std::vector<uint64_t> tag;
         std::vector<uint64_t> target;
@@ -264,123 +160,78 @@ class BatchedPredictors
         }
         void update(size_t slot, uint64_t pc, uint64_t history,
                     uint64_t tgt);
-        /** Byte-exact TaggedTargetCache::saveState() format. */
-        void save(size_t slot, StateWriter &w) const;
     };
 
-    struct TaggedMeta
+    // Dense per-family hot columns: the fields the per-branch loops
+    // touch, as parallel arrays walked by plain index — stride-1
+    // loads instead of per-member struct chasing.
+
+    struct TaglessHot
     {
-        size_t member = 0;
-        size_t tracker = 0;
-        size_t slot = 0;
+        std::vector<size_t> member;
+        std::vector<size_t> tracker;
+        std::vector<size_t> base;  ///< first entry in the shared columns
+        std::vector<TaglessConfig> config;
+
+        size_t size() const { return member.size(); }
     };
 
-    struct CascadedMeta
+    struct TaggedHot
     {
-        size_t member = 0;
-        size_t tracker = 0;
-        unsigned stage1Bits = 0;
-        size_t stage1Base = 0;
-        size_t stage1Entries = 0;
-        size_t slot = 0;  ///< stage-2 slot in cascadedStage2_
-        uint64_t stage2Hits = 0;
-        uint64_t probes = 0;
+        std::vector<size_t> member;
+        std::vector<size_t> tracker;
+        std::vector<size_t> slot;
+
+        size_t size() const { return member.size(); }
     };
 
-    struct ScalarMeta
+    struct CascadedHot
+    {
+        std::vector<size_t> member;
+        std::vector<size_t> tracker;
+        std::vector<unsigned> stage1Bits;
+        std::vector<size_t> stage1Base;
+        std::vector<size_t> slot;  ///< stage-2 slot in cascadedStage2_
+
+        size_t size() const { return member.size(); }
+    };
+
+    struct ScalarMember
     {
         size_t member = 0;
         size_t tracker = 0;
         std::unique_ptr<IndirectPredictor> predictor;
     };
 
-    // Dense per-family hot columns: the fields the per-branch loops
-    // touch, as parallel arrays walked by plain index — stride-1
-    // loads instead of live-list -> meta-struct pointer chasing.
-    // `meta` back-references the stable meta arrays (probe counters,
-    // saveState); erase() compacts a retired member's row out so the
-    // walk stays dense.
-
-    struct TaglessHot
-    {
-        std::vector<size_t> meta;   ///< -> taglessMeta_ (stable)
-        std::vector<size_t> member;
-        std::vector<size_t> tracker;
-        std::vector<size_t> base;
-        std::vector<TaglessConfig> config;
-
-        size_t size() const { return meta.size(); }
-        void push(size_t pos, const TaglessMeta &m);
-        void erase(size_t pos);
-    };
-
-    struct TaggedHot
-    {
-        std::vector<size_t> meta;   ///< -> taggedMeta_ (stable)
-        std::vector<size_t> member;
-        std::vector<size_t> tracker;
-        std::vector<size_t> slot;
-
-        size_t size() const { return meta.size(); }
-        void push(size_t pos, const TaggedMeta &m);
-        void erase(size_t pos);
-    };
-
-    struct CascadedHot
-    {
-        std::vector<size_t> meta;   ///< -> cascadedMeta_ (stable)
-        std::vector<size_t> member;
-        std::vector<size_t> tracker;
-        std::vector<unsigned> stage1Bits;
-        std::vector<size_t> stage1Base;
-        std::vector<size_t> slot;
-
-        size_t size() const { return meta.size(); }
-        void push(size_t pos, const CascadedMeta &m);
-        void erase(size_t pos);
-    };
-
     size_t members_ = 0;
-    std::vector<DirEntry> directory_;
 
     // Deduplicated histories.
     std::vector<HistorySpec> specs_;
     std::vector<std::unique_ptr<HistoryTracker>> trackers_;
     std::vector<uint64_t> trackerVal_;  ///< per-branch scratch
 
-    // Family groups: stable meta arrays + dense hot columns the
-    // per-branch loops walk (built once, compacted only by retire()).
-    std::vector<TaglessMeta> taglessMeta_;
+    // Family groups.
     TaglessHot taglessHot_;
     std::vector<uint64_t> taglessTargets_;
-    std::vector<uint64_t> taglessWriterPc_;
 
     TaggedBank tagged_;
-    std::vector<TaggedMeta> taggedMeta_;
     TaggedHot taggedHot_;
 
-    std::vector<CascadedMeta> cascadedMeta_;
     CascadedHot cascadedHot_;
     std::vector<uint8_t> s1Valid_;
     std::vector<uint64_t> s1Tag_;
     std::vector<uint64_t> s1Target_;
     TaggedBank cascadedStage2_;
 
-    std::vector<ScalarMeta> scalarMeta_;
-    std::vector<size_t> scalarLive_;
+    std::vector<ScalarMember> scalar_;
 
-    std::vector<size_t> noneLive_;  ///< BTB-only member indices
-
-    std::vector<size_t> liveMembers_;  ///< all live, ascending
+    std::vector<size_t> none_;  ///< BTB-only member indices
 
     // Per-branch scratch, indexed by member.
     std::vector<uint64_t> hist_;
     std::vector<uint64_t> predicted_;
     std::vector<uint64_t> taglessIdx_;
-    std::vector<size_t> taggedHit_;
-    std::vector<size_t> cascadedS2Hit_;
     uint64_t pc_ = 0;
-    bool probeActive_ = false;  ///< BTB hit: predict side effects due
 
     std::vector<RatioStat> indirect_;
 };

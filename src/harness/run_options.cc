@@ -1,7 +1,6 @@
 #include "harness/run_options.hh"
 
 #include <atomic>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,23 +38,30 @@ envTruthy(const char *value)
 
 } // namespace
 
+uint64_t
+parseUnsignedValue(const char *text, const char *what, uint64_t max)
+{
+    if (text == nullptr || *text == '\0')
+        die(std::string(what) + ": empty value");
+    uint64_t value = 0;
+    for (const char *p = text; *p != '\0'; ++p) {
+        if (*p < '0' || *p > '9')
+            die(std::string(what) + ": malformed value '" + text +
+                "' (expect a non-negative integer)");
+        const auto digit = static_cast<uint64_t>(*p - '0');
+        if (value > (max - digit) / 10)
+            die(std::string(what) + ": value '" + text +
+                "' is out of range (at most " + std::to_string(max) +
+                ")");
+        value = value * 10 + digit;
+    }
+    return value;
+}
+
 unsigned
 parseJobsValue(const char *text, const char *what)
 {
-    if (text == nullptr || *text == '\0')
-        die(std::string(what) + ": empty worker-thread count");
-    unsigned long value = 0;
-    for (const char *p = text; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9')
-            die(std::string(what) + ": malformed worker-thread "
-                                    "count '" +
-                text + "' (expect a non-negative integer)");
-        value = value * 10 + static_cast<unsigned long>(*p - '0');
-        if (value > UINT_MAX)
-            die(std::string(what) + ": worker-thread count '" + text +
-                "' is out of range");
-    }
-    return static_cast<unsigned>(value);
+    return parseUnsigned<unsigned>(text, what);
 }
 
 RunOptions

@@ -27,6 +27,8 @@
 #define TPRED_HARNESS_RUN_OPTIONS_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 namespace tpred
@@ -77,9 +79,27 @@ bool verboseLogging();
 void setVerboseLogging(bool enabled);
 
 /**
- * Strictly parses a worker-thread count (0 = automatic allowed).
- * Prints to stderr and exits 2 on malformed input — shared by
- * RunOptions and the TPRED_JOBS fallback in defaultJobs().
+ * Strictly parses an unsigned decimal value: one or more digits, no
+ * sign, spaces or suffix, at most @p max.  Prints to stderr and exits
+ * 2 on anything else — the contract of every numeric tpred flag, so
+ * "--seed x" never silently becomes 0.
+ * @param what Label used in the error message ("--seed", "TPRED_JOBS").
+ */
+uint64_t parseUnsignedValue(const char *text, const char *what,
+                            uint64_t max);
+
+/** parseUnsignedValue() bounded by the range of @p T. */
+template <typename T>
+T
+parseUnsigned(const char *text, const char *what)
+{
+    return static_cast<T>(
+        parseUnsignedValue(text, what, std::numeric_limits<T>::max()));
+}
+
+/**
+ * Strictly parses a worker-thread count (0 = automatic allowed) —
+ * shared by RunOptions and the TPRED_JOBS fallback in defaultJobs().
  * @param what Label used in the error message ("--jobs", "TPRED_JOBS").
  */
 unsigned parseJobsValue(const char *text, const char *what);

@@ -283,7 +283,7 @@ runTimingStreaming(const std::shared_ptr<const SegmentedTrace> &trace,
     rig.core.beginSession();
     rig.core.runSession(replay, rig.frontend, trace->totalOps(),
                         UINT64_MAX);
-    const CoreResult result = rig.core.endSession(rig.frontend);
+    const CoreResult result = rig.core.endSession(rig.frontend.stats());
     creditBtbCounters(rig.frontend.btb().hstats());
     return result;
 }
@@ -401,7 +401,7 @@ runTimingSharded(const std::shared_ptr<const SegmentedTrace> &trace,
     ShardedTimingResult out;
     // Counted pass: the serial checkpoint replay (shards never credit).
     creditBtbCounters(serial.frontend.btb().hstats());
-    out.serial = serial.core.endSession(serial.frontend);
+    out.serial = serial.core.endSession(serial.frontend.stats());
     out.shards.resize(shards);
     for (const auto &[pos, blob] : blobs)
         out.checkpointBytes += blob.size();
@@ -438,7 +438,7 @@ runTimingSharded(const std::shared_ptr<const SegmentedTrace> &trace,
                                           total, UINT64_MAX);
                     p.exitMatched = matches(shard, blobs.at(total));
                     final_result = shard.core.endSession(
-                        shard.frontend, /*count_metrics=*/false);
+                        shard.frontend.stats(), /*count_metrics=*/false);
                 } else {
                     if (p.endOp > p.beginOp) {
                         shard.core.runSession(source, shard.frontend,

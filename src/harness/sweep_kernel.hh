@@ -27,25 +27,24 @@
  * allBranches is composed as shared-non-indirect + member-indirect
  * via RatioStat::merge (pure counter addition, order-free).
  *
- * Timing sweeps fuse too (runTimingSweep): one shared CoreModel
- * trajectory carries the whole batch, and a member is *forked* onto
- * its own core — via the sharded-replay StateWriter/StateReader
- * checkpoints — at the first branch where its prediction correctness
- * diverges from the lead config's (copy-on-divergence; forked members
- * continue independently and never rejoin).  Correctness is the only
- * coupling between the front end and the core, and the architectural
- * front-end trajectory is config-independent, so members agreeing
- * with the lead share its cycles exactly; see docs/sweep_kernel.md
- * for the exactness argument.
+ * Timing sweeps fuse too (runTimingSweep), in two passes.  The same
+ * predictor pass runs once per batch and records an *outcome tape*:
+ * what each member's core would read from its front end — per branch
+ * the BTB-miss fetch bubble and a correctness bit, both shared by
+ * every member, except that at indirect branches each member has its
+ * own correctness bit.  Cores then replay the tape: one lead core
+ * carries member 0, and a member is *forked* onto a copy of the lead
+ * at its first indirect branch whose correctness differs from member
+ * 0's (copy-on-divergence; forks never rejoin).  Correctness and the
+ * bubble are the only coupling between the front end and the core,
+ * so members agreeing with the lead share its cycles exactly; see
+ * docs/sweep_kernel.md for the exactness argument.
  *
- * Batching rules (when callers must fall back to separate batches):
+ * Batching rule (when callers must fall back to separate batches):
  * all members of one batch share one FrontendConfig — grids that vary
  * the front end (Table 2's 2-bit BTB column, ablation 6's tournament
  * machine) issue one batch per front-end variant, down to a batch of
- * one, which degenerates to exactly the per-config path.  Timing
- * batches additionally exclude ITTAGE and oracle members (stateful
- * probes — BatchedPredictors::timingBatchable); runTimingSweep routes
- * those configs through the per-config runTiming() path internally.
+ * one.  Every predictor structure batches, in both kernels.
  */
 
 #ifndef TPRED_HARNESS_SWEEP_KERNEL_HH
@@ -92,20 +91,14 @@ runSweep(const BranchStream &stream,
  * @p trace with one shared core trajectory plus copy-on-divergence
  * forks.
  *
- * The lead (first timing-batchable config) runs a normal per-config
- * core/front-end rig, suspended at every indirect branch via the
- * resumable-session API.  At each suspension the batch probes every
- * member's prediction purely (the lead's BTB is peeked, not looked
- * up); a member whose correctness differs from the lead's is
- * serialized — lead core + front end, member predictor + tracker, all
- * with pre-branch state — restored into a fresh per-config rig, and
- * run to completion on its own core from that exact op boundary.
- * Members that never diverge inherit the lead's cycles, stall
- * breakdown and dcache stats wholesale, with only indirectJumps /
- * allBranches recomposed from their own outcome counts.
- *
- * ITTAGE and oracle configs cannot be purely probed and take the
- * per-config runTiming() path internally (same results, no sharing).
+ * Pass 1 is runSweep()'s predictor pass over the cached BranchStream,
+ * recording every member's per-branch outcomes on a tape.  In pass 2
+ * the lead core replays member 0's outcomes, suspending (via the
+ * resumable-session API) only at ops where some member's first
+ * divergent indirect branch sits; there CoreModel::forkFrom copies
+ * the lead and the copy runs to completion on that member's outcomes
+ * from the same op boundary.  Members that never diverge inherit the
+ * lead's cycles, stall breakdown and dcache stats wholesale.
  *
  * @return Per-config results, in batch order, bit-identical to
  *         runTiming(trace, configs[i], params, fe) for each i —

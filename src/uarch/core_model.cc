@@ -237,14 +237,14 @@ CoreModel::beginSession()
 }
 
 CoreResult
-CoreModel::endSession(FrontendPredictor &frontend, bool count_metrics)
+CoreModel::endSession(const FrontendStats &frontend, bool count_metrics)
 {
     CoreResult result;
     result.cycles = cycle_;
     result.instructions = instructions_;
     result.stallCyclesByKind = stallByKind_;
     result.btbMissStallCycles = btbMissStall_;
-    result.frontend = frontend.stats();
+    result.frontend = frontend;
     result.dcache = dcache_.stats();
 
     if (count_metrics) {

@@ -6,10 +6,15 @@
  * from the correct path are fetched in the next cycle" — a perfect
  * instruction cache, and a 16 KB data cache.
  *
- * The model is trace-driven: the front end is consulted for every
- * instruction and a misprediction stalls fetch until the branch
- * executes (wrong-path instructions are never injected; their cost is
- * the fetch bubble, the first-order effect the paper measures).
+ * The model is trace-driven: an outcome source is consulted for every
+ * fetched instruction and a misprediction stalls fetch until the
+ * branch executes (wrong-path instructions are never injected; their
+ * cost is the fetch bubble, the first-order effect the paper
+ * measures).  The core reads two things from each outcome: whether
+ * it was correct and its BTB-miss fetch bubble.  The live
+ * FrontendPredictor is one outcome source; the fused timing sweep
+ * replays outcomes its predictor pass recorded earlier
+ * (harness/sweep_kernel.cc).
  *
  * Two driving styles share one simulation body:
  *  - run(): simulate a whole trace in one call (the classic API);
@@ -108,8 +113,8 @@ struct CoreResult
 };
 
 /**
- * Cycle-driven core.  One instance runs one trace against one front
- * end; construct fresh per experiment (or restoreState() into it).
+ * Cycle-driven core.  One instance runs one trace against one outcome
+ * source; construct fresh per experiment (or restoreState() into it).
  */
 class CoreModel
 {
@@ -119,16 +124,17 @@ class CoreModel
     /**
      * Simulates until @p max_instrs retire (or the trace ends) and
      * returns cycle/IPC/accuracy results: one whole session.
-     * @p Source is any runSession() source — a TraceSource, or the
-     * non-virtual CompactReplay block decoder.
+     * @p Source and @p Outcomes are any runSession() sources; the
+     * outcome source also reports its accuracy through stats(), as
+     * FrontendPredictor does.
      */
-    template <typename Source>
+    template <typename Source, typename Outcomes>
     CoreResult
-    run(Source &trace, FrontendPredictor &frontend, uint64_t max_instrs)
+    run(Source &trace, Outcomes &outcomes, uint64_t max_instrs)
     {
         beginSession();
-        runSession(trace, frontend, max_instrs, UINT64_MAX);
-        return endSession(frontend);
+        runSession(trace, outcomes, max_instrs, UINT64_MAX);
+        return endSession(outcomes.stats());
     }
 
     /** Resets all session state; call once before runSession(). */
@@ -146,12 +152,14 @@ class CoreModel
      *    and the window drained — returns false, the session is
      *    complete and endSession() yields the result.
      *
-     * @p Source needs only `bool next(MicroOp&)`.
+     * @p Source needs only `bool next(MicroOp&)`, and @p Outcomes only
+     * `PredictionOutcome onInstruction(const MicroOp &)`, called once
+     * per fetched op in trace order.
      */
-    template <typename Source>
+    template <typename Source, typename Outcomes>
     bool
-    runSession(Source &trace, FrontendPredictor &frontend,
-               uint64_t max_instrs, uint64_t stop_after_fetched)
+    runSession(Source &trace, Outcomes &outcomes, uint64_t max_instrs,
+               uint64_t stop_after_fetched)
     {
         static const obs::Timer phase =
             obs::globalMetrics().timer("phase.core_run");
@@ -217,8 +225,8 @@ class CoreModel
                         break;
                     }
                     ++totalFetched_;
-                    PredictionOutcome outcome =
-                        frontend.onInstruction(op);
+                    const PredictionOutcome outcome =
+                        outcomes.onInstruction(op);
                     const bool mispredicted =
                         op.isBranch() && !outcome.correct;
                     dispatch(op, mispredicted);
@@ -256,14 +264,15 @@ class CoreModel
     }
 
     /**
-     * Finishes a session: packages cycles, stats and stall breakdown.
+     * Finishes a session: packages cycles, stall breakdown and the
+     * outcome source's accuracy @p frontend.
      * @p count_metrics gates the global core.cycles_simulated /
      * core.instructions_retired counters — sharded-replay warm-up and
      * verification passes pass false so the deterministic counters
      * stay identical to a continuous run.  It also gates the runtime
      * core.idle_cycles_skipped counter.
      */
-    CoreResult endSession(FrontendPredictor &frontend,
+    CoreResult endSession(const FrontendStats &frontend,
                           bool count_metrics = true);
 
     /** Ops fetched from the source(s) so far in this session. */
@@ -282,7 +291,8 @@ class CoreModel
     /**
      * Serializes the complete session state — cycle counters, window
      * contents, register writer map, fetch/stall flags and the data
-     * cache.  The front end is checkpointed separately by the caller.
+     * cache.  The outcome source is checkpointed separately by the
+     * caller.
      */
     void saveState(StateWriter &w) const;
 

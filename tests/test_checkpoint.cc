@@ -282,7 +282,7 @@ TEST_P(CheckpointRoundTrip, CoreModelStateSurvivesSaveRestore)
                              UINT64_MAX);
     }
     const CoreResult expected =
-        base.core.endSession(base.frontend);
+        base.core.endSession(base.frontend.stats());
     const auto final_state = base.snapshot();
 
     for (const size_t b : fuzzBoundaries(seed, ops.size())) {
@@ -302,7 +302,8 @@ TEST_P(CheckpointRoundTrip, CoreModelStateSurvivesSaveRestore)
         VectorTraceSource rest_src(rest);
         tail.core.runSession(rest_src, tail.frontend, 1u << 30,
                              UINT64_MAX);
-        const CoreResult got = tail.core.endSession(tail.frontend);
+        const CoreResult got =
+            tail.core.endSession(tail.frontend.stats());
 
         EXPECT_EQ(tail.snapshot(), final_state)
             << "boundary " << b << " seed " << seed;

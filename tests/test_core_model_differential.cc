@@ -214,8 +214,9 @@ TEST_P(CoreDifferential, MatchesReferenceAtEveryBoundary)
         fast.core.runSession(fast_src, fast.frontend, UINT64_MAX, UINT64_MAX);
         ref.core.runSession(ref_src, ref.frontend, UINT64_MAX, UINT64_MAX);
         EXPECT_EQ(fast.coreBytes(), ref.coreBytes()) << in.name << " end";
-        expectSameResult(fast.core.endSession(fast.frontend, false),
-                         ref.core.result(ref.frontend), in.name);
+        expectSameResult(
+            fast.core.endSession(fast.frontend.stats(), false),
+            ref.core.result(ref.frontend), in.name);
     }
 }
 
@@ -268,8 +269,9 @@ TEST_P(CoreDifferential, ContinuesFromReferenceCheckpoints)
             VectorTraceSource rest_src(rest);
             tail.core.runSession(rest_src, tail.frontend, UINT64_MAX,
                                  UINT64_MAX);
-            expectSameResult(tail.core.endSession(tail.frontend, false),
-                             want, where);
+            expectSameResult(
+                tail.core.endSession(tail.frontend.stats(), false), want,
+                where);
         }
     }
 }

@@ -1,9 +1,11 @@
 /**
  * @file
- * Tests for strict run-length parsing: parseOps() must accept exactly
+ * Tests for strict numeric parsing: parseOps() must accept exactly
  * the positive decimal integers and nothing else, and resolveOps()
  * must fail loudly (exit 2) on a malformed argv[1] or TPRED_OPS
- * instead of silently falling back to the default budget.
+ * instead of silently falling back to the default budget.  The
+ * tools' other numeric flags go through parseUnsigned(), which exits
+ * 2 on anything but an in-range non-negative decimal.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <string>
 
 #include "harness/experiment.hh"
+#include "harness/run_options.hh"
 
 namespace tpred
 {
@@ -135,6 +138,43 @@ TEST(ResolveOpsDeath, ValidArgvDoesNotConsultMalformedEnv)
     setenv("TPRED_OPS", "garbage", 1);
     EXPECT_EQ(callResolve("4242", 50), 4242u);
     unsetenv("TPRED_OPS");
+}
+
+TEST(ParseUnsigned, AcceptsDecimalsUpToTheTypeRange)
+{
+    EXPECT_EQ(parseUnsigned<uint64_t>("0", "--seed"), 0u);
+    EXPECT_EQ(parseUnsigned<uint64_t>("007", "--seed"), 7u);
+    EXPECT_EQ(parseUnsigned<uint64_t>("18446744073709551615", "--seed"),
+              std::numeric_limits<uint64_t>::max());
+    EXPECT_EQ(parseUnsigned<unsigned>("4294967295", "--ways"),
+              std::numeric_limits<unsigned>::max());
+    EXPECT_EQ(parseJobsValue("0", "--jobs"), 0u);  // 0 = automatic
+}
+
+using ParseUnsignedDeath = ::testing::Test;
+
+TEST(ParseUnsignedDeath, GarbageExits2)
+{
+    // Each of these used to go through atoi/atoll and run with 0 or a
+    // truncated prefix.
+    for (const char *text :
+         {"", "x", "12x", "-1", "+3", " 3", "3 ", "0x10", "1e3", "2.5"}) {
+        EXPECT_EXIT(parseUnsigned<uint64_t>(text, "--seed"),
+                    ::testing::ExitedWithCode(2), "--seed")
+            << "'" << text << "'";
+    }
+    EXPECT_EXIT(parseUnsigned<uint64_t>(nullptr, "--cap"),
+                ::testing::ExitedWithCode(2), "--cap: empty");
+}
+
+TEST(ParseUnsignedDeath, OutOfRangeExits2)
+{
+    EXPECT_EXIT(parseUnsigned<unsigned>("4294967296", "--ways"),
+                ::testing::ExitedWithCode(2), "out of range");
+    EXPECT_EXIT(parseUnsigned<uint64_t>("18446744073709551616", "--seed"),
+                ::testing::ExitedWithCode(2), "out of range");
+    EXPECT_EXIT(parseJobsValue("99999999999", "TPRED_JOBS"),
+                ::testing::ExitedWithCode(2), "TPRED_JOBS");
 }
 
 } // namespace

@@ -319,6 +319,8 @@ expectSameCoreResult(const CoreResult &want, const CoreResult &got,
     EXPECT_EQ(want.instructions, got.instructions) << context;
     EXPECT_EQ(want.stallCyclesByKind, got.stallCyclesByKind)
         << context << " penalty breakdown";
+    EXPECT_EQ(want.btbMissStallCycles, got.btbMissStallCycles)
+        << context << " BTB-miss bubbles";
     EXPECT_EQ(want.dcache.hits, got.dcache.hits) << context;
     EXPECT_EQ(want.dcache.misses, got.dcache.misses) << context;
     expectSameStats(want.frontend, got.frontend, context);
@@ -335,8 +337,8 @@ timingFamilyConfigs()
         taggedConfig(TaggedIndexScheme::HistoryXor, 4),
         taggedConfig(TaggedIndexScheme::Address, 2),
         cascadedConfig(),
-        ittageConfig(),  // scalar: internal per-config path
-        oracleConfig(),  // scalar: internal per-config path
+        ittageConfig(),  // scalar, stateful predict()
+        oracleConfig(),  // scalar, stateful predict()
     };
 }
 
@@ -344,8 +346,7 @@ timingFamilyConfigs()
  * The fused-timing equivalence claim: one shared core trajectory plus
  * copy-on-divergence forks reproduces per-config runTiming() exactly
  * — cycles, penalty breakdown, front-end stats and dcache — for every
- * predictor family (ITTAGE and the oracle ride the internal
- * per-config path) across workloads and seeds.
+ * predictor family across workloads and seeds.
  */
 TEST(SweepKernel, FusedTimingMatchesPerConfig)
 {
@@ -389,6 +390,67 @@ TEST(SweepKernel, FusedTimingMatchesPerConfigUnderAlternateMachines)
         expectSameCoreResult(
             runTiming(trace, configs[c], narrow, tourney), fused[c],
             configs[c].describe());
+}
+
+/**
+ * Member 0 leads the shared core, so a scalar lead (ITTAGE or the
+ * oracle, whose predict() mutates state) must fuse exactly too.
+ */
+TEST(SweepKernel, FusedTimingMatchesPerConfigWithScalarLead)
+{
+    const SharedTrace trace = recordWorkload("perl", 10000);
+    for (const IndirectConfig &lead : {ittageConfig(), oracleConfig()}) {
+        const std::vector<IndirectConfig> configs = {
+            lead,
+            taglessGshare(),
+            baselineConfig(),
+            taggedConfig(TaggedIndexScheme::HistoryXor, 4),
+            lead.structure == IndirectStructure::Ittage ? oracleConfig()
+                                                        : ittageConfig(),
+        };
+        const std::vector<CoreResult> fused =
+            runTimingSweep(trace, configs);
+        ASSERT_EQ(fused.size(), configs.size());
+        for (size_t c = 0; c < configs.size(); ++c)
+            expectSameCoreResult(runTiming(trace, configs[c]), fused[c],
+                                 lead.describe() + " lead/" +
+                                     configs[c].describe());
+    }
+}
+
+/**
+ * The outcome tape carries each branch's BTB-miss fetch bubble: the
+ * fused sweep must charge exactly the per-config bubbles under front
+ * ends whose BTB misses (small, two-level) or trains differently
+ * (2-bit), on a SPEC analogue and on the BTB-hungry server workload.
+ */
+TEST(SweepKernel, FusedTimingMatchesPerConfigUnderBtbFrontends)
+{
+    const std::vector<IndirectConfig> configs = timingFamilyConfigs();
+    const std::vector<std::pair<std::string, FrontendConfig>> fronts = {
+        {"two-level", twoLevelBtbFrontend()},
+        {"small", smallBtbFrontend()},
+        {"two-bit", twoBitBtbFrontend()},
+    };
+    for (const char *name : {"gcc", "server-dispatch"}) {
+        const SharedTrace trace = recordWorkload(name, 8000);
+        for (const auto &[label, fe] : fronts) {
+            const std::vector<CoreResult> fused =
+                runTimingSweep(trace, configs, CoreParams{}, fe);
+            ASSERT_EQ(fused.size(), configs.size());
+            if (label == "two-level") {
+                EXPECT_GT(fused[0].btbMissStallCycles, 0u)
+                    << name << ": the two-level front end charges bubbles";
+            }
+            for (size_t c = 0; c < configs.size(); ++c) {
+                expectSameCoreResult(
+                    runTiming(trace, configs[c], CoreParams{}, fe),
+                    fused[c],
+                    std::string(name) + "/" + label + "/" +
+                        configs[c].describe());
+            }
+        }
+    }
 }
 
 /**
@@ -461,6 +523,29 @@ TEST(SweepKernel, FusedTimingCountersMatchPerConfig)
     const auto ref_forks = ref.counters.find("sweep.timing_forks");
     EXPECT_TRUE(ref_forks == ref.counters.end() ||
                 ref_forks->second == 0u);
+}
+
+/**
+ * The lead core runs one session segment per distinct fork point plus
+ * its final drain, and each fork runs one: at most 1 + 2 x forks
+ * runSession() calls, however many indirect branches the trace has.
+ * Suspending the lead at every indirect branch would break this.
+ */
+TEST(SweepKernel, FusedTimingRunsFewSessions)
+{
+    const std::vector<IndirectConfig> configs = timingFamilyConfigs();
+    const SharedTrace trace = recordWorkload("gcc", 10000);
+
+    obs::globalMetrics().reset();
+    const std::vector<CoreResult> fused = runTimingSweep(trace, configs);
+    const obs::MetricsSnapshot snap = obs::globalMetrics().snapshot();
+
+    const uint64_t forks = snap.counters.at("sweep.timing_forks");
+    const uint64_t sessions = snap.timers.at("phase.core_run").count;
+    EXPECT_GT(forks, 0u);
+    EXPECT_LE(sessions, 1 + 2 * forks);
+    EXPECT_LT(sessions, fused[0].frontend.indirectJumps.total())
+        << "fewer sessions than indirect branches";
 }
 
 /**

@@ -92,10 +92,9 @@ parse(int argc, char **argv)
         if (arg == "--dir")
             opt.dir = need(i);
         else if (arg == "--seed")
-            opt.seed = static_cast<uint64_t>(std::atoll(need(i)));
+            opt.seed = parseUnsigned<uint64_t>(need(i), "--seed");
         else if (arg == "--max-bytes")
-            opt.maxBytes =
-                static_cast<uint64_t>(std::atoll(need(i)));
+            opt.maxBytes = parseUnsigned<uint64_t>(need(i), "--max-bytes");
         else if (arg == "--segment-ops")
             opt.segmentOps = parseOps(need(i), "--segment-ops");
         else if (arg.starts_with("--"))

@@ -115,26 +115,26 @@ parse(int argc, char **argv)
         if (arg == "--workload")
             opt.workload = need(i);
         else if (arg == "--seed")
-            opt.seed = static_cast<uint64_t>(std::atoll(need(i)));
+            opt.seed = parseUnsigned<uint64_t>(need(i), "--seed");
         else if (arg == "--predictor")
             opt.predictor = need(i);
         else if (arg == "--history")
             opt.history = need(i);
         else if (arg == "--hist")
-            opt.histBits = static_cast<unsigned>(std::atoi(need(i)));
+            opt.histBits = parseUnsigned<unsigned>(need(i), "--hist");
         else if (arg == "--bits-per-target")
             opt.bitsPerTarget =
-                static_cast<unsigned>(std::atoi(need(i)));
+                parseUnsigned<unsigned>(need(i), "--bits-per-target");
         else if (arg == "--scheme")
             opt.scheme = need(i);
         else if (arg == "--ways")
-            opt.ways = static_cast<unsigned>(std::atoi(need(i)));
+            opt.ways = parseUnsigned<unsigned>(need(i), "--ways");
         else if (arg == "--two-bit-btb")
             opt.twoBitBtb = true;
         else if (arg == "--timing")
             opt.timing = true;
         else if (arg == "--sites")
-            opt.sites = static_cast<size_t>(std::atoll(need(i)));
+            opt.sites = parseUnsigned<size_t>(need(i), "--sites");
         else if (arg == "--save-trace")
             opt.saveTrace = need(i);
         else if (arg == "--load-trace")
@@ -142,7 +142,7 @@ parse(int argc, char **argv)
         else if (arg == "--load-segmented")
             opt.loadSegmented = need(i);
         else if (arg == "--shards")
-            opt.shards = static_cast<unsigned>(std::atoi(need(i)));
+            opt.shards = parseUnsigned<unsigned>(need(i), "--shards");
         else if (arg == "--tune")
             opt.tuneSpace = need(i);
         else if (arg == "--list-workloads")

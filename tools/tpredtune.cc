@@ -88,16 +88,16 @@ parse(int argc, char **argv)
         else if (arg == "--list-spaces")
             opt.listSpaces = true;
         else if (arg == "--rungs")
-            opt.rungs = static_cast<unsigned>(std::atoi(need(i)));
+            opt.rungs = parseUnsigned<unsigned>(need(i), "--rungs");
         else if (arg == "--eta")
-            opt.eta = static_cast<unsigned>(std::atoi(need(i)));
+            opt.eta = parseUnsigned<unsigned>(need(i), "--eta");
         else if (arg == "--min-survivors")
             opt.minSurvivors =
-                static_cast<size_t>(std::atoll(need(i)));
+                parseUnsigned<size_t>(need(i), "--min-survivors");
         else if (arg == "--cap")
-            opt.cap = static_cast<size_t>(std::atoll(need(i)));
+            opt.cap = parseUnsigned<size_t>(need(i), "--cap");
         else if (arg == "--seed")
-            opt.seed = static_cast<uint64_t>(std::atoll(need(i)));
+            opt.seed = parseUnsigned<uint64_t>(need(i), "--seed");
         else if (arg == "--workloads")
             opt.workloads = need(i);
         else if (arg == "--exhaustive")
