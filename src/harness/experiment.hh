@@ -101,17 +101,6 @@ class SharedTrace
     /** Opens a devirtualized block-replay source. */
     CompactReplay replay() const { return CompactReplay(*trace_); }
 
-    /**
-     * Opens a devirtualized block-replay source whose first op is op
-     * @p start — the entry point for forked timing members
-     * (harness/sweep_kernel.cc), which resume a suspended session at
-     * an exact fetched-op boundary.
-     */
-    CompactReplay replayAt(size_t start) const
-    {
-        return CompactReplay(*trace_, start);
-    }
-
     const std::string &name() const { return name_; }
     size_t size() const { return trace_->size(); }
 

@@ -1,7 +1,6 @@
 #include "harness/sweep_kernel.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -79,31 +78,18 @@ class OutcomeTape
     size_t branches() const { return branches_.size(); }
 
     /**
-     * For each member, the op position of its first indirect branch
-     * whose correctness differs from member 0's — where its core
-     * trajectory leaves the lead's — or kNever.
+     * The op position of member @p m's first indirect branch, from the
+     * @p from-th on, whose correctness differs from member 0's — where
+     * its core trajectory leaves the lead's — or kNever.
      */
-    std::vector<uint64_t>
-    firstDivergence() const
+    uint64_t
+    nextDivergence(size_t m, size_t from) const
     {
-        std::vector<uint64_t> at(members_, kNever);
-        // Members not yet diverged, member 0 excluded.
-        std::vector<uint64_t> open(stride_, ~uint64_t{0});
-        open[0] &= ~uint64_t{1};
-        if (members_ % 64 != 0)
-            open.back() &= (uint64_t{1} << (members_ % 64)) - 1;
-        for (size_t j = 0; j < indirectPos_.size(); ++j) {
-            const uint64_t *row = &memberBits_[j * stride_];
-            const uint64_t lead = (row[0] & 1) != 0 ? ~uint64_t{0} : 0;
-            for (size_t w = 0; w < stride_; ++w) {
-                uint64_t diverged = (row[w] ^ lead) & open[w];
-                open[w] &= ~diverged;
-                for (; diverged != 0; diverged &= diverged - 1)
-                    at[w * 64 + std::countr_zero(diverged)] =
-                        indirectPos_[j];
-            }
+        for (size_t j = from; j < indirectPos_.size(); ++j) {
+            if (memberCorrect(j, m) != memberCorrect(j, 0))
+                return indirectPos_[j];
         }
-        return at;
+        return kNever;
     }
 
   private:
@@ -168,11 +154,60 @@ class TapeReplay
     /** Branches replayed so far. */
     size_t branches() const { return branch_; }
 
+    /** Indirect (non-return) branches replayed so far. */
+    size_t indirects() const { return indirect_; }
+
   private:
     const OutcomeTape *tape_;
     size_t member_;
     size_t branch_ = 0;
     size_t indirect_ = 0;
+};
+
+/** Adds @p plus - @p minus to every result counter of @p acc (wrapping). */
+void
+addDifference(CoreResult &acc, const CoreResult &plus,
+              const CoreResult &minus)
+{
+    acc.cycles += plus.cycles - minus.cycles;
+    acc.instructions += plus.instructions - minus.instructions;
+    for (size_t i = 0; i < acc.stallCyclesByKind.size(); ++i)
+        acc.stallCyclesByKind[i] +=
+            plus.stallCyclesByKind[i] - minus.stallCyclesByKind[i];
+    acc.btbMissStallCycles +=
+        plus.btbMissStallCycles - minus.btbMissStallCycles;
+    acc.dcache.hits += plus.dcache.hits - minus.dcache.hits;
+    acc.dcache.misses += plus.dcache.misses - minus.dcache.misses;
+}
+
+/**
+ * A non-lead member of a timing batch.  It *rides* the lead — no core
+ * of its own, only its offset from the lead's result — until its next
+ * indirect branch whose correctness differs from member 0's.  There it
+ * continues on a copy of the lead shifted by its cycle offset, and
+ * rides again once a check finds that core equal to the lead's up to a
+ * cycle shift.
+ */
+struct Member
+{
+    /** The member's own core, built at its first divergence, reused. */
+    struct Own
+    {
+        CoreModel core;
+        TapeReplay outcomes;
+        CompactReplay replay;
+        uint64_t since = 0;  ///< op position it last forked at
+    };
+
+    /// Member minus lead in every result counter (wrapping); `cycles`
+    /// is the cycle shift.  While the member runs its core carries the
+    /// shift, and `cycles` is 0.
+    CoreResult offset;
+    uint64_t next = OutcomeTape::kNever;  ///< riding: next divergence
+    bool running = false;
+    bool forked = false;     ///< diverged at least once
+    uint64_t inherited = 0;  ///< lead cycles at the first divergence
+    std::unique_ptr<Own> own;
 };
 
 /**
@@ -381,6 +416,14 @@ runTimingSweep(const SharedTrace &trace,
         obs::globalMetrics().counter("sweep.shared_cycles");
     static const obs::Counter member_cycles =
         obs::globalMetrics().counter("sweep.member_cycles");
+    static const obs::Counter reforks =
+        obs::globalMetrics().counter("rejoin.reforks");
+    static const obs::Counter checks =
+        obs::globalMetrics().counter("rejoin.checks");
+    static const obs::Counter rejoins =
+        obs::globalMetrics().counter("rejoin.rejoins");
+    static const obs::Counter member_ops =
+        obs::globalMetrics().counter("rejoin.member_ops");
     static const obs::Counter timing_runs =
         obs::globalMetrics().counter("experiment.timing_runs");
     static const obs::Counter replayed = obs::globalMetrics().counter(
@@ -409,65 +452,112 @@ runTimingSweep(const SharedTrace &trace,
         predictorPass(stream, batch, fe, &tape);
 
     // --- Pass 2: cores replay the tape ----------------------------
-    // The lead replays member 0's outcomes.  A member shares the
-    // lead's core trajectory up to its first divergent indirect
-    // branch; there the lead, suspended just before fetching that op,
-    // is copied and the copy continues on the member's outcomes.
-    const std::vector<uint64_t> diverge = tape.firstDivergence();
-    std::vector<size_t> forks;
-    for (size_t k = 1; k < configs.size(); ++k) {
-        if (diverge[k] != OutcomeTape::kNever)
-            forks.push_back(k);
-    }
-    std::stable_sort(forks.begin(), forks.end(), [&](size_t a, size_t b) {
-        return diverge[a] < diverge[b];
-    });
-
+    // The lead replays member 0's outcomes and is suspended only where
+    // a riding member diverges and, while some member runs on its own
+    // core, at every kRejoinCheckOps-th op boundary.  Up to a member's
+    // divergence its outcomes equal the lead's op for op, and a core
+    // equal to the lead's up to a cycle shift makes the lead's
+    // decisions from there on, that many cycles later: riding is exact
+    // (docs/sweep_kernel.md).
     const uint64_t n = trace.size();
-    std::vector<CoreResult> out(configs.size());
+    // members[0] stands for the lead: it never diverges from itself.
+    std::vector<Member> members(configs.size());
+    for (size_t k = 1; k < members.size(); ++k)
+        members[k].next = tape.nextDivergence(k, 0);
+
     CoreModel lead(params);
     TapeReplay lead_outcomes(tape, 0);
     CompactReplay replay = trace.replay();
     lead.beginSession();
-    uint64_t suspended_at = OutcomeTape::kNever;
-    for (size_t k : forks) {
-        const uint64_t p = diverge[k];
-        if (p != suspended_at) {
-            const bool suspended =
-                lead.runSession(replay, lead_outcomes, n, p);
-            assert(suspended && "divergent branch beyond session end");
-            (void)suspended;
-            suspended_at = p;
+    size_t running = 0;
+    for (uint64_t pos = 0;;) {
+        uint64_t stop = running > 0
+                            ? (pos / kRejoinCheckOps + 1) * kRejoinCheckOps
+                            : OutcomeTape::kNever;
+        for (const Member &m : members) {
+            if (!m.running)
+                stop = std::min(stop, m.next);
+        }
+        if (stop >= n)
+            break;
+        const bool suspended =
+            lead.runSession(replay, lead_outcomes, n, stop);
+        assert(suspended && "stop beyond session end");
+        (void)suspended;
+        pos = stop;
+
+        if (pos % kRejoinCheckOps == 0) {
+            for (size_t k = 1; k < members.size(); ++k) {
+                Member &m = members[k];
+                if (!m.running)
+                    continue;
+                Member::Own &own = *m.own;
+                own.core.runSession(own.replay, own.outcomes, n, pos);
+                checks.inc();
+                if (!own.core.equalUpToShift(lead))
+                    continue;
+                rejoins.inc();
+                member_ops.inc(pos - own.since);
+                addDifference(m.offset, own.core.result(), lead.result());
+                m.running = false;
+                --running;
+                m.next = tape.nextDivergence(k, lead_outcomes.indirects());
+            }
         }
 
-        timing_forks.inc();
-        const uint64_t inherited = lead.cycles();
-        shared_cycles.inc(inherited);
-        CoreModel fork(params);
-        fork.forkFrom(lead);
-        TapeReplay outcomes = lead_outcomes.forMember(k);
-        CompactReplay rest = trace.replayAt(p);
-        fork.runSession(rest, outcomes, n, UINT64_MAX);
-        out[k] = fork.endSession(stats[k]);
-        member_cycles.inc(out[k].cycles - inherited);
+        for (size_t k = 1; k < members.size(); ++k) {
+            Member &m = members[k];
+            if (m.running || m.next != pos)
+                continue;
+            if (!m.forked) {
+                m.forked = true;
+                m.inherited = lead.cycles();
+                timing_forks.inc();
+                shared_cycles.inc(m.inherited);
+            } else {
+                reforks.inc();
+            }
+            if (!m.own) {
+                m.own = std::make_unique<Member::Own>(
+                    CoreModel(params), lead_outcomes, replay);
+            }
+            Member::Own &own = *m.own;
+            own.core.forkFrom(lead, static_cast<int64_t>(m.offset.cycles));
+            m.offset.cycles = 0;
+            own.outcomes = lead_outcomes.forMember(k);
+            own.replay = replay;
+            own.since = pos;
+            m.running = true;
+            ++running;
+        }
     }
 
-    // Drain the lead to the end of the trace.
+    // Drain the lead, then every member still on its own core, to the
+    // end of the trace.
     lead.runSession(replay, lead_outcomes, n, UINT64_MAX);
     assert(lead_outcomes.branches() == tape.branches());
+    std::vector<CoreResult> out(configs.size());
     out[0] = lead.endSession(stats[0]);
-
-    for (size_t k = 1; k < configs.size(); ++k) {
-        if (diverge[k] != OutcomeTape::kNever)
-            continue;
-        // Never diverged: the member's whole core trajectory is the
-        // lead's; only its front-end stats are its own.
-        out[k] = out[0];
-        out[k].frontend = stats[k];
-        // The per-config path would have credited this member's core
-        // run; keep the deterministic counters identical.
-        cycles_simulated.inc(out[k].cycles);
-        instructions_retired.inc(out[k].instructions);
+    for (size_t k = 1; k < members.size(); ++k) {
+        Member &m = members[k];
+        if (m.running) {
+            Member::Own &own = *m.own;
+            own.core.runSession(own.replay, own.outcomes, n, UINT64_MAX);
+            member_ops.inc(n - own.since);
+            out[k] = own.core.endSession(stats[k]);
+            addDifference(out[k], m.offset, CoreResult{});
+        } else {
+            // Riding to the end: the lead's result, offset.  The
+            // per-config path would have credited this member's core
+            // run; keep the deterministic counters identical.
+            out[k] = out[0];
+            out[k].frontend = stats[k];
+            addDifference(out[k], m.offset, CoreResult{});
+            cycles_simulated.inc(out[k].cycles);
+            instructions_retired.inc(out[k].instructions);
+        }
+        if (m.forked)
+            member_cycles.inc(out[k].cycles - m.inherited);
     }
     return out;
 }

@@ -33,12 +33,14 @@
  * the BTB-miss fetch bubble and a correctness bit, both shared by
  * every member, except that at indirect branches each member has its
  * own correctness bit.  Cores then replay the tape: one lead core
- * carries member 0, and a member is *forked* onto a copy of the lead
- * at its first indirect branch whose correctness differs from member
- * 0's (copy-on-divergence; forks never rejoin).  Correctness and the
- * bubble are the only coupling between the front end and the core,
- * so members agreeing with the lead share its cycles exactly; see
- * docs/sweep_kernel.md for the exactness argument.
+ * carries member 0, and every other member rides it until an indirect
+ * branch whose correctness differs from member 0's, where it continues
+ * on a copy of the lead (copy-on-divergence) until its core is equal
+ * to the lead's up to a cycle shift (rejoin-on-reconvergence).
+ * Correctness and the bubble are the only coupling between the front
+ * end and the core, and the core's decisions compare cycles only with
+ * each other, so riding members share the lead's cycles exactly, up to
+ * their shift; see docs/sweep_kernel.md for the exactness argument.
  *
  * Batching rule (when callers must fall back to separate batches):
  * all members of one batch share one FrontendConfig — grids that vary
@@ -51,6 +53,7 @@
 #define TPRED_HARNESS_SWEEP_KERNEL_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -87,18 +90,29 @@ runSweep(const BranchStream &stream,
          const FrontendConfig &fe = {});
 
 /**
+ * Op spacing of the fused timing sweep's rejoin checks: a member
+ * running on its own core is compared with the lead at every op
+ * position that is a multiple of this.  Chosen by measurement
+ * (docs/sweep_kernel.md); not a knob.
+ */
+inline constexpr uint64_t kRejoinCheckOps = 128;
+
+/**
  * Fused timing sweep: evaluates every config's timing run against
- * @p trace with one shared core trajectory plus copy-on-divergence
- * forks.
+ * @p trace with one shared core trajectory, copy-on-divergence forks
+ * and rejoin-on-reconvergence.
  *
  * Pass 1 is runSweep()'s predictor pass over the cached BranchStream,
  * recording every member's per-branch outcomes on a tape.  In pass 2
- * the lead core replays member 0's outcomes, suspending (via the
- * resumable-session API) only at ops where some member's first
- * divergent indirect branch sits; there CoreModel::forkFrom copies
- * the lead and the copy runs to completion on that member's outcomes
- * from the same op boundary.  Members that never diverge inherit the
- * lead's cycles, stall breakdown and dcache stats wholesale.
+ * the lead core replays member 0's outcomes through the resumable-
+ * session API.  Every other member rides the lead — a cycle shift and
+ * result-counter offsets, no core — until its next indirect branch
+ * whose correctness differs from member 0's; there
+ * CoreModel::forkFrom makes it a shifted copy of the suspended lead,
+ * which runs on the member's outcomes and is compared with the lead
+ * every kRejoinCheckOps ops.  When CoreModel::equalUpToShift holds,
+ * the member rides again.  A member riding at the end takes the
+ * lead's result, offset.
  *
  * @return Per-config results, in batch order, bit-identical to
  *         runTiming(trace, configs[i], params, fe) for each i —

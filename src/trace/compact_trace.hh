@@ -344,7 +344,9 @@ class CompactTrace
  * Non-virtual replay source over a CompactTrace: the devirtualized
  * drop-in for the TraceSource pull loop.  next() is an inline bounds
  * check plus copy from an internal block buffer; the decoder runs
- * once per kReplayBlock ops.  The trace must outlive the source.
+ * once per kReplayBlock ops.  A copy continues from the same op (a
+ * forked timing member takes a copy of its lead's replay).  The trace
+ * must outlive the source.
  */
 class CompactReplay
 {
@@ -352,27 +354,6 @@ class CompactReplay
     explicit CompactReplay(const CompactTrace &trace)
         : cursor_(trace.cursor())
     {
-    }
-
-    /**
-     * Replay positioned at op @p start: the first next() produces op
-     * @p start.  The sequential decoder has no random access — the
-     * preceding ops are block-decoded and discarded — so this is for
-     * infrequent repositioning (forked timing members, shard restarts),
-     * not per-op seeking.
-     */
-    CompactReplay(const CompactTrace &trace, size_t start)
-        : cursor_(trace.cursor())
-    {
-        size_t skipped = 0;
-        while (skipped < start) {
-            const size_t want =
-                std::min(kReplayBlock, start - skipped);
-            const size_t got = cursor_.fill(buf_, want);
-            if (got == 0)
-                break;  // start beyond end: replay is exhausted
-            skipped += got;
-        }
     }
 
     bool

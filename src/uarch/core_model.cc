@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
+#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -20,10 +20,30 @@ validated(const CoreParams &params)
     if (params.width == 0 || params.window == 0 || params.fuCount == 0)
         throw std::invalid_argument(
             "CoreParams: width, window and fuCount must be nonzero");
+    if (longestOperandWait(params) > kMaxOperandWait)
+        throw std::invalid_argument(
+            "CoreParams: D-cache latencies make an operand wait longer "
+            "than " + std::to_string(kMaxOperandWait) + " cycles");
     return params;
 }
 
 } // namespace
+
+uint64_t
+longestOperandWait(const CoreParams &params)
+{
+    const std::array<unsigned, kNumInstClasses> &latency = latencyTable();
+    uint64_t longest = 0;
+    for (size_t c = 0; c < latency.size(); ++c) {
+        uint64_t wait = latency[c];
+        const auto cls = static_cast<InstClass>(c);
+        if (cls == InstClass::Load || cls == InstClass::Store)
+            wait += uint64_t{params.dcache.hitLatency} +
+                    params.dcache.missLatency;
+        longest = std::max(longest, wait);
+    }
+    return longest;
+}
 
 CoreModel::CoreModel(const CoreParams &params)
     : params_(validated(params)),
@@ -35,7 +55,11 @@ CoreModel::CoreModel(const CoreParams &params)
     ring_.resize(slots);
     mask_ = slots - 1;
     readyBits_.resize(slots / 64);
-    wakeups_.reserve(slots);
+    const uint64_t buckets =
+        std::bit_ceil(longestOperandWait(params) + 1);
+    wheelMask_ = buckets - 1;
+    wheel_.resize(buckets * readyBits_.size());
+    wheelBusy_.resize((buckets + 63) / 64);
 }
 
 void
@@ -87,43 +111,78 @@ void
 CoreModel::markReady(uint32_t slot)
 {
     const uint64_t ready = ring_[slot].readyCycle;
+    const uint64_t bit = uint64_t{1} << (slot % 64);
     if (ready <= cycle_) {
-        readyBits_[slot / 64] |= uint64_t{1} << (slot % 64);
-    } else {
-        wakeups_.push_back({ready, slot});
-        std::push_heap(wakeups_.begin(), wakeups_.end(),
-                       std::greater<>());
+        readyBits_[slot / 64] |= bit;
+        return;
     }
+    // ready - cycle_ <= longestOperandWait(), less than the bucket
+    // count: the bucket holds no other cycle.
+    const uint64_t bucket = ready & wheelMask_;
+    wheel_[bucket * readyBits_.size() + slot / 64] |= bit;
+    wheelBusy_[bucket / 64] |= uint64_t{1} << (bucket % 64);
 }
 
 void
 CoreModel::wakeDue()
 {
-    while (!wakeups_.empty() && wakeups_.front().cycle <= cycle_) {
-        const uint32_t slot = wakeups_.front().slot;
-        readyBits_[slot / 64] |= uint64_t{1} << (slot % 64);
-        std::pop_heap(wakeups_.begin(), wakeups_.end(), std::greater<>());
-        wakeups_.pop_back();
+    const uint64_t bucket = cycle_ & wheelMask_;
+    uint64_t &busy = wheelBusy_[bucket / 64];
+    const uint64_t bit = uint64_t{1} << (bucket % 64);
+    if ((busy & bit) == 0)
+        return;
+    busy &= ~bit;
+    uint64_t *due = &wheel_[bucket * readyBits_.size()];
+    for (size_t w = 0; w < readyBits_.size(); ++w) {
+        readyBits_[w] |= due[w];
+        due[w] = 0;
     }
 }
 
-uint32_t
-CoreModel::oldestReady() const
+uint64_t
+CoreModel::nextWakeup() const
 {
-    // Ring order from the head slot is age order: scan the head's word
-    // from the head bit, the words after it, and wrap back to the
-    // head's word, whose low bits are then the youngest slots.
+    // The first busy bucket in wheel order after this cycle's.  Every
+    // pending wake-up lies within one turn of the wheel, so the
+    // distance in buckets is the distance in cycles.
+    const size_t words = wheelBusy_.size();
+    const uint64_t from = (cycle_ + 1) & wheelMask_;
+    size_t w = from / 64;
+    uint64_t bits = wheelBusy_[w] & (~uint64_t{0} << (from % 64));
+    for (size_t i = 0; i <= words; ++i) {
+        if (bits != 0) {
+            const uint64_t bucket = w * 64 + std::countr_zero(bits);
+            return cycle_ + 1 + ((bucket - from) & wheelMask_);
+        }
+        w = w + 1 == words ? 0 : w + 1;
+        bits = wheelBusy_[w];
+    }
+    return UINT64_MAX;
+}
+
+void
+CoreModel::issueOldestReady()
+{
+    // Ring order from the head slot is age order: the head's word from
+    // the head bit, the words after it, then the head's word again,
+    // whose low bits are the youngest slots.  Every latency is >= 1,
+    // so issue() readies nothing in this cycle and one pass over the
+    // words sees every candidate.
     const size_t words = readyBits_.size();
     const size_t head = headSeq_ & mask_;
     size_t w = head / 64;
     uint64_t bits = readyBits_[w] & (~uint64_t{0} << (head % 64));
+    unsigned issued = 0;
     for (size_t i = 0; i <= words; ++i) {
-        if (bits != 0)
-            return static_cast<uint32_t>(w * 64 + std::countr_zero(bits));
+        for (; bits != 0; bits &= bits - 1) {
+            if (issued == params_.fuCount)
+                return;
+            issue(static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
+            ++issued;
+        }
         w = w + 1 == words ? 0 : w + 1;
         bits = readyBits_[w];
     }
-    return kNoSlot;
 }
 
 void
@@ -181,8 +240,7 @@ CoreModel::skipIdleCycles()
     uint64_t next = UINT64_MAX;
     if (headSeq_ != nextSeq_ && at(headSeq_).issued)
         next = at(headSeq_).doneCycle;
-    if (!wakeups_.empty())
-        next = std::min(next, wakeups_.front().cycle);
+    next = std::min(next, nextWakeup());
     if (!traceEnded_ && !redirectPending_ &&
         (fetchAllowed_ > cycle_ || nextSeq_ - headSeq_ < params_.window))
         next = std::min(next, std::max(fetchAllowed_, cycle_ + 1));
@@ -204,7 +262,8 @@ void
 CoreModel::rebuildWakeups()
 {
     std::fill(readyBits_.begin(), readyBits_.end(), 0);
-    wakeups_.clear();
+    std::fill(wheel_.begin(), wheel_.end(), 0);
+    std::fill(wheelBusy_.begin(), wheelBusy_.end(), 0);
     for (uint64_t seq = headSeq_; seq != nextSeq_; ++seq) {
         InFlight &entry = at(seq);
         entry.waiters = kNoSlot;
@@ -217,8 +276,6 @@ void
 CoreModel::beginSession()
 {
     headSeq_ = 1;
-    std::fill(readyBits_.begin(), readyBits_.end(), 0);
-    wakeups_.clear();
     idleCyclesSkipped_ = 0;
     lastWriter_.fill(0);
     stallByKind_.fill(0);
@@ -234,18 +291,26 @@ CoreModel::beginSession()
     btbStallPending_ = false;
     btbMissStall_ = 0;
     traceEnded_ = false;
+    rebuildWakeups();  // an empty window: clears the wake-up state
 }
 
 CoreResult
-CoreModel::endSession(const FrontendStats &frontend, bool count_metrics)
+CoreModel::result() const
 {
     CoreResult result;
     result.cycles = cycle_;
     result.instructions = instructions_;
     result.stallCyclesByKind = stallByKind_;
     result.btbMissStallCycles = btbMissStall_;
-    result.frontend = frontend;
     result.dcache = dcache_.stats();
+    return result;
+}
+
+CoreResult
+CoreModel::endSession(const FrontendStats &frontend, bool count_metrics)
+{
+    CoreResult result = this->result();
+    result.frontend = frontend;
 
     if (count_metrics) {
         // Once per run, not per cycle — the simulation loop stays
@@ -363,6 +428,7 @@ CoreModel::restoreState(StateReader &r)
                                " in-flight ops; the window is " +
                                std::to_string(params_.window));
     headSeq_ = nextSeq_ - window_size;
+    const uint64_t longest_wait = longestOperandWait(params_);
     for (uint64_t seq = headSeq_; seq != nextSeq_; ++seq) {
         InFlight &entry = at(seq);
         entry.op = restoreOp(r);
@@ -377,16 +443,82 @@ CoreModel::restoreState(StateReader &r)
             throw StateFormatError(
                 "core checkpoint window is not a run of consecutive "
                 "ops ending at the next sequence number");
+        if (entry.issued && entry.doneCycle > cycle_ &&
+            entry.doneCycle - cycle_ > longest_wait)
+            throw StateFormatError(
+                "core checkpoint holds an op completing further ahead "
+                "than the longest operand wait");
     }
     rebuildWakeups();
     idleCyclesSkipped_ = 0;
 }
 
 void
-CoreModel::forkFrom(const CoreModel &other)
+CoreModel::forkFrom(const CoreModel &other, int64_t shift)
 {
     *this = other;
     idleCyclesSkipped_ = 0;  // the lead credits its own
+    if (shift == 0)
+        return;
+    assert(shift > 0 || other.cycle_ >= static_cast<uint64_t>(-shift));
+    const uint64_t then = other.cycle_;
+    cycle_ = then + static_cast<uint64_t>(shift);
+    const auto moved = [&](uint64_t c) {
+        return c > then ? c + static_cast<uint64_t>(shift) : cycle_;
+    };
+    fetchAllowed_ = moved(fetchAllowed_);
+    for (uint64_t seq = headSeq_; seq != nextSeq_; ++seq) {
+        InFlight &entry = at(seq);
+        if (entry.issued)
+            entry.doneCycle = moved(entry.doneCycle);
+    }
+    rebuildWakeups();  // the wheel is indexed by absolute cycle
+}
+
+bool
+CoreModel::equalUpToShift(const CoreModel &other) const
+{
+    assert(ring_.size() == other.ring_.size());
+    // A cycle value relative to its core's current cycle; every value
+    // at or before it behaves the same.
+    const auto ahead = [](uint64_t c, uint64_t now) {
+        return c > now ? c - now : 0;
+    };
+    if (headSeq_ != other.headSeq_ || nextSeq_ != other.nextSeq_ ||
+        totalFetched_ != other.totalFetched_ ||
+        instructions_ != other.instructions_ ||
+        fetched_ != other.fetched_ || inFetch_ != other.inFetch_ ||
+        redirectPending_ != other.redirectPending_ ||
+        stallKind_ != other.stallKind_ ||
+        btbStallPending_ != other.btbStallPending_ ||
+        traceEnded_ != other.traceEnded_ ||
+        ahead(fetchAllowed_, cycle_) !=
+            ahead(other.fetchAllowed_, other.cycle_) ||
+        lastWriter_ != other.lastWriter_)
+        return false;
+
+    // Both windows hold the same trace ops under the same sequence
+    // numbers.  An issued op is read only for its completion cycle; an
+    // unissued one for its producers (a retired producer is as good as
+    // none) and its misprediction flag.
+    const auto producer = [&](uint64_t src) {
+        return src >= headSeq_ ? src : 0;
+    };
+    for (uint64_t seq = headSeq_; seq != nextSeq_; ++seq) {
+        const InFlight &a = at(seq);
+        const InFlight &b = other.at(seq);
+        if (a.issued != b.issued)
+            return false;
+        if (a.issued) {
+            if (ahead(a.doneCycle, cycle_) != ahead(b.doneCycle, other.cycle_))
+                return false;
+        } else if (a.mispredicted != b.mispredicted ||
+                   producer(a.srcSeq[0]) != producer(b.srcSeq[0]) ||
+                   producer(a.srcSeq[1]) != producer(b.srcSeq[1])) {
+            return false;
+        }
+    }
+    return dcache_.sameLines(other.dcache_);
 }
 
 } // namespace tpred

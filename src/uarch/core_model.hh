@@ -29,10 +29,17 @@
  * The issue stage is event-driven (docs/timing_model.md): the window
  * is a ring indexed by sequence number, an instruction waits on its
  * unissued producers' wake-up lists, becomes issuable at the cycle its
- * last operand completes, and runs of cycles in which nothing can
- * retire, issue or fetch are skipped in one step.  Cycle counts, stall
- * attribution, D-cache access order and checkpoint bytes are exactly
- * those of stepping every cycle and scanning the whole window.
+ * last operand completes (a timing wheel holds it until then), issue
+ * takes the oldest issuable entries in one pass per cycle, and runs of
+ * cycles in which nothing can retire, issue or fetch are skipped in
+ * one step.  Cycle counts, stall attribution, D-cache access order and
+ * checkpoint bytes are exactly those of stepping every cycle and
+ * scanning the whole window.
+ *
+ * Every decision the core makes compares cycle values with each other,
+ * so a suspended session can be compared with another up to a cycle
+ * shift (equalUpToShift) and copied with one (forkFrom) — the
+ * rejoin-on-reconvergence primitives of the fused timing sweep.
  */
 
 #ifndef TPRED_UARCH_CORE_MODEL_HH
@@ -58,7 +65,9 @@ class StateReader;
 /**
  * Machine parameters (paper section 4.1 and DESIGN.md section 5).
  * width, window and fuCount must be nonzero (CoreModel throws
- * std::invalid_argument otherwise: a zero would never retire).
+ * std::invalid_argument otherwise: a zero would never retire), and
+ * the D-cache latencies must keep longestOperandWait() within
+ * kMaxOperandWait.
  */
 struct CoreParams
 {
@@ -67,6 +76,18 @@ struct CoreParams
     unsigned fuCount = 8;   ///< universal functional units
     DCacheConfig dcache{};
 };
+
+/**
+ * The longest time an issued op can take to complete: the largest
+ * execution latency, with the D-cache hit and miss latencies added for
+ * loads and stores.  No operand waits longer; it sizes the wake-up
+ * wheel (CoreModel throws std::invalid_argument when it exceeds
+ * kMaxOperandWait).
+ */
+uint64_t longestOperandWait(const CoreParams &params);
+
+/** The longest operand wait a CoreModel accepts, in cycles. */
+inline constexpr uint64_t kMaxOperandWait = 65535;
 
 /** Result of one timing run. */
 struct CoreResult
@@ -190,13 +211,7 @@ class CoreModel
 
                 // ---- Issue/execute: oldest-first, <= fuCount/cycle. -
                 wakeDue();
-                for (unsigned issued = 0; issued < params_.fuCount;
-                     ++issued) {
-                    const uint32_t slot = oldestReady();
-                    if (slot == kNoSlot)
-                        break;
-                    issue(slot);
-                }
+                issueOldestReady();
 
                 const bool fetch_blocked =
                     redirectPending_ || cycle_ < fetchAllowed_;
@@ -275,6 +290,13 @@ class CoreModel
     CoreResult endSession(const FrontendStats &frontend,
                           bool count_metrics = true);
 
+    /**
+     * The session's result so far — cycles, instructions, stall
+     * breakdown, BTB-miss stalls and D-cache stats — with default
+     * front-end stats and no metrics credited.
+     */
+    CoreResult result() const;
+
     /** Ops fetched from the source(s) so far in this session. */
     uint64_t totalFetched() const { return totalFetched_; }
 
@@ -304,12 +326,40 @@ class CoreModel
     void restoreState(StateReader &r);
 
     /**
-     * Makes this core an exact copy of @p other mid-session — the
-     * fork entry point of the copy-on-divergence timing sweep
-     * (harness/sweep_kernel.cc).  Equivalent to a saveState() /
-     * restoreState() round trip, without the serialization.
+     * Makes this core an exact copy of @p other mid-session, running
+     * @p shift cycles later (earlier when negative) — the fork entry
+     * point of the fused timing sweep (harness/sweep_kernel.cc).  With
+     * no shift it is a saveState() / restoreState() round trip without
+     * the serialization.  A shift moves every cycle value the core
+     * will read: the current cycle, the fetch-resume cycle and each
+     * issued op's completion cycle.  A value at or before the current
+     * cycle behaves like any other such value, so those map to the new
+     * current cycle, which keeps a negative shift from wrapping.  The
+     * result counters (stall breakdown, BTB-miss stalls, D-cache
+     * stats) are copied as they are, so the copy finishes with
+     * @p other's result, its cycles moved by @p shift.
+     * Requires other.cycles() + @p shift >= 0.
      */
-    void forkFrom(const CoreModel &other);
+    void forkFrom(const CoreModel &other, int64_t shift = 0);
+
+    /**
+     * True when this suspended session and @p other's, on the same
+     * trace and machine and at the same op boundary, fed the same
+     * outcomes, will make the same decisions from here on, this one
+     * cycles() - other.cycles() cycles later: every future retire,
+     * issue, fetch and D-cache verdict matches, so both add the same
+     * amounts to their result counters from here.  Compared: the
+     * sequence and fetch counters, the fetch-group state, the writer
+     * map, each in-flight op's completion cycle (issued) or producers
+     * and misprediction flag (unissued), the fetch-resume cycle —
+     * cycles relative to each core's own current cycle, any value at
+     * or before it counting alike — and the D-cache lines with their
+     * LRU order per set.  Not compared: absolute cycles; the result
+     * counters and LRU clock values, which nothing reads (only the
+     * clocks' order within a set); and the wake-up state, which is
+     * derived from what is compared.
+     */
+    bool equalUpToShift(const CoreModel &other) const;
 
   private:
     static constexpr uint32_t kNoSlot = UINT32_MAX;
@@ -336,19 +386,6 @@ class CoreModel
         uint32_t nextWaiter[2] = {kNoSlot, kNoSlot};
     };
 
-    /** An entry whose producers have all issued, keyed by readiness. */
-    struct Wakeup
-    {
-        uint64_t cycle;
-        uint32_t slot;
-
-        bool
-        operator>(const Wakeup &o) const
-        {
-            return cycle > o.cycle;
-        }
-    };
-
     InFlight &at(uint64_t seq) { return ring_[seq & mask_]; }
     const InFlight &at(uint64_t seq) const { return ring_[seq & mask_]; }
 
@@ -364,7 +401,8 @@ class CoreModel
     void linkSources(uint32_t slot);
     void markReady(uint32_t slot);
     void wakeDue();
-    uint32_t oldestReady() const;
+    uint64_t nextWakeup() const;
+    void issueOldestReady();
     void issue(uint32_t slot);
     void chargeStall(uint64_t cycles);
     void skipIdleCycles();
@@ -379,8 +417,14 @@ class CoreModel
     uint64_t headSeq_ = 1;  ///< oldest in-flight seq (== nextSeq_: empty)
     /// Issuable entries, one bit per ring slot.
     std::vector<uint64_t> readyBits_;
-    /// Min-heap of entries waiting only for an operand's latency.
-    std::vector<Wakeup> wakeups_;
+    /// Timing wheel of entries waiting only for an operand's latency:
+    /// bucket c & wheelMask_ holds, as a readyBits_-shaped slot set,
+    /// the entries issuable from cycle c.  More buckets than the
+    /// longest operand wait, so a bucket never holds two cycles.
+    std::vector<uint64_t> wheel_;
+    uint64_t wheelMask_ = 0;
+    /// One bit per wheel bucket: the bucket holds an entry.
+    std::vector<uint64_t> wheelBusy_;
     uint64_t idleCyclesSkipped_ = 0;
 
     // ---- Resumable session state ------------------------------------

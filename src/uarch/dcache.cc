@@ -51,6 +51,30 @@ DCache::access(uint64_t addr, bool is_store)
     return config_.hitLatency + config_.missLatency;
 }
 
+bool
+DCache::sameLines(const DCache &other) const
+{
+    assert(lines_.size() == other.lines_.size());
+    const unsigned ways = config_.ways;
+    for (size_t base = 0; base < lines_.size(); base += ways) {
+        const Line *a = &lines_[base];
+        const Line *b = &other.lines_[base];
+        for (unsigned i = 0; i < ways; ++i) {
+            if (a[i].valid != b[i].valid || a[i].tag != b[i].tag)
+                return false;
+            // An invalid line was never used (lastUsed 0 in both), and
+            // valid lines have distinct clocks: comparing each pair's
+            // order compares the LRU order.
+            for (unsigned j = 0; j < i; ++j) {
+                if ((a[j].lastUsed < a[i].lastUsed) !=
+                    (b[j].lastUsed < b[i].lastUsed))
+                    return false;
+            }
+        }
+    }
+    return true;
+}
+
 void
 DCache::saveState(StateWriter &w) const
 {

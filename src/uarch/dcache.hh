@@ -60,6 +60,15 @@ class DCache
     const DCacheStats &stats() const { return stats_; }
     const DCacheConfig &config() const { return config_; }
 
+    /**
+     * True when @p other holds the same lines (valid bits and tags) in
+     * the same LRU order within every set, so that every future access
+     * hits, misses and evicts alike in both.  LRU clock values and the
+     * hit/miss counters are not compared: only their order within a
+     * set is ever read.  Geometry must match.
+     */
+    bool sameLines(const DCache &other) const;
+
     /** Serializes lines, LRU clock and hit/miss counters. */
     void saveState(StateWriter &w) const;
 

@@ -525,11 +525,69 @@ TEST(SweepKernel, FusedTimingCountersMatchPerConfig)
                 ref_forks->second == 0u);
 }
 
+/** A counter's value, 0 when nothing registered it. */
+uint64_t
+counterOf(const obs::MetricsSnapshot &snap, const char *name)
+{
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+}
+
 /**
- * The lead core runs one session segment per distinct fork point plus
- * its final drain, and each fork runs one: at most 1 + 2 x forks
- * runSession() calls, however many indirect branches the trace has.
- * Suspending the lead at every indirect branch would break this.
+ * Table 7's grid led by the BTB-only baseline: the tagged members
+ * predict better than the lead, run ahead of it and ride it with
+ * negative cycle shifts, re-forking and rejoining along the way.
+ * Fused must still equal per-config runTiming() exactly, under the
+ * default and the two-level BTB front ends.
+ */
+TEST(SweepKernel, FusedTimingRejoinsAheadOfTheLead)
+{
+    std::vector<IndirectConfig> configs = {baselineConfig()};
+    for (TaggedIndexScheme scheme :
+         {TaggedIndexScheme::Address, TaggedIndexScheme::HistoryConcat,
+          TaggedIndexScheme::HistoryXor})
+        for (unsigned ways : {1u, 2u, 4u, 8u, 16u})
+            configs.push_back(taggedConfig(scheme, ways));
+    const std::vector<std::pair<std::string, FrontendConfig>> fronts = {
+        {"default", FrontendConfig{}},
+        {"two-level", twoLevelBtbFrontend()},
+    };
+    for (const char *name : {"gcc", "perl"}) {
+        const SharedTrace trace = recordWorkload(name, 12000);
+        for (const auto &[label, fe] : fronts) {
+            const std::string where = std::string(name) + "/" + label;
+            obs::globalMetrics().reset();
+            const std::vector<CoreResult> fused =
+                runTimingSweep(trace, configs, CoreParams{}, fe);
+            const obs::MetricsSnapshot snap =
+                obs::globalMetrics().snapshot();
+            EXPECT_GT(counterOf(snap, "rejoin.rejoins"), 0u) << where;
+            EXPECT_GT(counterOf(snap, "rejoin.reforks"), 0u) << where;
+            size_t ahead = 0;
+            for (const CoreResult &r : fused)
+                ahead += r.cycles < fused[0].cycles ? 1 : 0;
+            EXPECT_GT(ahead, 0u) << where << ": no member beat the lead";
+
+            ASSERT_EQ(fused.size(), configs.size());
+            for (size_t c = 0; c < configs.size(); ++c) {
+                expectSameCoreResult(
+                    runTiming(trace, configs[c], CoreParams{}, fe), fused[c],
+                    where + "/" + configs[c].describe());
+            }
+        }
+    }
+}
+
+/**
+ * Cores are suspended only at the engine's own events.  The lead runs
+ * to each distinct divergence and each check point (one every
+ * kRejoinCheckOps ops while a member runs), then drains; a member
+ * runs to each of its checks, and drains once per fork or re-fork
+ * that no rejoin ends.  So a batch makes at most
+ *   1 + forks + check points       lead segments, plus
+ *   checks + forks - rejoins       member segments
+ * runSession() calls, forks counting re-forks.  Suspending the lead
+ * at every indirect branch would break this.
  */
 TEST(SweepKernel, FusedTimingRunsFewSessions)
 {
@@ -537,15 +595,19 @@ TEST(SweepKernel, FusedTimingRunsFewSessions)
     const SharedTrace trace = recordWorkload("gcc", 10000);
 
     obs::globalMetrics().reset();
-    const std::vector<CoreResult> fused = runTimingSweep(trace, configs);
+    (void)runTimingSweep(trace, configs);
     const obs::MetricsSnapshot snap = obs::globalMetrics().snapshot();
 
-    const uint64_t forks = snap.counters.at("sweep.timing_forks");
+    const uint64_t forks = counterOf(snap, "sweep.timing_forks") +
+                           counterOf(snap, "rejoin.reforks");
+    const uint64_t checks = counterOf(snap, "rejoin.checks");
+    const uint64_t rejoins = counterOf(snap, "rejoin.rejoins");
+    const uint64_t check_points = (trace.size() - 1) / kRejoinCheckOps;
     const uint64_t sessions = snap.timers.at("phase.core_run").count;
     EXPECT_GT(forks, 0u);
-    EXPECT_LE(sessions, 1 + 2 * forks);
-    EXPECT_LT(sessions, fused[0].frontend.indirectJumps.total())
-        << "fewer sessions than indirect branches";
+    EXPECT_GT(rejoins, 0u);
+    EXPECT_LE(sessions,
+              (1 + forks + check_points) + (checks + forks - rejoins));
 }
 
 /**
