@@ -1,7 +1,8 @@
 /**
  * @file
- * Branch-stream pipeline microbenchmark: what do the three PR-10
- * layers buy?  Per SPECint95-analogue workload:
+ * Branch-stream pipeline microbenchmark: what do the stream tier,
+ * segmented extraction and the SIMD way scans buy?  Per
+ * SPECint95-analogue workload:
  *
  *   cold stream   — map + CRC-validate the corpus *trace* container,
  *                   then extract its BranchStream (what every
@@ -10,16 +11,16 @@
  *                   container (the stream tier's zero-copy path: no
  *                   trace decode, no extraction pass, ~half the
  *                   checksummed bytes);
- *   seg sync/pre  — segmented-container stream extraction with the
- *                   background segment prefetcher off vs on;
+ *   seg extract   — stream extraction from the segmented container,
+ *                   one segment window at a time;
  *   sweep scl/simd— the fused accuracy sweep with the way-scan SIMD
  *                   kernels pinned scalar vs dispatched (identical
  *                   on binaries built without AVX2).
  *
  * Untimed self-checks gate every timed lane: the TPBS round trip
  * must reproduce the extracted stream bit-for-bit and drive the
- * fused sweep to identical FrontendStats; prefetched extraction must
- * equal synchronous extraction; the scalar and SIMD sweep paths must
+ * fused sweep to identical FrontendStats; segmented extraction must
+ * equal the resident extraction; the scalar and SIMD sweep paths must
  * agree exactly.  With --self-check the binary runs only those gates
  * (the perf-smoke ctest mode).  Results go to stdout and
  * BENCH_stream.json (override with TPRED_BENCH_OUT) as a
@@ -38,6 +39,7 @@
 #include "harness/shard_replay.hh"
 #include "harness/sweep_kernel.hh"
 #include "trace/branch_stream.hh"
+#include "workloads/workload.hh"
 
 using namespace tpred;
 
@@ -97,8 +99,8 @@ main(int argc, char **argv)
     const unsigned reps = 5;
     const size_t segment_ops = std::max<size_t>(1000, ops / 4);
     bench::heading(
-        "Branch-stream pipeline: TPBS stream tier, segment prefetch "
-        "and SIMD way scans",
+        "Branch-stream pipeline: TPBS stream tier, segmented "
+        "extraction and SIMD way scans",
         ops);
 
     const std::string corpus_dir =
@@ -109,8 +111,8 @@ main(int argc, char **argv)
     const std::vector<IndirectConfig> configs = sweepBatch();
     Table table;
     table.setHeader({"Benchmark", "cold Mops/s", "warm Mops/s",
-                     "stream speedup", "seg sync", "seg pre",
-                     "sweep scl", "sweep simd"});
+                     "stream speedup", "seg extract", "sweep scl",
+                     "sweep simd"});
 
     bench::LaneReport out("stream_pipeline", ops, "BENCH_stream.json");
     out.report().setConfig("simd_isa", simd::activeIsa());
@@ -123,8 +125,9 @@ main(int argc, char **argv)
         // and the derived TPBS stream for the same key.
         const SharedTrace generated = recordWorkload(name, ops, seed);
         corpus.store(key, generated.compact(), generated.name());
-        corpus.storeSegmented(key, generated.compact(),
-                              generated.name(), segment_ops);
+        const auto source = makeWorkload(name, seed);
+        corpus.storeSegmentedFromSource(key, *source, generated.name(),
+                                        segment_ops);
         const auto seg = corpus.loadSegmented(key, segment_ops);
         if (!seg) {
             std::fprintf(stderr,
@@ -153,17 +156,10 @@ main(int argc, char **argv)
         requireAllSame(want, runSweep(*warm_stream, configs),
                        "TPBS sweep", name);
 
-        // --- Self-check 2: prefetched segmented extraction must be
-        // bit-identical to the synchronous path (and the resident
-        // reference).
-        setSegmentPrefetchEnabled(false);
-        const BranchStream sync_stream = extractBranchStream(*seg);
-        setSegmentPrefetchEnabled(true);
-        const BranchStream pre_stream = extractBranchStream(*seg);
-        requireSameStream(sync_stream, pre_stream,
-                          "prefetched extraction", name);
-        requireSameStream(ref, pre_stream, "segmented extraction",
-                          name);
+        // --- Self-check 2: segmented extraction must be
+        // bit-identical to the resident reference.
+        requireSameStream(ref, extractBranchStream(*seg),
+                          "segmented extraction", name);
 
         // --- Self-check 3: scalar and SIMD way scans must sweep to
         // identical stats.
@@ -191,13 +187,7 @@ main(int argc, char **argv)
             bench::measureMops(trace_ops, reps, [&] {
                 corpus.loadStream(key);
             });
-        setSegmentPrefetchEnabled(false);
-        const double seg_sync_mops =
-            bench::measureMops(trace_ops, reps, [&] {
-                extractBranchStream(*seg);
-            });
-        setSegmentPrefetchEnabled(true);
-        const double seg_pre_mops =
+        const double seg_mops =
             bench::measureMops(trace_ops, reps, [&] {
                 extractBranchStream(*seg);
             });
@@ -230,8 +220,7 @@ main(int argc, char **argv)
         }
         std::snprintf(buf, sizeof(buf), "%.1fx", speedup);
         row.push_back(buf);
-        for (double v : {seg_sync_mops, seg_pre_mops,
-                         sweep_scalar_mops, sweep_simd_mops}) {
+        for (double v : {seg_mops, sweep_scalar_mops, sweep_simd_mops}) {
             std::snprintf(buf, sizeof(buf), "%.1f", v);
             row.push_back(buf);
         }
@@ -240,8 +229,7 @@ main(int argc, char **argv)
         out.value(name, "cold_stream_mops", cold_mops);
         out.value(name, "warm_stream_mops", warm_mops);
         out.value(name, "stream_speedup", speedup);
-        out.value(name, "seg_sync_mops", seg_sync_mops);
-        out.value(name, "seg_prefetch_mops", seg_pre_mops);
+        out.value(name, "seg_sync_mops", seg_mops);
         out.value(name, "sweep_scalar_mops", sweep_scalar_mops);
         out.value(name, "sweep_simd_mops", sweep_simd_mops);
         out.value(name, "stream_bytes", stream_bytes);

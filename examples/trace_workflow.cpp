@@ -6,6 +6,7 @@
  */
 
 #include <cstdio>
+#include <memory>
 
 #include "common/stats.hh"
 #include "harness/paper_tables.hh"
@@ -22,15 +23,16 @@ main(int argc, char **argv)
 
     // 1. Record the workload once and persist it.
     SharedTrace recorded = recordWorkload("gcc", ops);
-    saveTraceFile(path, recorded.decodeOps(), recorded.name());
+    saveTraceFile(path, recorded.compact(), recorded.name());
     std::printf("recorded %s instructions of '%s' to %s\n",
                 formatCount(recorded.size()).c_str(),
                 recorded.name().c_str(), path.c_str());
 
     // 2. Reload it — experiments now replay the exact same stream.
     std::string name;
-    VectorTraceSource replay(loadTraceFile(path, name), name);
-    SharedTrace trace(replay, ops);
+    CompactTrace loaded = loadCompactTraceFile(path, name);
+    const SharedTrace trace(
+        std::make_shared<const CompactTrace>(std::move(loaded)), name);
     std::printf("reloaded '%s' (%s instructions)\n\n", name.c_str(),
                 formatCount(trace.size()).c_str());
 

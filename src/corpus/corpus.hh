@@ -61,17 +61,21 @@ enum class CorpusArtifact
 /** Human-readable name of @p kind ("plain" / "segmented" / ...). */
 const char *corpusArtifactName(CorpusArtifact kind);
 
-/** One corpus file as seen by ls/verify tooling. */
+/** One corpus file as seen by ls/verify tooling and the manifest. */
 struct CorpusEntry
 {
     std::string file;      ///< basename within the corpus dir
     std::string name;      ///< recorded stream name ("" if unreadable)
-    CorpusKey key;         ///< parsed from the filename
+    CorpusKey key;         ///< parsed from the filename ("" workload
+                           ///< when the name does not parse)
+    uint64_t segmentOps = 0;   ///< from the filename; 0 unless segmented
     CorpusArtifact kind = CorpusArtifact::Plain;
     uint64_t opCount = 0;
     uint64_t branchCount = 0;
     uint64_t fileBytes = 0;
     uint64_t segmentCount = 0; ///< 0 for plain (unsegmented) entries
+    uint32_t totalCrc = 0;     ///< the footer's CRC32C
+    bool fastBranchScan = false;
     bool ok = false;
     std::string error;     ///< why !ok
 };
@@ -172,13 +176,6 @@ class CorpusManager
     loadSegmented(const CorpusKey &key, size_t segment_ops);
 
     /**
-     * Persists @p trace as a segmented container with @p segment_ops
-     * ops per segment (temp file + fsync + atomic rename, as store()).
-     */
-    void storeSegmented(const CorpusKey &key, const CompactTrace &trace,
-                        const std::string &name, size_t segment_ops);
-
-    /**
      * Streaming store: pulls key.ops ops from @p source one segment's
      * worth at a time, encoding and writing each before pulling the
      * next — peak memory O(segment_ops), which is what makes building
@@ -225,30 +222,40 @@ class CorpusManager
     void refreshManifest() const;
 
   private:
-    void quarantine(const std::string &path, const std::string &why,
-                    obs::Counter &counter);
+    /// One tier's counters: the traces ("corpus.*") or the derived
+    /// branch streams ("stream_corpus.*").
+    struct Tier
+    {
+        obs::Counter hits;
+        obs::Counter misses;
+        obs::Counter stores;
+        obs::Counter quarantined;
+        obs::Counter bytesLoaded;
+        obs::Counter bytesStored;
+    };
+
+    /**
+     * The one load path: @p open maps and verifies @p path and
+     * returns the artifact with its size in bytes; a failure
+     * quarantines the file.  Counts into @p tier.
+     */
+    template <typename Open>
+    auto loadFile(const std::string &path, const Tier &tier,
+                  Open &&open) -> decltype(open().first);
+
+    /** Counts a committed store of @p bytes, refreshes the manifest. */
+    void recordStore(const Tier &tier, uint64_t bytes);
 
     std::string dir_;
     mutable std::mutex manifestMutex_;
 
     std::unique_ptr<obs::MetricsRegistry> owned_;  ///< when unshared
     obs::MetricsRegistry *metrics_;
-    obs::Counter hits_;
-    obs::Counter misses_;
-    obs::Counter stores_;
-    obs::Counter quarantined_;
-    obs::Counter bytesLoaded_;
-    obs::Counter bytesStored_;
+    Tier traces_;
+    // Branch-stream tier, separate from the trace counters so
+    // warm-run reports show which tier served.
+    Tier streams_;
     obs::Counter fsyncs_;
-
-    // Branch-stream tier ("stream_corpus.*"), separate from the
-    // trace counters so warm-run reports show which tier served.
-    obs::Counter streamHits_;
-    obs::Counter streamMisses_;
-    obs::Counter streamStores_;
-    obs::Counter streamQuarantined_;
-    obs::Counter streamBytesLoaded_;
-    obs::Counter streamBytesStored_;
 };
 
 } // namespace tpred

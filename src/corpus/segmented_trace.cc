@@ -1,47 +1,15 @@
 #include "corpus/segmented_trace.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 
 #include "common/crc32c.hh"
 #include "corpus/mapped_file.hh"
-#include "obs/metrics.hh"
 #include "trace/compact_io.hh"
 
 namespace tpred
 {
-
-namespace
-{
-
-std::atomic<bool> &
-prefetchFlag()
-{
-    static std::atomic<bool> enabled{[] {
-        const char *env = std::getenv("TPRED_PREFETCH");
-        return env == nullptr || *env == '\0' ||
-               std::strcmp(env, "0") != 0;
-    }()};
-    return enabled;
-}
-
-} // namespace
-
-bool
-segmentPrefetchEnabled()
-{
-    return prefetchFlag().load(std::memory_order_relaxed);
-}
-
-void
-setSegmentPrefetchEnabled(bool enabled)
-{
-    prefetchFlag().store(enabled, std::memory_order_relaxed);
-}
 
 std::shared_ptr<const SegmentedTrace>
 SegmentedTrace::open(const std::string &path)
@@ -54,49 +22,45 @@ SegmentedTrace::open(const std::string &path)
 
     auto trace = std::shared_ptr<SegmentedTrace>(new SegmentedTrace());
     trace->path_ = path;
-    trace->fileBytes_ = file_len;
 
     // Two small windows validate the whole envelope; no segment
     // payload is touched.
     const uint64_t head_len =
         std::min<uint64_t>(file_len, segmentedHeaderMaxBytes());
     const auto head = MappedFile::openRange(path, 0, head_len);
-    trace->header_ = parseSegmentedHeader(head->bytes(), path);
+    SegmentedIndex &index = trace->index_;
+    index = parseSegmentedHeader(head->bytes(), path);
 
-    const uint64_t tail_len =
-        segmentedTailBytes(trace->header_.segmentCount);
+    const uint64_t tail_len = segmentedTailBytes(index.info.segmentCount);
     if (tail_len > file_len)
         throw CompactFormatError(path + ": truncated segmented "
                                         "container (missing index)");
     const auto tail =
         MappedFile::openRange(path, file_len - tail_len, tail_len);
-    trace->segments_ = parseSegmentedTail(
-        tail->bytes(),
-        head->bytes().first(trace->header_.headerNameBytes),
-        trace->header_, file_len, path);
-
-    const SegmentRecord &last = trace->segments_.back();
-    trace->totalBranches_ = last.firstBranch + last.branchCount;
+    parseSegmentedTail(tail->bytes(),
+                       head->bytes().first(index.headerNameBytes),
+                       file_len, path, index);
     return trace;
 }
 
 size_t
 SegmentedTrace::segmentContaining(uint64_t pos) const
 {
+    const std::vector<SegmentRecord> &segments = index_.segments;
     const auto it = std::upper_bound(
-        segments_.begin(), segments_.end(), pos,
+        segments.begin(), segments.end(), pos,
         [](uint64_t p, const SegmentRecord &rec) {
             return p < rec.firstOp;
         });
-    if (it == segments_.begin())
+    if (it == segments.begin())
         throw std::out_of_range("segmentContaining: bad position");
-    return static_cast<size_t>(it - segments_.begin()) - 1;
+    return static_cast<size_t>(it - segments.begin()) - 1;
 }
 
 std::shared_ptr<const CompactTrace>
 SegmentedTrace::openSegment(size_t i) const
 {
-    const SegmentRecord &rec = segments_.at(i);
+    const SegmentRecord &rec = index_.segments.at(i);
     const std::string whence =
         path_ + " segment " + std::to_string(i);
 
@@ -120,109 +84,14 @@ SegmentedTrace::openSegment(size_t i) const
 void
 SegmentedTrace::verifyAllSegments() const
 {
-    for (size_t i = 0; i < segments_.size(); ++i)
+    for (size_t i = 0; i < segmentCount(); ++i)
         openSegment(i);  // one window at a time; throws on defect
-}
-
-SegmentPrefetcher::SegmentPrefetcher(const SegmentedTrace &trace)
-    : trace_(trace),
-      enabled_(segmentPrefetchEnabled() && trace.segmentCount() > 1)
-{
-}
-
-SegmentPrefetcher::~SegmentPrefetcher()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        stop_ = true;
-    }
-    cv_.notify_all();
-    if (worker_.joinable())
-        worker_.join();
-}
-
-std::shared_ptr<const CompactTrace>
-SegmentPrefetcher::fetch(size_t i)
-{
-    if (!enabled_)
-        return trace_.openSegment(i);
-
-    std::shared_ptr<const CompactTrace> out;
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        // Settle any in-flight decode before inspecting the slot.
-        cv_.wait(lock, [&] { return requested_ == kNone; });
-        if (readyIdx_ == i) {
-            out = std::move(ready_);
-            readyIdx_ = kNone;
-        } else {
-            // Non-sequential request (first fetch, restart): drop a
-            // stale window before mapping another, keeping peak
-            // residency at one consumer + one in-flight window.
-            ready_.reset();
-            readyIdx_ = kNone;
-        }
-    }
-    if (!out) {
-        // Cold slot — or a background decode that failed and left it
-        // empty.  Decoding the same bytes here reproduces the exact
-        // CompactFormatError the synchronous path reports.
-        out = trace_.openSegment(i);
-        obs::globalMetrics()
-            .counter("segments.prefetch_syncs",
-                     obs::MetricKind::Runtime)
-            .inc();
-    } else {
-        obs::globalMetrics()
-            .counter("segments.prefetch_hits",
-                     obs::MetricKind::Runtime)
-            .inc();
-    }
-
-    if (i + 1 < trace_.segmentCount()) {
-        if (!worker_.joinable())
-            worker_ = std::thread(&SegmentPrefetcher::workerLoop, this);
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            requested_ = i + 1;
-        }
-        cv_.notify_all();
-    }
-    return out;
-}
-
-void
-SegmentPrefetcher::workerLoop()
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    while (true) {
-        cv_.wait(lock, [&] { return stop_ || requested_ != kNone; });
-        if (stop_)
-            return;
-        const size_t idx = requested_;
-        lock.unlock();
-        std::shared_ptr<const CompactTrace> segment;
-        try {
-            segment = trace_.openSegment(idx);
-        } catch (...) {
-            // Leave the slot empty; the consumer's synchronous
-            // fallback rethrows the identical error.
-            segment.reset();
-        }
-        lock.lock();
-        ready_ = std::move(segment);
-        readyIdx_ = ready_ ? idx : kNone;
-        requested_ = kNone;
-        cv_.notify_all();
-    }
 }
 
 SegmentedReplay::SegmentedReplay(
     std::shared_ptr<const SegmentedTrace> trace, uint64_t start_op,
     std::function<void()> on_window_open)
-    : trace_(std::move(trace)),
-      prefetch_(std::make_unique<SegmentPrefetcher>(*trace_)),
-      onWindowOpen_(std::move(on_window_open))
+    : trace_(std::move(trace)), onWindowOpen_(std::move(on_window_open))
 {
     if (start_op >= trace_->totalOps()) {
         // Positioned at (or past) the end: first next() returns false.
@@ -243,11 +112,11 @@ SegmentedReplay::SegmentedReplay(
 void
 SegmentedReplay::openSegmentWindow(size_t idx)
 {
-    // Drop the exhausted window before adopting the next so at most
-    // one consumer window plus one prefetched window are resident.
+    // Drop the exhausted window before mapping the next so exactly
+    // one window is resident.
     replay_.reset();
     segment_.reset();
-    segment_ = prefetch_->fetch(idx);
+    segment_ = trace_->openSegment(idx);
     replay_.emplace(*segment_);
     segIdx_ = idx;
     if (onWindowOpen_)

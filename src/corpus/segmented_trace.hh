@@ -16,15 +16,12 @@
 #ifndef TPRED_CORPUS_SEGMENTED_TRACE_HH
 #define TPRED_CORPUS_SEGMENTED_TRACE_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "trace/compact_trace.hh"
@@ -53,15 +50,24 @@ class SegmentedTrace
     open(const std::string &path);
 
     const std::string &path() const { return path_; }
-    const std::string &name() const { return header_.name; }
-    uint64_t totalOps() const { return header_.totalOps; }
-    uint64_t totalBranches() const { return totalBranches_; }
-    uint32_t version() const { return header_.version; }
-    uint64_t fileBytes() const { return fileBytes_; }
-    size_t segmentCount() const { return segments_.size(); }
+    const std::string &name() const { return index_.info.name; }
+    uint64_t totalOps() const { return index_.info.opCount; }
+    uint64_t totalBranches() const { return index_.info.branchCount; }
+    uint32_t version() const { return index_.info.version; }
+    uint64_t fileBytes() const { return index_.info.fileBytes; }
+    size_t segmentCount() const { return index_.segments.size(); }
 
-    const SegmentRecord &record(size_t i) const { return segments_[i]; }
-    std::span<const SegmentRecord> records() const { return segments_; }
+    /** Header summary (corpus `ls` and manifest). */
+    const ContainerInfo &info() const { return index_.info; }
+
+    const SegmentRecord &record(size_t i) const
+    {
+        return index_.segments[i];
+    }
+    std::span<const SegmentRecord> records() const
+    {
+        return index_.segments;
+    }
 
     /** Index of the segment containing global op @p pos. */
     size_t segmentContaining(uint64_t pos) const;
@@ -87,74 +93,7 @@ class SegmentedTrace
     SegmentedTrace() = default;
 
     std::string path_;
-    SegmentedHeaderInfo header_;
-    std::vector<SegmentRecord> segments_;
-    uint64_t fileBytes_ = 0;
-    uint64_t totalBranches_ = 0;
-};
-
-/**
- * Process-wide toggle for pipelined segment prefetch (default on;
- * TPRED_PREFETCH=0 in the environment disables it at startup).
- * Prefetch never changes results — segments carry no decode state
- * across boundaries, so mapping+validating+decoding segment k+1 on a
- * background thread yields byte-identical windows to the synchronous
- * path; only the wall-clock overlap differs.  The toggle exists for
- * the differential tests and the sync-vs-prefetch bench lanes.
- */
-bool segmentPrefetchEnabled();
-void setSegmentPrefetchEnabled(bool enabled);
-
-/**
- * Double-buffered background decoder for sequential segment
- * consumption.  fetch(i) returns segment i — taking it from the
- * background slot when the previous fetch pipelined it — and then
- * schedules segment i+1 on the worker thread, so the map + CRC +
- * per-section validation of the next window overlaps with the
- * consumption of the current one.
- *
- * At most ONE segment is in flight: the consumer holds window i
- * while the worker prepares window i+1, so peak residency stays
- * O(max segment size) and the flat-RSS guarantee of streaming
- * replay holds.
- *
- * Corruption keeps fail-loud semantics: a background decode that
- * fails simply leaves the slot empty, and fetch() falls back to a
- * synchronous openSegment() over the same bytes — which throws the
- * identical CompactFormatError the unpipelined path would.
- *
- * Single consumer; fetch() must not be called concurrently.  The
- * trace must outlive the prefetcher.  When segmentPrefetchEnabled()
- * is false (or the trace has a single segment) no thread is spawned
- * and fetch() degenerates to openSegment().
- */
-class SegmentPrefetcher
-{
-  public:
-    explicit SegmentPrefetcher(const SegmentedTrace &trace);
-    ~SegmentPrefetcher();
-
-    SegmentPrefetcher(const SegmentPrefetcher &) = delete;
-    SegmentPrefetcher &operator=(const SegmentPrefetcher &) = delete;
-
-    /** Maps/validates segment @p i and pipelines segment i+1. */
-    std::shared_ptr<const CompactTrace> fetch(size_t i);
-
-  private:
-    static constexpr size_t kNone = static_cast<size_t>(-1);
-
-    void workerLoop();
-
-    const SegmentedTrace &trace_;
-    const bool enabled_;
-
-    std::thread worker_;
-    std::mutex mu_;
-    std::condition_variable cv_;
-    size_t requested_ = kNone;  ///< index the worker should decode
-    size_t readyIdx_ = kNone;   ///< index held in ready_
-    std::shared_ptr<const CompactTrace> ready_;
-    bool stop_ = false;
+    SegmentedIndex index_;
 };
 
 /**
@@ -205,9 +144,6 @@ class SegmentedReplay
     void openSegmentWindow(size_t idx);
 
     std::shared_ptr<const SegmentedTrace> trace_;
-    /// Pipelines the next window while this one replays (layer 2);
-    /// behind a unique_ptr so the replay itself stays movable.
-    std::unique_ptr<SegmentPrefetcher> prefetch_;
     std::shared_ptr<const CompactTrace> segment_;
     std::optional<CompactReplay> replay_;
     std::function<void()> onWindowOpen_;

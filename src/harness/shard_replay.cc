@@ -214,16 +214,11 @@ replayAccuracyRange(const SegmentedTrace &trace,
     };
 
     if (to > from) {
-        // Windows are consumed in ascending order, so the next one
-        // can be mapped+validated in the background while this one
-        // feeds the frontend (bit-identical either way; the shard
-        // checkpoint proofs enforce it end to end).
-        SegmentPrefetcher prefetch(trace);
         for (size_t i = trace.segmentContaining(from);
              i < trace.segmentCount() && trace.record(i).firstOp < to;
              ++i) {
             const uint64_t base = trace.record(i).firstOp;
-            const auto segment = prefetch.fetch(i);
+            const auto segment = trace.openSegment(i);
             shardMetrics().windowsOpened.inc();
             segment->forEachBranch(
                 [&](const MicroOp &op, size_t pos) {
@@ -468,15 +463,10 @@ extractBranchStream(const SegmentedTrace &trace)
     out.opCount = trace.totalOps();
     out.reserve(trace.totalBranches());
 
-    // Segments are consumed strictly in order, so segment i+1 can be
-    // mapped, validated and decoded while segment i is being
-    // extracted — same bytes, same order, just overlapped with the
-    // extraction work (see SegmentPrefetcher).
-    SegmentPrefetcher prefetch(trace);
     for (size_t i = 0; i < trace.segmentCount(); ++i) {
         const uint32_t base =
             static_cast<uint32_t>(trace.record(i).firstOp);
-        const auto segment = prefetch.fetch(i);
+        const auto segment = trace.openSegment(i);
         shardMetrics().windowsOpened.inc();
         const BranchStream part = BranchStream::extract(*segment);
         for (size_t j = 0; j < part.size(); ++j)

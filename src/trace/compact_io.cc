@@ -1,60 +1,12 @@
 #include "trace/compact_io.hh"
 
 #include <array>
-#include <cstring>
-
-#include "common/crc32c.hh"
 
 namespace tpred
 {
 
 namespace
 {
-
-// On-disk records.  All fields little-endian; the structs are laid
-// out so natural alignment matches the packed layout exactly.
-
-struct FileHeader
-{
-    uint32_t magic;
-    uint32_t version;
-    uint64_t opCount;
-    uint32_t flags;         ///< bit 0: fastBranchScan
-    uint32_t nameLen;
-    uint32_t sectionCount;
-    uint32_t headerCrc;     ///< CRC32C of the 28 bytes preceding it
-};
-static_assert(sizeof(FileHeader) == 32);
-
-struct SectionRecord
-{
-    uint32_t id;
-    uint32_t elemSize;
-    uint64_t offset;        ///< absolute, 8-byte aligned
-    uint64_t byteLen;
-    uint32_t crc;           ///< CRC32C of the payload bytes
-    uint32_t reserved;
-};
-static_assert(sizeof(SectionRecord) == 32);
-
-struct Footer
-{
-    uint32_t magic;
-    uint32_t totalCrc;      ///< CRC32C of everything before the footer
-    uint64_t fileLen;
-    uint64_t reserved;
-};
-static_assert(sizeof(Footer) == 24);
-
-constexpr uint32_t kFlagFastBranchScan = 1u << 0;
-constexpr uint32_t kMaxNameLen = 4096;
-
-/** One column section, in fixed file order. */
-struct SectionSpec
-{
-    uint32_t id;
-    uint32_t elemSize;
-};
 
 enum : uint32_t
 {
@@ -90,254 +42,89 @@ constexpr std::array<SectionSpec, kNumSections> kSections = {{
     {kSecBranchPos, 4},
 }};
 
-inline size_t
-align8(size_t at)
-{
-    return (at + 7) & ~size_t{7};
-}
-
-[[noreturn]] void
-fail(const std::string &whence, const std::string &what)
-{
-    throw CompactFormatError(whence + ": " + what);
-}
-
-/** The column payloads of @p trace in kSections order. */
-std::array<std::span<const uint8_t>, kNumSections>
-payloadsOf(const CompactColumns &c)
-{
-    auto raw = [](const auto &span) {
-        return std::span<const uint8_t>(
-            reinterpret_cast<const uint8_t *>(span.data()),
-            span.size_bytes());
-    };
-    return {raw(c.flags),      raw(c.regBytes), raw(c.regEscapes),
-            raw(c.targetDeltas), raw(c.discontPos), raw(c.discontPc),
-            raw(c.memPos),     raw(c.memDeltas), raw(c.selPos),
-            raw(c.selVals),    raw(c.fallPos),  raw(c.fallVals),
-            raw(c.branchPos)};
-}
-
-/**
- * Shared structural validation: parses and checks the header, name,
- * section table and footer; optionally verifies all CRCs.  Returns
- * the parsed records; section payload spans are bounds-checked
- * against the image.
- */
-struct ParsedContainer
-{
-    FileHeader header;
-    std::string name;
-    std::array<SectionRecord, kNumSections> sections;
-    Footer footer;
+constexpr ContainerLayout kLayout = {
+    "compact trace",
+    kCompactMagic,
+    kCompactFooterMagic,
+    kCompactMinVersion,
+    kCompactVersion,
+    kCompactFlagFastBranchScan,
+    kSections,
 };
-
-ParsedContainer
-parseContainer(std::span<const uint8_t> bytes, const std::string &whence,
-               bool verify_checksums)
-{
-    ParsedContainer p;
-    if (bytes.size() < sizeof(FileHeader) + sizeof(Footer))
-        fail(whence, "truncated container (" +
-                         std::to_string(bytes.size()) + " bytes)");
-
-    std::memcpy(&p.header, bytes.data(), sizeof(FileHeader));
-    if (p.header.magic != kCompactMagic)
-        fail(whence, "not a compact trace container (bad magic)");
-    if (p.header.version < kCompactMinVersion ||
-        p.header.version > kCompactVersion)
-        fail(whence, "unsupported compact container version " +
-                         std::to_string(p.header.version) +
-                         " (supported: " +
-                         std::to_string(kCompactMinVersion) + ".." +
-                         std::to_string(kCompactVersion) + ")");
-    if (p.header.flags & kCompactFlagSegmented)
-        fail(whence, "segmented container; open it with SegmentedTrace"
-                     " (corpus/segmented_trace.hh), not the plain"
-                     " container reader");
-    if (crc32c(bytes.data(), offsetof(FileHeader, headerCrc)) !=
-        p.header.headerCrc)
-        fail(whence, "header checksum mismatch");
-    if (p.header.nameLen > kMaxNameLen)
-        fail(whence, "implausible stream name length");
-    if (p.header.sectionCount != kNumSections)
-        fail(whence, "unexpected section count " +
-                         std::to_string(p.header.sectionCount));
-
-    const size_t name_end = sizeof(FileHeader) + p.header.nameLen;
-    const size_t table_off = align8(name_end);
-    const size_t table_end =
-        table_off + kNumSections * sizeof(SectionRecord);
-    if (table_end + sizeof(Footer) > bytes.size())
-        fail(whence, "truncated section table");
-    p.name.assign(
-        reinterpret_cast<const char *>(bytes.data()) +
-            sizeof(FileHeader),
-        p.header.nameLen);
-
-    const size_t footer_off = bytes.size() - sizeof(Footer);
-    std::memcpy(&p.footer, bytes.data() + footer_off, sizeof(Footer));
-    if (p.footer.magic != kCompactFooterMagic)
-        fail(whence, "missing container footer (truncated file?)");
-    if (p.footer.fileLen != bytes.size())
-        fail(whence, "length mismatch: footer records " +
-                         std::to_string(p.footer.fileLen) +
-                         " bytes, file has " +
-                         std::to_string(bytes.size()));
-    if (verify_checksums &&
-        crc32c(bytes.data(), footer_off) != p.footer.totalCrc)
-        fail(whence, "whole-file checksum mismatch (corrupt data)");
-
-    std::memcpy(p.sections.data(), bytes.data() + table_off,
-                kNumSections * sizeof(SectionRecord));
-    for (size_t i = 0; i < kNumSections; ++i) {
-        const SectionRecord &rec = p.sections[i];
-        const SectionSpec &spec = kSections[i];
-        const std::string label =
-            "section " + std::to_string(spec.id);
-        if (rec.id != spec.id)
-            fail(whence, label + " has unexpected id " +
-                             std::to_string(rec.id));
-        if (rec.elemSize != spec.elemSize)
-            fail(whence, label + " has unexpected element size");
-        if (rec.byteLen % rec.elemSize != 0)
-            fail(whence, label + " length not a multiple of its "
-                                 "element size");
-        if (rec.byteLen > 0 &&
-            (rec.offset % 8 != 0 || rec.offset < table_end ||
-             rec.offset + rec.byteLen < rec.offset ||
-             rec.offset + rec.byteLen > footer_off))
-            fail(whence, label + " payload out of bounds");
-        if (verify_checksums &&
-            crc32c(bytes.data() + rec.offset, rec.byteLen) != rec.crc)
-            fail(whence, label + " checksum mismatch (corrupt data)");
-    }
-
-    // Cross-section consistency the decoder relies on.
-    auto len = [&](uint32_t id) {
-        return p.sections[id - 1].byteLen;
-    };
-    if (len(kSecFlags) != p.header.opCount)
-        fail(whence, "flags column does not match the op count");
-    if (len(kSecRegBytes) != 3 * p.header.opCount)
-        fail(whence, "register column does not match the op count");
-    if (len(kSecDiscontPos) / 4 != len(kSecDiscontPc) / 8)
-        fail(whence, "discontinuity columns disagree in length");
-    if (len(kSecFallPos) / 4 != len(kSecFallVals) / 8)
-        fail(whence, "fallthrough columns disagree in length");
-    return p;
-}
 
 } // namespace
 
 std::vector<uint8_t>
 serializeCompactTrace(const CompactTrace &trace, std::string_view name)
 {
-    const CompactColumns cols = trace.columns();
-    const auto payloads = payloadsOf(cols);
-
-    // Lay out: header, name, section table, 8-aligned payloads, footer.
-    const size_t table_off =
-        align8(sizeof(FileHeader) + name.size());
-    size_t at = table_off + kNumSections * sizeof(SectionRecord);
-    std::array<size_t, kNumSections> offsets;
-    for (size_t i = 0; i < kNumSections; ++i) {
-        at = align8(at);
-        offsets[i] = at;
-        at += payloads[i].size();
-    }
-    const size_t footer_off = align8(at);
-    std::vector<uint8_t> out(footer_off + sizeof(Footer), 0);
-
-    FileHeader header{};
-    header.magic = kCompactMagic;
-    header.version = kCompactVersion;
-    header.opCount = cols.count;
-    header.flags = cols.fastBranchScan ? kFlagFastBranchScan : 0;
-    header.nameLen = static_cast<uint32_t>(name.size());
-    header.sectionCount = kNumSections;
-    std::memcpy(out.data(), &header, sizeof(header));
-    header.headerCrc =
-        crc32c(out.data(), offsetof(FileHeader, headerCrc));
-    std::memcpy(out.data(), &header, sizeof(header));
-    std::memcpy(out.data() + sizeof(FileHeader), name.data(),
-                name.size());
-
-    for (size_t i = 0; i < kNumSections; ++i) {
-        SectionRecord rec{};
-        rec.id = kSections[i].id;
-        rec.elemSize = kSections[i].elemSize;
-        rec.offset = offsets[i];
-        rec.byteLen = payloads[i].size();
-        if (!payloads[i].empty())
-            std::memcpy(out.data() + offsets[i], payloads[i].data(),
-                        payloads[i].size());
-        rec.crc = crc32c(out.data() + offsets[i], payloads[i].size());
-        std::memcpy(out.data() + table_off + i * sizeof(SectionRecord),
-                    &rec, sizeof(rec));
-    }
-
-    Footer footer{};
-    footer.magic = kCompactFooterMagic;
-    footer.totalCrc = crc32c(out.data(), footer_off);
-    footer.fileLen = out.size();
-    std::memcpy(out.data() + footer_off, &footer, sizeof(footer));
-    return out;
+    const CompactColumns c = trace.columns();
+    const std::array<std::span<const uint8_t>, kNumSections> payloads = {
+        payloadOf(c.flags),
+        payloadOf(c.regBytes),
+        payloadOf(c.regEscapes),
+        payloadOf(c.targetDeltas),
+        payloadOf(c.discontPos),
+        payloadOf(c.discontPc),
+        payloadOf(c.memPos),
+        payloadOf(c.memDeltas),
+        payloadOf(c.selPos),
+        payloadOf(c.selVals),
+        payloadOf(c.fallPos),
+        payloadOf(c.fallVals),
+        payloadOf(c.branchPos),
+    };
+    return writeContainer(
+        kLayout, c.count,
+        c.fastBranchScan ? kCompactFlagFastBranchScan : 0, name,
+        payloads);
 }
 
 CompactTrace
 openCompactContainer(std::span<const uint8_t> bytes,
                      std::shared_ptr<const void> backing,
-                     std::string &name_out, const std::string &whence,
-                     const CompactOpenOptions &opts)
+                     std::string &name_out, const std::string &whence)
 {
-    const ParsedContainer p =
-        parseContainer(bytes, whence, opts.verifyChecksums);
-
-    auto view = [&](uint32_t id, auto tag) {
-        using T = decltype(tag);
-        const SectionRecord &rec = p.sections[id - 1];
-        return std::span<const T>(
-            reinterpret_cast<const T *>(bytes.data() + rec.offset),
-            rec.byteLen / sizeof(T));
-    };
+    const Container c = readContainer(kLayout, bytes, whence, true);
 
     CompactColumns cols;
-    cols.count = p.header.opCount;
+    cols.count = c.header.opCount;
     cols.fastBranchScan =
-        (p.header.flags & kFlagFastBranchScan) != 0;
-    cols.flags = view(kSecFlags, uint8_t{});
-    cols.regBytes = view(kSecRegBytes, uint8_t{});
-    cols.regEscapes = view(kSecRegEscapes, int16_t{});
-    cols.targetDeltas = view(kSecTargetDeltas, uint8_t{});
-    cols.discontPos = view(kSecDiscontPos, uint32_t{});
-    cols.discontPc = view(kSecDiscontPc, uint64_t{});
-    cols.memPos = view(kSecMemPos, uint32_t{});
-    cols.memDeltas = view(kSecMemDeltas, uint8_t{});
-    cols.selPos = view(kSecSelPos, uint32_t{});
-    cols.selVals = view(kSecSelVals, uint8_t{});
-    cols.fallPos = view(kSecFallPos, uint32_t{});
-    cols.fallVals = view(kSecFallVals, uint64_t{});
-    cols.branchPos = view(kSecBranchPos, uint32_t{});
+        (c.header.flags & kCompactFlagFastBranchScan) != 0;
+    auto section = [&](uint32_t id) { return c.sections[id - 1]; };
+    cols.flags = columnOf<uint8_t>(section(kSecFlags));
+    cols.regBytes = columnOf<uint8_t>(section(kSecRegBytes));
+    cols.regEscapes = columnOf<int16_t>(section(kSecRegEscapes));
+    cols.targetDeltas = columnOf<uint8_t>(section(kSecTargetDeltas));
+    cols.discontPos = columnOf<uint32_t>(section(kSecDiscontPos));
+    cols.discontPc = columnOf<uint64_t>(section(kSecDiscontPc));
+    cols.memPos = columnOf<uint32_t>(section(kSecMemPos));
+    cols.memDeltas = columnOf<uint8_t>(section(kSecMemDeltas));
+    cols.selPos = columnOf<uint32_t>(section(kSecSelPos));
+    cols.selVals = columnOf<uint8_t>(section(kSecSelVals));
+    cols.fallPos = columnOf<uint32_t>(section(kSecFallPos));
+    cols.fallVals = columnOf<uint64_t>(section(kSecFallVals));
+    cols.branchPos = columnOf<uint32_t>(section(kSecBranchPos));
+    if (const char *defect = CompactTrace::columnDefect(cols))
+        throwFormatError(whence, defect);
 
-    name_out = p.name;
+    name_out = c.name;
     return CompactTrace::fromColumns(cols, std::move(backing));
 }
 
-CompactContainerInfo
+ContainerInfo
 peekCompactContainer(std::span<const uint8_t> bytes,
                      const std::string &whence)
 {
-    const ParsedContainer p = parseContainer(bytes, whence, false);
-    CompactContainerInfo info;
-    info.name = p.name;
-    info.opCount = p.header.opCount;
-    info.branchCount = p.sections[kSecBranchPos - 1].byteLen / 4;
-    info.version = p.header.version;
-    info.totalCrc = p.footer.totalCrc;
+    const Container c = readContainer(kLayout, bytes, whence, false);
+    ContainerInfo info;
+    info.name = c.name;
+    info.opCount = c.header.opCount;
+    info.branchCount = c.sections[kSecBranchPos - 1].size() / 4;
+    info.version = c.header.version;
+    info.totalCrc = c.footer.totalCrc;
     info.fileBytes = bytes.size();
     info.fastBranchScan =
-        (p.header.flags & kFlagFastBranchScan) != 0;
+        (c.header.flags & kCompactFlagFastBranchScan) != 0;
     return info;
 }
 

@@ -1,23 +1,23 @@
 /**
  * @file
- * Serialized container for CompactTrace — the byte layout shared by
- * trace_io v2 files and the persistent corpus (src/corpus/).
+ * Serialized container for CompactTrace — the TPCC layout of the
+ * shared envelope (trace/container.hh), used by trace_io files and
+ * the persistent corpus (src/corpus/).
  *
- * The container preserves the columnar encoding verbatim: a fixed
- * header (magic, version, op count, stream name), a section table
- * with one CRC32C-checked record per column, the 8-byte-aligned
- * column payloads, and a footer carrying the file length and a total
- * CRC32C.  Because the payload *is* the in-memory column layout,
- * loading is zero-copy: openCompactContainer() validates the
- * structure and returns a CompactTrace whose column spans point
- * straight into the provided bytes (an mmap'd file, a read buffer),
- * with no per-op deserialization pass.  See docs/trace_format.md for
- * the byte-level layout.
+ * The container preserves the columnar encoding verbatim: one section
+ * per column, 8-byte aligned, each CRC32C-checked.  Because the
+ * payload *is* the in-memory column layout, loading is zero-copy:
+ * openCompactContainer() validates the structure and returns a
+ * CompactTrace whose column spans point straight into the provided
+ * bytes (an mmap'd file, a read buffer), with no per-op
+ * deserialization pass.  See docs/trace_format.md for the byte-level
+ * layout.
  *
  * Every structural defect — wrong magic, version skew, truncation,
- * checksum mismatch, inconsistent section table — throws a
- * CompactFormatError naming the offending input, so callers can
- * quarantine bad files instead of trusting them.
+ * checksum mismatch, inconsistent section table, a column the decoder
+ * would read past — throws a CompactFormatError naming the offending
+ * input, so callers can quarantine bad files instead of trusting
+ * them.
  */
 
 #ifndef TPRED_TRACE_COMPACT_IO_HH
@@ -26,12 +26,12 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "trace/compact_trace.hh"
+#include "trace/container.hh"
 
 namespace tpred
 {
@@ -50,21 +50,17 @@ constexpr uint32_t kCompactVersion = 2;
 /** Oldest container version openCompactContainer still reads. */
 constexpr uint32_t kCompactMinVersion = 1;
 
+/** Header flag: every op satisfies the O(branches) scan preconditions. */
+constexpr uint32_t kCompactFlagFastBranchScan = 1u << 0;
+
 /**
  * Header flag: the envelope holds fixed-size CompactTrace segments
- * plus a segment index instead of one monolithic section payload
+ * plus a segment index instead of one section table
  * (segmented_io.hh).  Plain openCompactContainer() refuses such
  * files; SegmentedTrace (corpus/segmented_trace.hh) reads them via
  * windowed mappings.
  */
 constexpr uint32_t kCompactFlagSegmented = 1u << 1;
-
-/** A malformed, truncated or corrupt container. */
-class CompactFormatError : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
 
 /**
  * Serializes @p trace (with its stream @p name) into a self-contained
@@ -74,18 +70,9 @@ class CompactFormatError : public std::runtime_error
 std::vector<uint8_t> serializeCompactTrace(const CompactTrace &trace,
                                            std::string_view name);
 
-struct CompactOpenOptions
-{
-    /**
-     * Verify the per-section and whole-file CRC32C checksums (one
-     * sequential pass over the bytes).  Structural validation —
-     * magic, version, bounds, footer length — always happens.
-     */
-    bool verifyChecksums = true;
-};
-
 /**
- * Opens a container image in place.
+ * Opens a container image in place, verifying every CRC and every
+ * column count the decoder relies on.
  *
  * @param bytes   The complete container.
  * @param backing Keep-alive handle for the memory behind @p bytes
@@ -99,29 +86,16 @@ struct CompactOpenOptions
 CompactTrace openCompactContainer(std::span<const uint8_t> bytes,
                                   std::shared_ptr<const void> backing,
                                   std::string &name_out,
-                                  const std::string &whence,
-                                  const CompactOpenOptions &opts = {});
-
-/** Cheap header/footer summary of a container (corpus `ls`). */
-struct CompactContainerInfo
-{
-    std::string name;        ///< recorded stream name
-    uint64_t opCount = 0;
-    uint64_t branchCount = 0;
-    uint32_t version = 0;
-    uint32_t totalCrc = 0;   ///< footer CRC32C of the whole image
-    uint64_t fileBytes = 0;
-    bool fastBranchScan = false;
-};
+                                  const std::string &whence);
 
 /**
  * Structurally validates @p bytes and reports the header summary
- * WITHOUT verifying payload checksums (that is what `tpredcorpus
- * verify` / openCompactContainer are for).
+ * WITHOUT verifying checksums or column contents (that is what
+ * `tpredcorpus verify` / openCompactContainer are for).
  * @throws CompactFormatError when the structure is unusable.
  */
-CompactContainerInfo peekCompactContainer(std::span<const uint8_t> bytes,
-                                          const std::string &whence);
+ContainerInfo peekCompactContainer(std::span<const uint8_t> bytes,
+                                   const std::string &whence);
 
 } // namespace tpred
 

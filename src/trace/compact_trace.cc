@@ -1,6 +1,8 @@
 #include "trace/compact_trace.hh"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <type_traits>
 
@@ -35,7 +37,10 @@ putVarint(std::vector<uint8_t> &out, uint64_t v)
     out.push_back(static_cast<uint8_t>(v));
 }
 
-/** LEB128 read; advances @p at. */
+/**
+ * LEB128 read; advances @p at.  Bits past the 64th wrap instead of
+ * shifting out of range (only a damaged column has them).
+ */
 inline uint64_t
 getVarint(std::span<const uint8_t> in, size_t &at)
 {
@@ -43,11 +48,80 @@ getVarint(std::span<const uint8_t> in, size_t &at)
     unsigned shift = 0;
     for (;;) {
         const uint8_t byte = in[at++];
-        v |= static_cast<uint64_t>(byte & 0x7F) << shift;
+        v |= static_cast<uint64_t>(byte & 0x7F) << (shift & 63);
         if (!(byte & 0x80))
             return v;
         shift += 7;
     }
+}
+
+/** Which bytes countBytes() counts. */
+enum class ByteTest
+{
+    TopBit,   ///< 0x80 set: a redirect flag, a varint continuation
+    AllOnes,  ///< 0xFF: a register escape
+};
+
+/** Bytes of @p bytes that pass @p test, sixteen at a time. */
+size_t
+countBytes(std::span<const uint8_t> bytes, ByteTest test)
+{
+    const bool all_ones = test == ByteTest::AllOnes;
+    using Lanes = int8_t __attribute__((vector_size(16)));
+    using Counts = uint8_t __attribute__((vector_size(16)));
+    size_t n = 0;
+    size_t i = 0;
+    const size_t whole = bytes.size() - bytes.size() % sizeof(Lanes);
+    while (i < whole) {
+        // A lane counts at most 255 hits before it is drained; a hit
+        // compares as all ones, so subtracting it adds one.
+        Counts hits{};
+        const size_t end = std::min(whole, i + 255 * sizeof(Lanes));
+        for (; i < end; i += sizeof(Lanes)) {
+            Lanes v;
+            std::memcpy(&v, bytes.data() + i, sizeof(v));
+            hits -= static_cast<Counts>(all_ones ? (v == -1) : (v < 0));
+        }
+        for (size_t lane = 0; lane < sizeof(Lanes); ++lane)
+            n += hits[lane];
+    }
+    for (; i < bytes.size(); ++i)
+        n += all_ones ? bytes[i] == 0xFF : bytes[i] >> 7;
+    return n;
+}
+
+/** True when @p pos ascends strictly; four comparisons at a time. */
+bool
+strictlyAscending(std::span<const uint32_t> pos)
+{
+    using Lanes = uint32_t __attribute__((vector_size(16)));
+    Lanes descents{};
+    size_t i = 1;
+    for (; i + 4 <= pos.size(); i += 4) {
+        Lanes prev;
+        Lanes next;
+        std::memcpy(&prev, pos.data() + i - 1, sizeof(prev));
+        std::memcpy(&next, pos.data() + i, sizeof(next));
+        descents |= static_cast<Lanes>(next <= prev);
+    }
+    bool ascending = true;
+    for (size_t lane = 0; lane < 4; ++lane)
+        ascending &= descents[lane] == 0;
+    for (; i < pos.size(); ++i)
+        ascending &= pos[i - 1] < pos[i];
+    return ascending;
+}
+
+/**
+ * Number of complete varints in @p in, or SIZE_MAX when the last one
+ * is cut short.
+ */
+size_t
+varintCount(std::span<const uint8_t> in)
+{
+    if (!in.empty() && (in.back() & 0x80) != 0)
+        return SIZE_MAX;
+    return in.size() - countBytes(in, ByteTest::TopBit);
 }
 
 /** Wrapping pc delta: decode must invert encode even across 2^64. */
@@ -100,6 +174,36 @@ CompactTrace::fromColumns(const CompactColumns &cols,
     t.branchPos_ = cols.branchPos;
     t.backing_ = std::move(backing);
     return t;
+}
+
+const char *
+CompactTrace::columnDefect(const CompactColumns &c)
+{
+    if (c.flags.size() != c.count)
+        return "flags column does not match the op count";
+    if (c.regBytes.size() != 3 * c.count)
+        return "register column does not match the op count";
+    if (c.discontPos.size() != c.discontPc.size())
+        return "discontinuity columns disagree in length";
+    if (c.fallPos.size() != c.fallVals.size())
+        return "fallthrough columns disagree in length";
+    // forEachBranch indexes the dense columns by branch position, and
+    // its block-decode path relies on ascending order.
+    if (!strictlyAscending(c.branchPos) ||
+        (!c.branchPos.empty() && c.branchPos.back() >= c.count))
+        return "branch positions do not ascend below the op count";
+    static_assert(kRegEscape == 0xFF && kRedirectBit == 0x80);
+    if (countBytes(c.regBytes, ByteTest::AllOnes) !=
+        c.regEscapes.size())
+        return "register escapes do not match the escape column";
+    if (varintCount(c.targetDeltas) !=
+        countBytes(c.flags, ByteTest::TopBit))
+        return "redirect flags do not match the target-delta column";
+    if (varintCount(c.memDeltas) != c.memPos.size())
+        return "memory positions do not match the memory-delta column";
+    if (varintCount(c.selVals) != c.selPos.size())
+        return "selector positions do not match the selector column";
+    return nullptr;
 }
 
 CompactColumns

@@ -119,11 +119,21 @@ class CompactTrace
      * load path: decode cursors read straight from the viewed memory.
      *
      * The caller is responsible for the columns being internally
-     * consistent (compact_io validates files before handing them
-     * here); no re-validation is performed.
+     * consistent (compact_io checks columnDefect() before handing
+     * them here); no re-validation is performed.
      */
     static CompactTrace fromColumns(const CompactColumns &cols,
                                     std::shared_ptr<const void> backing);
+
+    /**
+     * Why decoding @p cols could read outside a column, or nullptr
+     * when it cannot: the dense columns must match the op count,
+     * paired sparse columns each other, branch positions must ascend
+     * strictly below the op count, and every escape byte, redirect
+     * flag and sparse position must have its entry in the column it
+     * consumes (varint columns ending on a complete varint).
+     */
+    static const char *columnDefect(const CompactColumns &cols);
 
     /** The column views (serialization, diagnostics). */
     CompactColumns columns() const;

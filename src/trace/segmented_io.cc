@@ -1,8 +1,5 @@
 #include "trace/segmented_io.hh"
 
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstring>
 
 #include "common/crc32c.hh"
@@ -13,56 +10,24 @@ namespace tpred
 namespace
 {
 
-// The envelope records, shared with the plain container
-// (compact_io.cc); duplicated here because the segmented layout
-// reinterprets two header fields (sectionCount = segment count,
-// totalCrc = metadata-only CRC) and the plain reader deliberately
-// keeps its records private.
-
-struct FileHeader
-{
-    uint32_t magic;
-    uint32_t version;
-    uint64_t opCount;
-    uint32_t flags;
-    uint32_t nameLen;
-    uint32_t sectionCount;  ///< segmented: number of segments
-    uint32_t headerCrc;     ///< CRC32C of the 28 bytes preceding it
-};
-static_assert(sizeof(FileHeader) == 32);
-
-struct Footer
-{
-    uint32_t magic;
-    uint32_t totalCrc;      ///< segmented: metadata CRC (header+name,
-                            ///< then index bytes)
-    uint64_t fileLen;
-    uint64_t reserved;
-};
-static_assert(sizeof(Footer) == 24);
-
-constexpr uint32_t kFlagFastBranchScan = 1u << 0;
-constexpr uint32_t kMaxNameLen = 4096;
 constexpr uint32_t kMaxSegments = 1u << 24;
 
-inline uint64_t
-align8(uint64_t at)
-{
-    return (at + 7) & ~uint64_t{7};
-}
-
-[[noreturn]] void
-fail(const std::string &whence, const std::string &what)
-{
-    throw CompactFormatError(whence + ": " + what);
-}
+/** The TPCC magic pair from version 2 on, with no section table. */
+constexpr ContainerLayout kLayout = {
+    "segmented trace",
+    kCompactMagic,
+    kCompactFooterMagic,
+    2,
+    kCompactVersion,
+    kCompactFlagSegmented | kCompactFlagFastBranchScan,
+    {},
+};
 
 uint32_t
 metadataCrc(std::span<const uint8_t> header_name,
             std::span<const uint8_t> index)
 {
-    uint32_t crc = crc32cUpdate(0, header_name.data(),
-                                header_name.size());
+    const uint32_t crc = crc32c(header_name.data(), header_name.size());
     return crc32cUpdate(crc, index.data(), index.size());
 }
 
@@ -74,117 +39,94 @@ segmentedHeaderMaxBytes()
     return sizeof(FileHeader) + kMaxNameLen;
 }
 
-SegmentedHeaderInfo
+SegmentedIndex
 parseSegmentedHeader(std::span<const uint8_t> head,
                      const std::string &whence)
 {
-    if (head.size() < sizeof(FileHeader))
-        fail(whence, "truncated container (" +
-                         std::to_string(head.size()) + " bytes)");
-    FileHeader h;
-    std::memcpy(&h, head.data(), sizeof(h));
-    if (h.magic != kCompactMagic)
-        fail(whence, "not a compact trace container (bad magic)");
-    if (h.version < 2 || h.version > kCompactVersion)
-        fail(whence, "unsupported segmented container version " +
-                         std::to_string(h.version));
-    if (crc32c(head.data(), offsetof(FileHeader, headerCrc)) !=
-        h.headerCrc)
-        fail(whence, "header checksum mismatch");
+    const FileHeader h = readHeader(kLayout, head, whence);
     if (!(h.flags & kCompactFlagSegmented))
-        fail(whence, "not a segmented container (plain layout; use "
-                     "openCompactContainer)");
-    if (h.nameLen > kMaxNameLen)
-        fail(whence, "implausible stream name length");
+        throwFormatError(whence, "not a segmented container (plain "
+                                 "layout; use openCompactContainer)");
     if (h.sectionCount == 0 || h.sectionCount > kMaxSegments)
-        fail(whence, "implausible segment count " +
-                         std::to_string(h.sectionCount));
+        throwFormatError(whence, "implausible segment count " +
+                                     std::to_string(h.sectionCount));
     if (head.size() < sizeof(FileHeader) + h.nameLen)
-        fail(whence, "truncated stream name");
+        throwFormatError(whence, "truncated stream name");
 
-    SegmentedHeaderInfo info;
-    info.name.assign(
-        reinterpret_cast<const char *>(head.data()) + sizeof(FileHeader),
-        h.nameLen);
-    info.totalOps = h.opCount;
-    info.version = h.version;
-    info.segmentCount = h.sectionCount;
-    info.fastBranchScan = (h.flags & kFlagFastBranchScan) != 0;
-    info.headerNameBytes = sizeof(FileHeader) + h.nameLen;
-    info.firstSegmentOffset = align8(info.headerNameBytes);
-    return info;
+    SegmentedIndex index;
+    index.info.name.assign(reinterpret_cast<const char *>(head.data()) +
+                               sizeof(FileHeader),
+                           h.nameLen);
+    index.info.opCount = h.opCount;
+    index.info.version = h.version;
+    index.info.segmentCount = h.sectionCount;
+    index.info.fastBranchScan =
+        (h.flags & kCompactFlagFastBranchScan) != 0;
+    index.headerNameBytes = sizeof(FileHeader) + h.nameLen;
+    index.firstSegmentOffset = align8(index.headerNameBytes);
+    return index;
 }
 
 uint64_t
-segmentedTailBytes(uint32_t segment_count)
+segmentedTailBytes(uint64_t segment_count)
 {
-    return sizeof(Footer) +
-           uint64_t{segment_count} * sizeof(SegmentRecord);
+    return sizeof(Footer) + segment_count * sizeof(SegmentRecord);
 }
 
-std::vector<SegmentRecord>
+void
 parseSegmentedTail(std::span<const uint8_t> tail,
                    std::span<const uint8_t> header_name,
-                   const SegmentedHeaderInfo &header, uint64_t file_len,
-                   const std::string &whence)
+                   uint64_t file_len, const std::string &whence,
+                   SegmentedIndex &index)
 {
-    const uint64_t index_bytes =
-        uint64_t{header.segmentCount} * sizeof(SegmentRecord);
+    const uint64_t count = index.info.segmentCount;
+    const uint64_t index_bytes = count * sizeof(SegmentRecord);
     if (tail.size() != index_bytes + sizeof(Footer))
-        fail(whence, "segment index/footer size mismatch");
-    if (header.firstSegmentOffset + tail.size() > file_len)
-        fail(whence, "truncated segmented container");
+        throwFormatError(whence, "segment index/footer size mismatch");
+    if (index.firstSegmentOffset + tail.size() > file_len)
+        throwFormatError(whence, "truncated segmented container");
 
-    Footer footer;
-    std::memcpy(&footer, tail.data() + index_bytes, sizeof(footer));
-    if (footer.magic != kCompactFooterMagic)
-        fail(whence, "missing container footer (truncated file?)");
-    if (footer.fileLen != file_len)
-        fail(whence, "length mismatch: footer records " +
-                         std::to_string(footer.fileLen) +
-                         " bytes, file has " +
-                         std::to_string(file_len));
+    const Footer footer = readFooter(kLayout, tail, file_len, whence);
     if (metadataCrc(header_name, tail.first(index_bytes)) !=
         footer.totalCrc)
-        fail(whence, "segment index checksum mismatch (corrupt "
-                     "metadata)");
-    // The reserved word sits outside the metadata CRC (which covers
-    // header + index only); reject any damage to it explicitly.
-    if (footer.reserved != 0)
-        fail(whence, "nonzero reserved footer field");
+        throwFormatError(whence, "segment index checksum mismatch "
+                                 "(corrupt metadata)");
 
-    std::vector<SegmentRecord> segments(header.segmentCount);
-    std::memcpy(segments.data(), tail.data(), index_bytes);
+    index.segments.resize(count);
+    std::memcpy(index.segments.data(), tail.data(), index_bytes);
 
     const uint64_t index_offset = file_len - tail.size();
-    uint64_t next_offset = header.firstSegmentOffset;
+    uint64_t next_offset = index.firstSegmentOffset;
     uint64_t next_op = 0;
     uint64_t next_branch = 0;
-    for (size_t i = 0; i < segments.size(); ++i) {
-        const SegmentRecord &rec = segments[i];
+    for (size_t i = 0; i < count; ++i) {
+        const SegmentRecord &rec = index.segments[i];
         const std::string label = "segment " + std::to_string(i);
         if (rec.offset != next_offset)
-            fail(whence, label + " offset out of sequence");
+            throwFormatError(whence, label + " offset out of sequence");
         if (rec.byteLen == 0 || rec.byteLen % 8 != 0 ||
-            rec.offset + rec.byteLen < rec.offset ||
-            rec.offset + rec.byteLen > index_offset)
-            fail(whence, label + " payload out of bounds");
+            rec.byteLen > index_offset - rec.offset)
+            throwFormatError(whence, label + " payload out of bounds");
         if (rec.opCount == 0)
-            fail(whence, label + " is empty");
+            throwFormatError(whence, label + " is empty");
         if (rec.firstOp != next_op)
-            fail(whence, label + " op index out of sequence");
+            throwFormatError(whence, label + " op index out of sequence");
         if (rec.firstBranch != next_branch)
-            fail(whence, label + " branch index out of sequence");
+            throwFormatError(whence,
+                             label + " branch index out of sequence");
         next_offset = rec.offset + rec.byteLen;
         next_op += rec.opCount;
         next_branch += rec.branchCount;
     }
     if (next_offset != index_offset)
-        fail(whence, "segment payloads do not fill the container");
-    if (next_op != header.totalOps)
-        fail(whence, "segment op counts do not sum to the header op "
-                     "count");
-    return segments;
+        throwFormatError(whence,
+                         "segment payloads do not fill the container");
+    if (next_op != index.info.opCount)
+        throwFormatError(whence, "segment op counts do not sum to the "
+                                 "header op count");
+    index.info.branchCount = next_branch;
+    index.info.totalCrc = footer.totalCrc;
+    index.info.fileBytes = file_len;
 }
 
 // ---------------------------------------------------------------------
@@ -192,70 +134,44 @@ parseSegmentedTail(std::span<const uint8_t> tail,
 
 SegmentedFileWriter::SegmentedFileWriter(std::string path,
                                          std::string_view name)
-    : path_(std::move(path)),
-      tempPath_(path_ + ".tmp." + std::to_string(getpid())),
-      name_(name)
+    : path_(std::move(path)), name_(name), file_(path_)
 {
     if (name_.size() > kMaxNameLen)
-        fail(path_, "stream name too long");
-    file_ = std::fopen(tempPath_.c_str(), "wb");
-    if (!file_)
-        fail(tempPath_, std::string("cannot create: ") +
-                            std::strerror(errno));
-
+        throwFormatError(path_, "stream name too long");
     // Placeholder header (rewritten by finish()) + name + padding.
-    headerName_.resize(sizeof(FileHeader) + name_.size(), 0);
-    std::memcpy(headerName_.data() + sizeof(FileHeader), name_.data(),
-                name_.size());
-    writeOffset_ = align8(headerName_.size());
-    std::vector<uint8_t> prefix(writeOffset_, 0);
+    std::vector<uint8_t> prefix(align8(sizeof(FileHeader) + name_.size()),
+                                0);
     std::memcpy(prefix.data() + sizeof(FileHeader), name_.data(),
                 name_.size());
-    if (std::fwrite(prefix.data(), 1, prefix.size(), file_) !=
-        prefix.size())
-        fail(tempPath_, "short write");
-}
-
-SegmentedFileWriter::~SegmentedFileWriter()
-{
-    if (file_) {
-        std::fclose(file_);
-        file_ = nullptr;
-    }
-    if (!finished_)
-        ::unlink(tempPath_.c_str());
+    file_.append(prefix);
 }
 
 void
 SegmentedFileWriter::addSegment(const CompactTrace &segment)
 {
-    if (finished_ || !file_)
-        fail(path_, "addSegment after finish");
+    if (finished_)
+        throwFormatError(path_, "addSegment after finish");
     if (segment.size() == 0)
-        fail(path_, "cannot add an empty segment");
+        throwFormatError(path_, "cannot add an empty segment");
     if (index_.size() >= kMaxSegments)
-        fail(path_, "too many segments");
+        throwFormatError(path_, "too many segments");
 
     // Segments do not repeat the stream name; the envelope carries it.
     const std::vector<uint8_t> image =
         serializeCompactTrace(segment, "");
 
     SegmentRecord rec;
-    rec.offset = writeOffset_;
+    rec.offset = file_.size();
     rec.byteLen = image.size();
     rec.opCount = segment.size();
     rec.branchCount = segment.branchPositions().size();
     rec.firstOp = totalOps_;
     rec.firstBranch = totalBranches_;
     rec.crc = crc32c(image.data(), image.size());
-
-    if (std::fwrite(image.data(), 1, image.size(), file_) !=
-        image.size())
-        fail(tempPath_, "short write");
+    file_.append(image);
 
     index_.push_back(rec);
-    writeOffset_ += image.size();
-    totalOps_ += segment.size();
+    totalOps_ += rec.opCount;
     totalBranches_ += rec.branchCount;
     allFastScan_ = allFastScan_ && segment.fastBranchScan();
 }
@@ -263,96 +179,35 @@ SegmentedFileWriter::addSegment(const CompactTrace &segment)
 void
 SegmentedFileWriter::finish()
 {
-    if (finished_ || !file_)
-        fail(path_, "finish called twice");
+    if (finished_)
+        throwFormatError(path_, "finish called twice");
     if (index_.empty())
-        fail(path_, "segmented container needs at least one segment");
+        throwFormatError(path_, "segmented container needs at least "
+                                "one segment");
 
-    const uint64_t index_bytes = index_.size() * sizeof(SegmentRecord);
-    const uint64_t file_len =
-        writeOffset_ + index_bytes + sizeof(Footer);
+    const FileHeader header = makeHeader(
+        kLayout, totalOps_,
+        kCompactFlagSegmented |
+            (allFastScan_ ? kCompactFlagFastBranchScan : 0),
+        static_cast<uint32_t>(name_.size()),
+        static_cast<uint32_t>(index_.size()));
+    std::vector<uint8_t> header_name(sizeof(FileHeader) + name_.size());
+    std::memcpy(header_name.data(), &header, sizeof(header));
+    std::memcpy(header_name.data() + sizeof(FileHeader), name_.data(),
+                name_.size());
 
-    FileHeader header{};
-    header.magic = kCompactMagic;
-    header.version = kCompactVersion;
-    header.opCount = totalOps_;
-    header.flags = kCompactFlagSegmented |
-                   (allFastScan_ ? kFlagFastBranchScan : 0);
-    header.nameLen = static_cast<uint32_t>(name_.size());
-    header.sectionCount = static_cast<uint32_t>(index_.size());
-    std::memcpy(headerName_.data(), &header, sizeof(header));
-    header.headerCrc =
-        crc32c(headerName_.data(), offsetof(FileHeader, headerCrc));
-    std::memcpy(headerName_.data(), &header, sizeof(header));
-
-    const auto *index_raw =
-        reinterpret_cast<const uint8_t *>(index_.data());
-    Footer footer{};
-    footer.magic = kCompactFooterMagic;
-    footer.totalCrc = metadataCrc(
-        headerName_, std::span<const uint8_t>(index_raw, index_bytes));
-    footer.fileLen = file_len;
-
-    if (std::fwrite(index_raw, 1, index_bytes, file_) != index_bytes ||
-        std::fwrite(&footer, 1, sizeof(footer), file_) !=
-            sizeof(footer))
-        fail(tempPath_, "short write");
-
+    const std::span<const uint8_t> index =
+        payloadOf(std::span<const SegmentRecord>(index_));
+    const Footer footer =
+        makeFooter(kLayout, metadataCrc(header_name, index),
+                   file_.size() + index.size() + sizeof(Footer));
+    file_.append(index);
+    file_.append(payloadOf(std::span<const Footer>(&footer, 1)));
     // Rewrite the header now that the counts are known.
-    if (std::fseek(file_, 0, SEEK_SET) != 0 ||
-        std::fwrite(headerName_.data(), 1, sizeof(FileHeader), file_) !=
-            sizeof(FileHeader))
-        fail(tempPath_, "header rewrite failed");
-
-    if (std::fflush(file_) != 0 || ::fsync(fileno(file_)) != 0)
-        fail(tempPath_, "flush failed");
-    std::fclose(file_);
-    file_ = nullptr;
-
-    if (std::rename(tempPath_.c_str(), path_.c_str()) != 0)
-        fail(path_, std::string("rename failed: ") +
-                        std::strerror(errno));
+    file_.writeAt(0, std::span<const uint8_t>(header_name)
+                         .first(sizeof(FileHeader)));
+    file_.commit();
     finished_ = true;
-}
-
-std::vector<CompactTrace>
-segmentCompactTrace(const CompactTrace &trace, size_t segment_ops)
-{
-    if (segment_ops == 0)
-        throw std::invalid_argument("segment_ops must be positive");
-    std::vector<CompactTrace> segments;
-    std::vector<MicroOp> chunk;
-    chunk.reserve(std::min(segment_ops, trace.size()));
-    MicroOp buf[kReplayBlock];
-    CompactTrace::Cursor cur = trace.cursor();
-    size_t n;
-    while ((n = cur.fill(buf, kReplayBlock)) != 0) {
-        size_t at = 0;
-        while (at < n) {
-            const size_t take =
-                std::min(n - at, segment_ops - chunk.size());
-            chunk.insert(chunk.end(), buf + at, buf + at + take);
-            at += take;
-            if (chunk.size() == segment_ops) {
-                segments.push_back(CompactTrace::encode(chunk));
-                chunk.clear();
-            }
-        }
-    }
-    if (!chunk.empty())
-        segments.push_back(CompactTrace::encode(chunk));
-    return segments;
-}
-
-void
-writeSegmentedTraceFile(const std::string &path,
-                        const CompactTrace &trace, std::string_view name,
-                        size_t segment_ops)
-{
-    SegmentedFileWriter writer(path, name);
-    for (CompactTrace &seg : segmentCompactTrace(trace, segment_ops))
-        writer.addSegment(seg);
-    writer.finish();
 }
 
 } // namespace tpred

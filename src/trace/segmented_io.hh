@@ -1,10 +1,10 @@
 /**
  * @file
- * Segmented "TPCC" container: fixed-size CompactTrace segments inside
- * the existing envelope, each a complete, individually-CRC32C'd plain
- * container image, plus a segment index carrying per-segment op and
- * branch-stream offsets.  See docs/trace_format.md for the byte
- * layout.
+ * Segmented "TPCS" container: fixed-size CompactTrace segments inside
+ * the shared envelope (trace/container.hh), each a complete,
+ * individually-CRC32C'd plain container image, plus a segment index
+ * carrying per-segment op and branch-stream offsets.  See
+ * docs/trace_format.md for the byte layout.
  *
  * The point of the format is *streaming*: a corpus trace no longer
  * needs to be fully resident to replay.  A reader maps one segment
@@ -26,7 +26,8 @@
  *   index          N x SegmentRecord (56 B each)
  *   Footer         24 B   magic TPCF, totalCrc = METADATA CRC (header
  *                         + name bytes, then index bytes; segment
- *                         payloads carry their own CRCs), fileLen
+ *                         payloads carry their own CRCs), fileLen,
+ *                         reserved = 0
  *
  * The index lives at the *end* so SegmentedFileWriter can stream
  * segments to disk as they are produced; only the 32-byte header is
@@ -38,12 +39,12 @@
 #define TPRED_TRACE_SEGMENTED_IO_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/durable_file.hh"
 #include "trace/compact_io.hh"
 #include "trace/compact_trace.hh"
 
@@ -64,16 +65,13 @@ struct SegmentRecord
 };
 static_assert(sizeof(SegmentRecord) == 56);
 
-/** Parsed segmented-container header (fixed part + name). */
-struct SegmentedHeaderInfo
+/** The checked metadata of a segmented container. */
+struct SegmentedIndex
 {
-    std::string name;            ///< recorded stream name
-    uint64_t totalOps = 0;
-    uint32_t version = 0;
-    uint32_t segmentCount = 0;
-    bool fastBranchScan = false;
-    uint64_t firstSegmentOffset = 0; ///< align8(32 + nameLen)
+    ContainerInfo info;              ///< header, footer and totals
     uint64_t headerNameBytes = 0;    ///< 32 + nameLen (metadata CRC)
+    uint64_t firstSegmentOffset = 0; ///< align8(headerNameBytes)
+    std::vector<SegmentRecord> segments;
 };
 
 /** Bytes of file head that always suffice for parseSegmentedHeader. */
@@ -86,46 +84,41 @@ uint64_t segmentedHeaderMaxBytes();
  * @throws CompactFormatError when the bytes are not a segmented
  *         container (including a well-formed *plain* container).
  */
-SegmentedHeaderInfo parseSegmentedHeader(std::span<const uint8_t> head,
-                                         const std::string &whence);
+SegmentedIndex parseSegmentedHeader(std::span<const uint8_t> head,
+                                    const std::string &whence);
 
 /** Index + footer length for @p segment_count segments. */
-uint64_t segmentedTailBytes(uint32_t segment_count);
+uint64_t segmentedTailBytes(uint64_t segment_count);
 
 /**
  * Parses and validates the segment index + footer at the end of the
- * file: footer magic and length, the metadata CRC over header-name
- * and index bytes, and per-record structure (8-aligned monotone
+ * file into @p index (filled in by parseSegmentedHeader): footer
+ * magic, length and reserved word, the metadata CRC over header-name
+ * and index bytes, and per-record structure (8-aligned contiguous
  * offsets within bounds, cumulative firstOp/firstBranch consistency,
  * op total matching the header).  Segment *payload* CRCs are NOT
  * checked here — verify each image via openCompactContainer when the
  * window is mapped.
  *
  * @param tail        The last segmentedTailBytes(segmentCount) bytes.
- * @param header_name The first header.headerNameBytes bytes.
- * @param header      Result of parseSegmentedHeader on the same file.
+ * @param header_name The first index.headerNameBytes bytes.
  * @param file_len    Total file length.
  */
-std::vector<SegmentRecord>
-parseSegmentedTail(std::span<const uint8_t> tail,
-                   std::span<const uint8_t> header_name,
-                   const SegmentedHeaderInfo &header, uint64_t file_len,
-                   const std::string &whence);
+void parseSegmentedTail(std::span<const uint8_t> tail,
+                        std::span<const uint8_t> header_name,
+                        uint64_t file_len, const std::string &whence,
+                        SegmentedIndex &index);
 
 /**
- * Streaming writer: segments go to a temp file as they are added;
+ * Streaming writer: segments go to a DurableFile as they are added;
  * finish() appends the index + footer, rewrites the header with the
- * final counts, fsyncs and atomically renames onto @p path.  If the
- * writer is destroyed unfinished, the temp file is removed.
+ * final counts and commits the file onto @p path.  If the writer is
+ * destroyed unfinished, nothing appears under @p path.
  */
 class SegmentedFileWriter
 {
   public:
     SegmentedFileWriter(std::string path, std::string_view name);
-    ~SegmentedFileWriter();
-
-    SegmentedFileWriter(const SegmentedFileWriter &) = delete;
-    SegmentedFileWriter &operator=(const SegmentedFileWriter &) = delete;
 
     /** Serializes and appends one segment; order defines op order. */
     void addSegment(const CompactTrace &segment);
@@ -133,42 +126,16 @@ class SegmentedFileWriter
     /** Finalizes the file; no further addSegment() calls allowed. */
     void finish();
 
-    uint64_t totalOps() const { return totalOps_; }
-    uint64_t totalBranches() const { return totalBranches_; }
-    uint64_t segmentCount() const
-    {
-        return static_cast<uint64_t>(index_.size());
-    }
-
   private:
     std::string path_;
-    std::string tempPath_;
     std::string name_;
-    std::FILE *file_ = nullptr;
+    DurableFile file_;
     std::vector<SegmentRecord> index_;
-    std::vector<uint8_t> headerName_; ///< header + name image
-    uint64_t writeOffset_ = 0;
     uint64_t totalOps_ = 0;
     uint64_t totalBranches_ = 0;
     bool allFastScan_ = true;
     bool finished_ = false;
 };
-
-/**
- * Splits @p trace into consecutive segments of @p segment_ops ops
- * (the last may be shorter).  Each segment re-encodes its slice, so
- * decoding segment k reproduces ops [k*segment_ops, ...) bit-exactly.
- */
-std::vector<CompactTrace> segmentCompactTrace(const CompactTrace &trace,
-                                              size_t segment_ops);
-
-/**
- * Convenience: writes @p trace to @p path as a segmented container
- * with @p segment_ops ops per segment.
- */
-void writeSegmentedTraceFile(const std::string &path,
-                             const CompactTrace &trace,
-                             std::string_view name, size_t segment_ops);
 
 } // namespace tpred
 

@@ -1,61 +1,12 @@
 #include "trace/stream_io.hh"
 
 #include <array>
-#include <cstring>
-
-#include "common/crc32c.hh"
 
 namespace tpred
 {
 
 namespace
 {
-
-// On-disk records.  All fields little-endian; the structs are laid
-// out so natural alignment matches the packed layout exactly.  The
-// shapes deliberately mirror compact_io.cc so the two containers
-// share one mental model (and one corruption-handling discipline).
-
-struct FileHeader
-{
-    uint32_t magic;
-    uint32_t version;
-    uint64_t opCount;       ///< ops in the *source* trace
-    uint32_t flags;         ///< reserved, zero
-    uint32_t nameLen;
-    uint32_t sectionCount;
-    uint32_t headerCrc;     ///< CRC32C of the 28 bytes preceding it
-};
-static_assert(sizeof(FileHeader) == 32);
-
-struct SectionRecord
-{
-    uint32_t id;
-    uint32_t elemSize;
-    uint64_t offset;        ///< absolute, 8-byte aligned
-    uint64_t byteLen;
-    uint32_t crc;           ///< CRC32C of the payload bytes
-    uint32_t reserved;
-};
-static_assert(sizeof(SectionRecord) == 32);
-
-struct Footer
-{
-    uint32_t magic;
-    uint32_t totalCrc;      ///< CRC32C of everything before the footer
-    uint64_t fileLen;
-    uint64_t reserved;
-};
-static_assert(sizeof(Footer) == 24);
-
-constexpr uint32_t kMaxNameLen = 4096;
-
-/** One column section, in fixed file order. */
-struct SectionSpec
-{
-    uint32_t id;
-    uint32_t elemSize;
-};
 
 enum : uint32_t
 {
@@ -77,234 +28,83 @@ constexpr std::array<SectionSpec, kNumSections> kSections = {{
     {kSecTaken, 1},
 }};
 
-inline size_t
-align8(size_t at)
-{
-    return (at + 7) & ~size_t{7};
-}
-
-[[noreturn]] void
-fail(const std::string &whence, const std::string &what)
-{
-    throw CompactFormatError(whence + ": " + what);
-}
-
-/** The column payloads of @p c in kSections order. */
-std::array<std::span<const uint8_t>, kNumSections>
-payloadsOf(const BranchStreamColumns &c)
-{
-    auto raw = [](const auto &span) {
-        return std::span<const uint8_t>(
-            reinterpret_cast<const uint8_t *>(span.data()),
-            span.size_bytes());
-    };
-    return {raw(c.pos),  raw(c.pc),   raw(c.target),
-            raw(c.fallthrough), raw(c.kind), raw(c.taken)};
-}
-
-/**
- * Shared structural validation: parses and checks the header, name,
- * section table and footer; optionally verifies all CRCs.  Returns
- * the parsed records; section payload spans are bounds-checked
- * against the image.
- */
-struct ParsedContainer
-{
-    FileHeader header;
-    std::string name;
-    std::array<SectionRecord, kNumSections> sections;
-    Footer footer;
+constexpr ContainerLayout kLayout = {
+    "branch-stream",
+    kStreamMagic,
+    kStreamFooterMagic,
+    kStreamMinVersion,
+    kStreamVersion,
+    0,
+    kSections,
 };
-
-ParsedContainer
-parseContainer(std::span<const uint8_t> bytes, const std::string &whence,
-               bool verify_checksums)
-{
-    ParsedContainer p;
-    if (bytes.size() < sizeof(FileHeader) + sizeof(Footer))
-        fail(whence, "truncated stream container (" +
-                         std::to_string(bytes.size()) + " bytes)");
-
-    std::memcpy(&p.header, bytes.data(), sizeof(FileHeader));
-    if (p.header.magic != kStreamMagic)
-        fail(whence, "not a branch-stream container (bad magic)");
-    if (p.header.version < kStreamMinVersion ||
-        p.header.version > kStreamVersion)
-        fail(whence, "unsupported stream container version " +
-                         std::to_string(p.header.version) +
-                         " (supported: " +
-                         std::to_string(kStreamMinVersion) + ".." +
-                         std::to_string(kStreamVersion) + ")");
-    if (crc32c(bytes.data(), offsetof(FileHeader, headerCrc)) !=
-        p.header.headerCrc)
-        fail(whence, "header checksum mismatch");
-    if (p.header.nameLen > kMaxNameLen)
-        fail(whence, "implausible stream name length");
-    if (p.header.sectionCount != kNumSections)
-        fail(whence, "unexpected section count " +
-                         std::to_string(p.header.sectionCount));
-
-    const size_t name_end = sizeof(FileHeader) + p.header.nameLen;
-    const size_t table_off = align8(name_end);
-    const size_t table_end =
-        table_off + kNumSections * sizeof(SectionRecord);
-    if (table_end + sizeof(Footer) > bytes.size())
-        fail(whence, "truncated section table");
-    p.name.assign(
-        reinterpret_cast<const char *>(bytes.data()) +
-            sizeof(FileHeader),
-        p.header.nameLen);
-
-    const size_t footer_off = bytes.size() - sizeof(Footer);
-    std::memcpy(&p.footer, bytes.data() + footer_off, sizeof(Footer));
-    if (p.footer.magic != kStreamFooterMagic)
-        fail(whence, "missing container footer (truncated file?)");
-    if (p.footer.fileLen != bytes.size())
-        fail(whence, "length mismatch: footer records " +
-                         std::to_string(p.footer.fileLen) +
-                         " bytes, file has " +
-                         std::to_string(bytes.size()));
-    if (verify_checksums &&
-        crc32c(bytes.data(), footer_off) != p.footer.totalCrc)
-        fail(whence, "whole-file checksum mismatch (corrupt data)");
-
-    std::memcpy(p.sections.data(), bytes.data() + table_off,
-                kNumSections * sizeof(SectionRecord));
-    for (size_t i = 0; i < kNumSections; ++i) {
-        const SectionRecord &rec = p.sections[i];
-        const SectionSpec &spec = kSections[i];
-        const std::string label =
-            "section " + std::to_string(spec.id);
-        if (rec.id != spec.id)
-            fail(whence, label + " has unexpected id " +
-                             std::to_string(rec.id));
-        if (rec.elemSize != spec.elemSize)
-            fail(whence, label + " has unexpected element size");
-        if (rec.byteLen % rec.elemSize != 0)
-            fail(whence, label + " length not a multiple of its "
-                                 "element size");
-        if (rec.byteLen > 0 &&
-            (rec.offset % 8 != 0 || rec.offset < table_end ||
-             rec.offset + rec.byteLen < rec.offset ||
-             rec.offset + rec.byteLen > footer_off))
-            fail(whence, label + " payload out of bounds");
-        if (verify_checksums &&
-            crc32c(bytes.data() + rec.offset, rec.byteLen) != rec.crc)
-            fail(whence, label + " checksum mismatch (corrupt data)");
-    }
-
-    // Cross-section consistency: all six columns are parallel arrays
-    // with one entry per branch.
-    const uint64_t branches = p.sections[kSecPos - 1].byteLen / 4;
-    for (size_t i = 0; i < kNumSections; ++i) {
-        if (p.sections[i].byteLen / kSections[i].elemSize != branches)
-            fail(whence, "section " + std::to_string(kSections[i].id) +
-                             " disagrees with the branch count");
-    }
-    if (branches > p.header.opCount)
-        fail(whence, "more branches than ops in the source trace");
-    return p;
-}
 
 } // namespace
 
 std::vector<uint8_t>
 serializeBranchStream(const BranchStream &stream, std::string_view name)
 {
-    const BranchStreamColumns cols = stream.columns();
-    const auto payloads = payloadsOf(cols);
-
-    // Lay out: header, name, section table, 8-aligned payloads, footer.
-    const size_t table_off =
-        align8(sizeof(FileHeader) + name.size());
-    size_t at = table_off + kNumSections * sizeof(SectionRecord);
-    std::array<size_t, kNumSections> offsets;
-    for (size_t i = 0; i < kNumSections; ++i) {
-        at = align8(at);
-        offsets[i] = at;
-        at += payloads[i].size();
-    }
-    const size_t footer_off = align8(at);
-    std::vector<uint8_t> out(footer_off + sizeof(Footer), 0);
-
-    FileHeader header{};
-    header.magic = kStreamMagic;
-    header.version = kStreamVersion;
-    header.opCount = cols.opCount;
-    header.flags = 0;
-    header.nameLen = static_cast<uint32_t>(name.size());
-    header.sectionCount = kNumSections;
-    std::memcpy(out.data(), &header, sizeof(header));
-    header.headerCrc =
-        crc32c(out.data(), offsetof(FileHeader, headerCrc));
-    std::memcpy(out.data(), &header, sizeof(header));
-    std::memcpy(out.data() + sizeof(FileHeader), name.data(),
-                name.size());
-
-    for (size_t i = 0; i < kNumSections; ++i) {
-        SectionRecord rec{};
-        rec.id = kSections[i].id;
-        rec.elemSize = kSections[i].elemSize;
-        rec.offset = offsets[i];
-        rec.byteLen = payloads[i].size();
-        if (!payloads[i].empty())
-            std::memcpy(out.data() + offsets[i], payloads[i].data(),
-                        payloads[i].size());
-        rec.crc = crc32c(out.data() + offsets[i], payloads[i].size());
-        std::memcpy(out.data() + table_off + i * sizeof(SectionRecord),
-                    &rec, sizeof(rec));
-    }
-
-    Footer footer{};
-    footer.magic = kStreamFooterMagic;
-    footer.totalCrc = crc32c(out.data(), footer_off);
-    footer.fileLen = out.size();
-    std::memcpy(out.data() + footer_off, &footer, sizeof(footer));
-    return out;
+    const BranchStreamColumns c = stream.columns();
+    const std::array<std::span<const uint8_t>, kNumSections> payloads = {
+        payloadOf(c.pos),
+        payloadOf(c.pc),
+        payloadOf(c.target),
+        payloadOf(c.fallthrough),
+        payloadOf(c.kind),
+        payloadOf(c.taken),
+    };
+    return writeContainer(kLayout, c.opCount, 0, name, payloads);
 }
 
 BranchStream
 openBranchStreamContainer(std::span<const uint8_t> bytes,
                           std::shared_ptr<const void> backing,
                           std::string &name_out,
-                          const std::string &whence,
-                          const CompactOpenOptions &opts)
+                          const std::string &whence)
 {
-    const ParsedContainer p =
-        parseContainer(bytes, whence, opts.verifyChecksums);
+    const Container c = readContainer(kLayout, bytes, whence, true);
 
-    auto view = [&](uint32_t id, auto tag) {
-        using T = decltype(tag);
-        const SectionRecord &rec = p.sections[id - 1];
-        return std::span<const T>(
-            reinterpret_cast<const T *>(bytes.data() + rec.offset),
-            rec.byteLen / sizeof(T));
-    };
-
+    // All six columns are parallel arrays with one entry per branch,
+    // at ascending positions inside the source trace.
+    const uint64_t branches = c.sections[kSecPos - 1].size() / 4;
+    for (size_t i = 0; i < kNumSections; ++i) {
+        if (c.sections[i].size() / kSections[i].elemSize != branches)
+            throwFormatError(whence, "section " +
+                                         std::to_string(kSections[i].id) +
+                                         " disagrees with the branch "
+                                         "count");
+    }
     BranchStreamColumns cols;
-    cols.opCount = p.header.opCount;
-    cols.pos = view(kSecPos, uint32_t{});
-    cols.pc = view(kSecPc, uint64_t{});
-    cols.target = view(kSecTarget, uint64_t{});
-    cols.fallthrough = view(kSecFallthrough, uint64_t{});
-    cols.kind = view(kSecKind, uint8_t{});
-    cols.taken = view(kSecTaken, uint8_t{});
+    cols.opCount = c.header.opCount;
+    auto section = [&](uint32_t id) { return c.sections[id - 1]; };
+    cols.pos = columnOf<uint32_t>(section(kSecPos));
+    cols.pc = columnOf<uint64_t>(section(kSecPc));
+    cols.target = columnOf<uint64_t>(section(kSecTarget));
+    cols.fallthrough = columnOf<uint64_t>(section(kSecFallthrough));
+    cols.kind = columnOf<uint8_t>(section(kSecKind));
+    cols.taken = columnOf<uint8_t>(section(kSecTaken));
+    uint64_t next = 0;
+    for (const uint32_t pos : cols.pos) {
+        if (pos < next || pos >= cols.opCount)
+            throwFormatError(whence, "branch positions do not ascend "
+                                     "below the source op count");
+        next = uint64_t{pos} + 1;
+    }
 
-    name_out = p.name;
+    name_out = c.name;
     return BranchStream::fromColumns(cols, std::move(backing));
 }
 
-StreamContainerInfo
+ContainerInfo
 peekBranchStreamContainer(std::span<const uint8_t> bytes,
                           const std::string &whence)
 {
-    const ParsedContainer p = parseContainer(bytes, whence, false);
-    StreamContainerInfo info;
-    info.name = p.name;
-    info.opCount = p.header.opCount;
-    info.branchCount = p.sections[kSecPos - 1].byteLen / 4;
-    info.version = p.header.version;
-    info.totalCrc = p.footer.totalCrc;
+    const Container c = readContainer(kLayout, bytes, whence, false);
+    ContainerInfo info;
+    info.name = c.name;
+    info.opCount = c.header.opCount;
+    info.branchCount = c.sections[kSecPos - 1].size() / 4;
+    info.version = c.header.version;
+    info.totalCrc = c.footer.totalCrc;
     info.fileBytes = bytes.size();
     return info;
 }

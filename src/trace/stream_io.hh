@@ -7,17 +7,14 @@
  * process launch even when the trace itself comes out of the corpus
  * warm; on sweep-heavy runs (tpredtune's ~1350-config spaces) that
  * extraction pass dominates warm-start latency.  TPBS persists the
- * extraction: a fixed header (magic, version, op count, stream
- * name), a section table with one CRC32C-checked record per column
- * (pos/pc/target/fallthrough/kind/taken), the 8-byte-aligned column
- * payloads, and a footer carrying the file length and a total
- * CRC32C — structurally the same discipline as the TPCC/TPCS trace
- * containers.  Because the payload *is* the in-memory column layout,
- * loading is zero-copy: openBranchStreamContainer() validates the
- * structure and returns a BranchStream whose column spans point
- * straight into the provided bytes, with no per-branch
- * deserialization pass.  See docs/trace_format.md for the
- * byte-level layout.
+ * extraction as a layout of the shared envelope (trace/container.hh):
+ * one CRC32C-checked section per column (pos/pc/target/fallthrough/
+ * kind/taken), 8-byte aligned.  Because the payload *is* the
+ * in-memory column layout, loading is zero-copy:
+ * openBranchStreamContainer() validates the structure and returns a
+ * BranchStream whose column spans point straight into the provided
+ * bytes, with no per-branch deserialization pass.  See
+ * docs/trace_format.md for the byte-level layout.
  *
  * Every structural defect — wrong magic, version skew, truncation,
  * checksum mismatch, inconsistent section table — throws a
@@ -36,7 +33,7 @@
 #include <vector>
 
 #include "trace/branch_stream.hh"
-#include "trace/compact_io.hh"
+#include "trace/container.hh"
 
 namespace tpred
 {
@@ -73,19 +70,7 @@ std::vector<uint8_t> serializeBranchStream(const BranchStream &stream,
  */
 BranchStream openBranchStreamContainer(
     std::span<const uint8_t> bytes, std::shared_ptr<const void> backing,
-    std::string &name_out, const std::string &whence,
-    const CompactOpenOptions &opts = {});
-
-/** Cheap header/footer summary of a stream container (corpus `ls`). */
-struct StreamContainerInfo
-{
-    std::string name;        ///< recorded stream name
-    uint64_t opCount = 0;    ///< ops in the source trace
-    uint64_t branchCount = 0;
-    uint32_t version = 0;
-    uint32_t totalCrc = 0;   ///< footer CRC32C of the whole image
-    uint64_t fileBytes = 0;
-};
+    std::string &name_out, const std::string &whence);
 
 /**
  * Structurally validates @p bytes and reports the header summary
@@ -93,7 +78,7 @@ struct StreamContainerInfo
  * verify` / openBranchStreamContainer are for).
  * @throws CompactFormatError when the structure is unusable.
  */
-StreamContainerInfo peekBranchStreamContainer(
+ContainerInfo peekBranchStreamContainer(
     std::span<const uint8_t> bytes, const std::string &whence);
 
 } // namespace tpred

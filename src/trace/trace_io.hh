@@ -6,16 +6,13 @@
  * replay it across experiments or ship it alongside results — the
  * moral equivalent of the paper's trace files.
  *
- * Two format versions share the "TPRT" magic:
- *
- *  - **v1** (legacy) — one fixed little-endian record per MicroOp.
- *    Still fully readable; new files are no longer written this way.
- *  - **v2** — the magic/version preamble followed by a serialized
- *    CompactTrace container (trace/compact_io.hh): the columnar
- *    encoding goes to disk verbatim, with per-section CRC32C
- *    integrity checking, and loads back with **no MicroOp
- *    round-trip** — the ~8-10x on-disk size win matches the
- *    in-memory one.
+ * A trace file is the "TPRT" magic and a version word followed by a
+ * serialized CompactTrace container (trace/compact_io.hh): the
+ * columnar encoding goes to disk verbatim, with per-section CRC32C
+ * integrity checking, and loads back with **no MicroOp round-trip**
+ * — the ~8-10x on-disk size win matches the in-memory one.  Version
+ * 2 is the only version; the retired per-record version 1 is
+ * rejected like any other unsupported version.
  *
  * All loads are buffered: a file is read in a single pass into
  * memory and parsed from there (never one istream read per record),
@@ -27,10 +24,8 @@
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "trace/compact_trace.hh"
-#include "trace/micro_op.hh"
 
 namespace tpred
 {
@@ -41,50 +36,28 @@ constexpr uint32_t kTraceMagic = 0x54505254;
 /** Current version: compact-container payload. */
 constexpr uint32_t kTraceVersion = 2;
 
-/** Legacy per-record version; readable, never written by default. */
-constexpr uint32_t kTraceVersionLegacy = 1;
-
 /**
- * Writes @p trace to @p out as a v2 file — the columnar encoding is
- * serialized directly, without materializing MicroOps.
+ * Writes @p trace to @p out — the columnar encoding is serialized
+ * directly, without materializing MicroOps.
  * @throws std::runtime_error on stream failure.
  */
 void writeTrace(std::ostream &out, const CompactTrace &trace,
                 const std::string &name);
 
-/** Convenience overload: encodes @p ops, then writes v2. */
-void writeTrace(std::ostream &out, const std::vector<MicroOp> &ops,
-                const std::string &name);
-
 /**
- * Writes the legacy v1 record-per-op format (compatibility testing;
- * prefer the v2 writers above).
- */
-void writeTraceV1(std::ostream &out, const std::vector<MicroOp> &ops,
-                  const std::string &name);
-
-/**
- * Reads a v1 or v2 trace into its columnar form.  For v2 input the
- * columns are adopted from the file image directly — no per-op
- * decode.  The whole stream is consumed in one buffered read.
+ * Reads a trace into its columnar form, adopting the columns from
+ * the file image directly — no per-op decode.  The whole stream is
+ * consumed in one buffered read.
  * @param name_out Receives the recorded stream name.
  * @throws std::runtime_error on bad magic, version or corruption.
  */
 CompactTrace readCompactTrace(std::istream &in, std::string &name_out);
 
-/** Reads a v1 or v2 trace as a MicroOp vector (tooling). */
-std::vector<MicroOp> readTrace(std::istream &in, std::string &name_out);
-
 /** File-path convenience wrappers; errors name @p path. */
 void saveTraceFile(const std::string &path, const CompactTrace &trace,
                    const std::string &name);
-void saveTraceFile(const std::string &path,
-                   const std::vector<MicroOp> &ops,
-                   const std::string &name);
 CompactTrace loadCompactTraceFile(const std::string &path,
                                   std::string &name_out);
-std::vector<MicroOp> loadTraceFile(const std::string &path,
-                                   std::string &name_out);
 
 } // namespace tpred
 

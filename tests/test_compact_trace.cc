@@ -410,18 +410,18 @@ TEST(CompactTraceIo, FileRoundTripIsByteIdentical)
 {
     const SharedTrace trace = recordWorkload("vortex", 15000);
 
-    // file bytes from the original ops...
+    // file bytes from the recorded trace...
     std::ostringstream first;
-    writeTrace(first, trace.decodeOps(), trace.name());
+    writeTrace(first, trace.compact(), trace.name());
 
-    // ...reload, re-encode columnar, decode, rewrite.
+    // ...reload, decode, re-encode columnar, rewrite.
     std::istringstream in(first.str());
     std::string name;
-    const std::vector<MicroOp> loaded = readTrace(in, name);
+    const CompactTrace loaded = readCompactTrace(in, name);
     EXPECT_EQ(name, trace.name());
-    const CompactTrace compact = CompactTrace::encode(loaded);
+    const CompactTrace compact = CompactTrace::encode(loaded.decodeAll());
     std::ostringstream second;
-    writeTrace(second, compact.decodeAll(), name);
+    writeTrace(second, compact, name);
 
     EXPECT_EQ(first.str(), second.str());
 }

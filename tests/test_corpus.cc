@@ -24,6 +24,7 @@
 #include "obs/metrics.hh"
 #include "test_util.hh"
 #include "trace/compact_io.hh"
+#include "trace/stream_io.hh"
 #include "workloads/workload.hh"
 
 namespace fs = std::filesystem;
@@ -148,8 +149,7 @@ TEST(CompactContainer, PeekReportsCountsWithoutFullVerify)
     const CompactTrace trace = sampleTrace();
     const std::vector<uint8_t> image =
         serializeCompactTrace(trace, "perl");
-    const CompactContainerInfo info =
-        peekCompactContainer(image, "image");
+    const ContainerInfo info = peekCompactContainer(image, "image");
     EXPECT_EQ(info.name, "perl");
     EXPECT_EQ(info.opCount, trace.size());
     EXPECT_EQ(info.branchCount, trace.branchPositions().size());
@@ -320,106 +320,210 @@ TEST(Corpus, CacheWithoutCorpusStillWorks)
 }
 
 // ---------------------------------------------------------------
-// Corruption suite
+// Corruption suite, over every artifact kind
 // ---------------------------------------------------------------
 
-/** Damages one stored corpus file in place via @p mutate. */
+/** Ops per segment of the segmented entries below. */
+constexpr size_t kSegmentOps = 3000;
+
+/** Accuracy stats of a segmented entry via streaming replay. */
+FrontendStats
+segmentedStats(const std::shared_ptr<const SegmentedTrace> &trace)
+{
+    PredictorStack stack = buildStack(taglessGshare());
+    FrontendPredictor frontend(FrontendConfig{}, stack.predictor.get(),
+                               stack.tracker.get());
+    SegmentedReplay replay(trace);
+    MicroOp op;
+    while (replay.next(op))
+        frontend.onInstruction(op);
+    return frontend.stats();
+}
+
+/** Every FrontendStats counter, comparable with ==. */
+std::string
+statsDigest(const FrontendStats &s)
+{
+    std::string out = std::to_string(s.instructions);
+    for (const RatioStat *r : {&s.allBranches, &s.condDirection,
+                               &s.indirectJumps, &s.returns, &s.btbHits})
+        out += " " + std::to_string(r->hits()) + "/" +
+               std::to_string(r->total());
+    return out;
+}
+
+/** One load of a corpus entry through its production path. */
+struct KindLoad
+{
+    std::string result;    ///< what the consumer saw
+    uint64_t regenerated;  ///< recordings + extractions it paid
+    uint64_t quarantined;  ///< the kind's quarantine counter
+};
+
+/** An artifact kind as the corruption suite drives it. */
+struct CorruptionKind
+{
+    const char *name;
+    /// Corpus basename of the entry for @p key.
+    std::string (*file)(const CorpusKey &key);
+    /// Loads the entry, regenerating and storing it when absent or
+    /// damaged.
+    KindLoad (*load)(const std::string &dir, const CorpusKey &key);
+};
+
+void
+PrintTo(const CorruptionKind &kind, std::ostream *os)
+{
+    *os << kind.name;
+}
+
+KindLoad
+loadPlainEntry(const std::string &dir, const CorpusKey &key)
+{
+    TraceCache cache;
+    cache.attachCorpus(std::make_shared<CorpusManager>(dir));
+    const SharedTrace trace = cache.get(key.workload, key.ops);
+    return {statsDigest(runAccuracy(trace, taglessGshare())),
+            cache.recordings(),
+            counterOf(cache.corpus()->metricsRegistry(),
+                      "corpus.quarantined")};
+}
+
+KindLoad
+loadSegmentedEntry(const std::string &dir, const CorpusKey &key)
+{
+    CorpusManager corpus(dir);
+    uint64_t regenerated = 0;
+    auto trace = corpus.loadSegmented(key, kSegmentOps);
+    if (!trace) {
+        auto source = makeWorkload(key.workload, key.seed);
+        corpus.storeSegmentedFromSource(key, *source, key.workload,
+                                        kSegmentOps);
+        trace = corpus.loadSegmented(key, kSegmentOps);
+        ++regenerated;
+    }
+    return {trace ? statsDigest(segmentedStats(trace)) : "unloadable",
+            regenerated,
+            counterOf(corpus.metricsRegistry(), "corpus.quarantined")};
+}
+
+KindLoad
+loadStreamEntry(const std::string &dir, const CorpusKey &key)
+{
+    TraceCache cache;
+    cache.attachCorpus(std::make_shared<CorpusManager>(dir));
+    const auto stream = cache.getStream(key.workload, key.ops);
+    const std::vector<uint8_t> image = serializeBranchStream(*stream, "");
+    return {std::string(image.begin(), image.end()),
+            cache.recordings() +
+                counterOf(cache.metricsRegistry(),
+                          "trace_cache.stream_extractions"),
+            counterOf(cache.corpus()->metricsRegistry(),
+                      "stream_corpus.quarantined")};
+}
+
+std::string
+segmentedFileName(const CorpusKey &key)
+{
+    return CorpusManager::segmentedFileName(key, kSegmentOps);
+}
+
+const CorruptionKind kPlainKind = {"plain", CorpusManager::fileName,
+                                   loadPlainEntry};
+const CorruptionKind kSegmentedKind = {"segmented", segmentedFileName,
+                                       loadSegmentedEntry};
+const CorruptionKind kStreamKind = {
+    "stream", CorpusManager::streamFileName, loadStreamEntry};
+
+/**
+ * Builds one entry of @p kind, damages its file via @p mutate, and
+ * checks that the next load quarantines it — never trusts it — and
+ * regenerates exactly that entry, bit-identically.
+ */
 template <typename Mutate>
 void
-corruptionCase(const char *tag, Mutate &&mutate)
+corruptionCase(const CorruptionKind &kind, Mutate &&mutate)
 {
-    const TempDir dir(tag);
-    const std::string workload = "m88ksim";
-    const size_t ops = 20000;
+    const TempDir dir(std::string("corrupt_") + kind.name);
+    const CorpusKey key{"m88ksim", 1, 20000};
+    const KindLoad clean = kind.load(dir.path, key);
+    ASSERT_GT(clean.regenerated, 0u);
 
-    FrontendStats clean_stats;
-    {
-        TraceCache cache;
-        cache.attachCorpus(std::make_shared<CorpusManager>(dir.path));
-        clean_stats =
-            runAccuracy(cache.get(workload, ops), taglessGshare());
-    }
-
-    // Damage the file the store produced.
-    const CorpusKey key{workload, 1, ops};
-    const fs::path path =
-        fs::path(dir.path) / CorpusManager::fileName(key);
+    const fs::path path = fs::path(dir.path) / kind.file(key);
     ASSERT_TRUE(fs::exists(path));
     {
-        std::fstream f(path, std::ios::in | std::ios::out |
-                                 std::ios::binary);
-        ASSERT_TRUE(f.good());
-        std::vector<char> bytes(
-            (std::istreambuf_iterator<char>(f)),
-            std::istreambuf_iterator<char>());
+        std::ifstream in(path, std::ios::binary);
+        std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+        in.close();
         mutate(bytes);
-        f.close();
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out.write(bytes.data(),
                   static_cast<std::streamsize>(bytes.size()));
     }
 
-    // The damaged file must be quarantined — never trusted — and the
-    // regenerated trace must reproduce the clean statistics exactly.
-    TraceCache cache;
-    cache.attachCorpus(std::make_shared<CorpusManager>(dir.path));
-    const SharedTrace trace = cache.get(workload, ops);
-    EXPECT_EQ(cache.recordings(), 1u)
-        << "damaged corpus entry must force regeneration";
-    EXPECT_EQ(counterOf(cache.corpus()->metricsRegistry(),
-                        "corpus.quarantined"), 1u);
+    const KindLoad damaged = kind.load(dir.path, key);
+    EXPECT_EQ(damaged.quarantined, 1u);
     EXPECT_TRUE(fs::exists(path.string() + ".quarantined"))
         << "damaged file must be moved aside";
-    // The entry now back under the original name is the freshly
-    // regenerated store, not the damaged bytes: it must fully verify.
-    {
-        bool verified = false;
-        for (const CorpusEntry &e : cache.corpus()->list(true))
-            if (e.file == CorpusManager::fileName(key))
-                verified = e.ok;
-        EXPECT_TRUE(verified);
-    }
-    EXPECT_TRUE(sameStats(clean_stats,
-                          runAccuracy(trace, taglessGshare())));
+    EXPECT_EQ(damaged.regenerated, 1u)
+        << "the damaged entry, and only it, must be regenerated";
+    EXPECT_EQ(damaged.result, clean.result);
 
-    // The regeneration re-stored a good file: next cache is warm.
-    TraceCache warm;
-    warm.attachCorpus(std::make_shared<CorpusManager>(dir.path));
-    warm.get(workload, ops);
-    EXPECT_EQ(warm.recordings(), 0u);
+    // The entry now back under the original name is the fresh store:
+    // it must fully verify, and the next load is warm.
+    bool verified = false;
+    for (const CorpusEntry &e : CorpusManager(dir.path).list(true))
+        if (e.file == kind.file(key))
+            verified = e.ok;
+    EXPECT_TRUE(verified);
+    const KindLoad warm = kind.load(dir.path, key);
+    EXPECT_EQ(warm.regenerated, 0u);
+    EXPECT_EQ(warm.quarantined, 0u);
+    EXPECT_EQ(warm.result, clean.result);
 }
 
-TEST(CorpusCorruption, PayloadBitFlipIsQuarantined)
+class ContainerCorruption : public ::testing::TestWithParam<CorruptionKind>
 {
-    corruptionCase("bitflip", [](std::vector<char> &bytes) {
+};
+
+TEST_P(ContainerCorruption, PayloadBitFlipIsQuarantined)
+{
+    corruptionCase(GetParam(), [](std::vector<char> &bytes) {
         ASSERT_GT(bytes.size(), 300u);
         bytes[bytes.size() / 2] ^= 0x10;  // flip one payload bit
     });
 }
 
-TEST(CorpusCorruption, TruncationIsQuarantined)
+TEST_P(ContainerCorruption, TruncationIsQuarantined)
 {
-    corruptionCase("truncate", [](std::vector<char> &bytes) {
+    corruptionCase(GetParam(), [](std::vector<char> &bytes) {
         ASSERT_GT(bytes.size(), 100u);
         bytes.resize(bytes.size() / 2);
     });
 }
 
-TEST(CorpusCorruption, HeaderVersionSkewIsQuarantined)
+TEST_P(ContainerCorruption, HeaderVersionSkewIsQuarantined)
 {
-    corruptionCase("skew", [](std::vector<char> &bytes) {
+    corruptionCase(GetParam(), [](std::vector<char> &bytes) {
         ASSERT_GT(bytes.size(), 8u);
         bytes[4] = 99;  // FileHeader.version (header CRC now stale
                         // too; either check may fire — both reject)
     });
 }
 
-TEST(CorpusCorruption, ZeroLengthFileIsQuarantined)
+TEST_P(ContainerCorruption, ZeroLengthFileIsQuarantined)
 {
-    corruptionCase("empty", [](std::vector<char> &bytes) {
-        bytes.clear();
-    });
+    corruptionCase(GetParam(),
+                   [](std::vector<char> &bytes) { bytes.clear(); });
 }
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, ContainerCorruption,
+                         ::testing::Values(kPlainKind, kSegmentedKind,
+                                           kStreamKind),
+                         [](const auto &info) {
+                             return std::string(info.param.name);
+                         });
 
 // ---------------------------------------------------------------
 // MappedFile
@@ -482,66 +586,47 @@ TEST(MappedFile, RangeViewsReturnExactWindows)
 // Segmented containers
 // ---------------------------------------------------------------
 
-/** Accuracy stats of a segmented entry via streaming replay. */
-FrontendStats
-segmentedStats(const std::shared_ptr<const SegmentedTrace> &trace)
-{
-    PredictorStack stack = buildStack(taglessGshare());
-    FrontendPredictor frontend(FrontendConfig{}, stack.predictor.get(),
-                               stack.tracker.get());
-    SegmentedReplay replay(trace);
-    MicroOp op;
-    while (replay.next(op))
-        frontend.onInstruction(op);
-    return frontend.stats();
-}
-
 TEST(SegmentedCorpus, StreamingStoreMatchesWholeTraceStore)
 {
     const TempDir dir("seg_store");
     CorpusManager corpus(dir.path);
     const std::string workload = "ijpeg";
     const size_t ops = 20000, seg_ops = 3000;
+    const CorpusKey key{workload, 1, ops};
 
-    // Same trace three ways: plain container, storeSegmented on the
-    // resident trace, and the streaming storeSegmentedFromSource.
+    // Same trace two ways: the plain container of the resident
+    // recording, and the segmented container streamed from the
+    // generator.
     const SharedTrace resident = recordWorkload(workload, ops, 1);
-    corpus.storeSegmented(CorpusKey{workload, 1, ops},
-                          resident.compact(), workload, seg_ops);
-    auto from_trace =
-        corpus.loadSegmented(CorpusKey{workload, 1, ops}, seg_ops);
-    ASSERT_NE(from_trace, nullptr);
+    corpus.store(key, resident.compact(), workload);
+    const auto plain = corpus.load(key);
+    ASSERT_NE(plain, nullptr);
 
-    auto source = makeWorkload(workload, 2);
-    corpus.storeSegmentedFromSource(CorpusKey{workload, 2, ops},
-                                    *source, workload, seg_ops);
-    auto from_source =
-        corpus.loadSegmented(CorpusKey{workload, 2, ops}, seg_ops);
-    ASSERT_NE(from_source, nullptr);
+    auto source = makeWorkload(workload, 1);
+    corpus.storeSegmentedFromSource(key, *source, workload, seg_ops);
+    const auto segmented = corpus.loadSegmented(key, seg_ops);
+    ASSERT_NE(segmented, nullptr);
+    EXPECT_EQ(segmented->totalOps(), ops);
+    EXPECT_EQ(segmented->segmentCount(), 7u);  // ceil(20000/3000)
+    EXPECT_EQ(segmented->totalBranches(),
+              plain->branchPositions().size());
 
-    EXPECT_EQ(from_trace->totalOps(), ops);
-    EXPECT_EQ(from_trace->segmentCount(), 7u);  // ceil(20000/3000)
-    EXPECT_EQ(from_source->totalOps(), ops);
-    EXPECT_EQ(from_source->segmentCount(), 7u);
-
-    // Decoding every segment reproduces the resident op sequence.
+    // Decoding every segment reproduces the plain entry's ops.
     std::vector<MicroOp> decoded;
-    for (size_t i = 0; i < from_trace->segmentCount(); ++i) {
-        const auto segment = from_trace->openSegment(i);
+    for (size_t i = 0; i < segmented->segmentCount(); ++i) {
+        const auto segment = segmented->openSegment(i);
         const std::vector<MicroOp> part = segment->decodeAll();
         decoded.insert(decoded.end(), part.begin(), part.end());
     }
-    const std::vector<MicroOp> expected =
-        resident.compact().decodeAll();
+    const std::vector<MicroOp> expected = plain->decodeAll();
     ASSERT_EQ(decoded.size(), expected.size());
     for (size_t i = 0; i < decoded.size(); ++i)
         ASSERT_TRUE(sameOp(decoded[i], expected[i])) << "op " << i;
 
-    // Same workload generator, same seed => identical stats whether
-    // the container was built resident or streamed.
-    const SharedTrace resident2 = recordWorkload(workload, ops, 2);
-    EXPECT_TRUE(sameStats(segmentedStats(from_source),
-                          runAccuracy(resident2, taglessGshare())));
+    // And streaming replay of the segments gives the stats of the
+    // resident trace.
+    EXPECT_TRUE(sameStats(segmentedStats(segmented),
+                          runAccuracy(resident, taglessGshare())));
 }
 
 TEST(SegmentedCorpus, PlainV2ContainersAreUnaffected)
@@ -560,8 +645,9 @@ TEST(SegmentedCorpus, PlainV2ContainersAreUnaffected)
     // And the two layouts reject each other with telling errors.
     EXPECT_THROW(SegmentedTrace::open(corpus.pathFor(key)),
                  CompactFormatError);
-    corpus.storeSegmented(CorpusKey{"perl", 8, 5000}, trace, "perl",
-                          1000);
+    auto source = makeWorkload("perl", 8);
+    corpus.storeSegmentedFromSource(CorpusKey{"perl", 8, 5000}, *source,
+                                    "perl", 1000);
     const auto mapping = MappedFile::open(
         corpus.segmentedPathFor(CorpusKey{"perl", 8, 5000}, 1000));
     std::string name;
@@ -570,60 +656,9 @@ TEST(SegmentedCorpus, PlainV2ContainersAreUnaffected)
                  CompactFormatError);
 }
 
-/** Damages one segmented corpus file in place via @p mutate, then
- *  checks quarantine + bit-identical regeneration. */
-template <typename Mutate>
-void
-segmentedCorruptionCase(const char *tag, Mutate &&mutate)
-{
-    const TempDir dir(tag);
-    const std::string workload = "m88ksim";
-    const size_t ops = 20000, seg_ops = 3000;
-    const CorpusKey key{workload, 1, ops};
-
-    FrontendStats clean_stats;
-    {
-        CorpusManager corpus(dir.path);
-        auto source = makeWorkload(workload, 1);
-        corpus.storeSegmentedFromSource(key, *source, workload,
-                                        seg_ops);
-        const auto trace = corpus.loadSegmented(key, seg_ops);
-        ASSERT_NE(trace, nullptr);
-        clean_stats = segmentedStats(trace);
-    }
-
-    // Damage the stored file.
-    CorpusManager corpus(dir.path);
-    const fs::path path = corpus.segmentedPathFor(key, seg_ops);
-    ASSERT_TRUE(fs::exists(path));
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-        in.close();
-        mutate(bytes);
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
-
-    // The damaged file must be quarantined, never trusted.
-    EXPECT_EQ(corpus.loadSegmented(key, seg_ops), nullptr);
-    EXPECT_EQ(counterOf(corpus.metricsRegistry(),
-                        "corpus.quarantined"), 1u);
-    EXPECT_TRUE(fs::exists(path.string() + ".quarantined"));
-
-    // Regeneration reproduces the clean statistics exactly.
-    auto source = makeWorkload(workload, 1);
-    corpus.storeSegmentedFromSource(key, *source, workload, seg_ops);
-    const auto trace = corpus.loadSegmented(key, seg_ops);
-    ASSERT_NE(trace, nullptr);
-    EXPECT_TRUE(sameStats(clean_stats, segmentedStats(trace)));
-}
-
 TEST(SegmentedCorruption, SegmentPayloadBitFlipIsQuarantined)
 {
-    segmentedCorruptionCase("seg_bitflip", [](std::vector<char> &bytes) {
+    corruptionCase(kSegmentedKind, [](std::vector<char> &bytes) {
         // Mid-file lands inside a segment payload: only that
         // segment's CRC breaks, which verifyAllSegments must catch.
         ASSERT_GT(bytes.size(), 1000u);
@@ -633,7 +668,7 @@ TEST(SegmentedCorruption, SegmentPayloadBitFlipIsQuarantined)
 
 TEST(SegmentedCorruption, MidSegmentTruncationIsQuarantined)
 {
-    segmentedCorruptionCase("seg_truncate", [](std::vector<char> &bytes) {
+    corruptionCase(kSegmentedKind, [](std::vector<char> &bytes) {
         ASSERT_GT(bytes.size(), 1000u);
         bytes.resize(bytes.size() * 3 / 5);  // cut inside a segment
     });
@@ -641,7 +676,7 @@ TEST(SegmentedCorruption, MidSegmentTruncationIsQuarantined)
 
 TEST(SegmentedCorruption, IndexRecordCorruptionIsQuarantined)
 {
-    segmentedCorruptionCase("seg_index", [](std::vector<char> &bytes) {
+    corruptionCase(kSegmentedKind, [](std::vector<char> &bytes) {
         // The index sits between the last segment and the 24-byte
         // footer; flip a byte inside the last record.
         ASSERT_GT(bytes.size(), 24u + 56u);
@@ -651,7 +686,7 @@ TEST(SegmentedCorruption, IndexRecordCorruptionIsQuarantined)
 
 TEST(SegmentedCorruption, FooterCorruptionIsQuarantined)
 {
-    segmentedCorruptionCase("seg_footer", [](std::vector<char> &bytes) {
+    corruptionCase(kSegmentedKind, [](std::vector<char> &bytes) {
         ASSERT_GT(bytes.size(), 24u);
         bytes[bytes.size() - 1] ^= 0x01;
     });
@@ -673,6 +708,92 @@ TEST(SegmentedCorpus, GcKeepsHealthySegmentedEntries)
     EXPECT_TRUE(entries[0].ok) << entries[0].error;
     EXPECT_EQ(entries[0].segmentCount, 5u);  // ceil(9000/2000)
     EXPECT_EQ(entries[0].opCount, 9000u);
+}
+
+// ---------------------------------------------------------------
+// Golden containers: bytes written by an earlier build
+// (tests/golden/README.md says how they were made)
+// ---------------------------------------------------------------
+
+const CorpusKey kGoldenKey{"gcc", 1, 1536};
+constexpr size_t kGoldenSegmentOps = 512;
+
+std::string
+goldenPath(const std::string &file)
+{
+    return (fs::path(TPRED_GOLDEN_DIR) / file).string();
+}
+
+std::vector<uint8_t>
+readGolden(const std::string &file)
+{
+    std::ifstream in(goldenPath(file), std::ios::binary);
+    EXPECT_TRUE(in.good()) << goldenPath(file);
+    return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+}
+
+TEST(GoldenContainers, PlainMatchesARecordingAndReserializes)
+{
+    const std::string file = CorpusManager::fileName(kGoldenKey);
+    const std::vector<uint8_t> image = readGolden(file);
+    std::string name;
+    const CompactTrace golden =
+        openCompactContainer(image, nullptr, name, file);
+
+    const SharedTrace fresh = recordWorkload(
+        kGoldenKey.workload, kGoldenKey.ops, kGoldenKey.seed);
+    EXPECT_EQ(name, fresh.name());
+    EXPECT_TRUE(sameOps(golden, fresh.compact()));
+    EXPECT_EQ(serializeCompactTrace(golden, name), image);
+    EXPECT_EQ(serializeCompactTrace(fresh.compact(), name), image);
+}
+
+TEST(GoldenContainers, SegmentedMatchesARecordingAndReserializes)
+{
+    const std::string file =
+        CorpusManager::segmentedFileName(kGoldenKey, kGoldenSegmentOps);
+    const auto golden = SegmentedTrace::open(goldenPath(file));
+    ASSERT_EQ(golden->segmentCount(), 3u);
+    golden->verifyAllSegments();
+
+    // Rewrite the golden segments through the writer: same bytes.
+    const TempDir dir("golden_seg");
+    const std::string copy = (fs::path(dir.path) / file).string();
+    SegmentedFileWriter writer(copy, golden->name());
+    std::vector<MicroOp> decoded;
+    for (size_t i = 0; i < golden->segmentCount(); ++i) {
+        const auto segment = golden->openSegment(i);
+        writer.addSegment(*segment);
+        const std::vector<MicroOp> part = segment->decodeAll();
+        decoded.insert(decoded.end(), part.begin(), part.end());
+    }
+    writer.finish();
+
+    const SharedTrace fresh = recordWorkload(
+        kGoldenKey.workload, kGoldenKey.ops, kGoldenKey.seed);
+    EXPECT_EQ(golden->name(), fresh.name());
+    EXPECT_TRUE(sameOps(CompactTrace::encode(decoded), fresh.compact()));
+    std::ifstream in(copy, std::ios::binary);
+    const std::vector<uint8_t> rewritten(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
+    EXPECT_EQ(rewritten, readGolden(file));
+}
+
+TEST(GoldenContainers, StreamMatchesARecordingAndReserializes)
+{
+    const std::string file = CorpusManager::streamFileName(kGoldenKey);
+    const std::vector<uint8_t> image = readGolden(file);
+    std::string name;
+    const BranchStream golden =
+        openBranchStreamContainer(image, nullptr, name, file);
+
+    const SharedTrace fresh = recordWorkload(
+        kGoldenKey.workload, kGoldenKey.ops, kGoldenKey.seed);
+    EXPECT_EQ(name, fresh.name());
+    EXPECT_TRUE(golden == BranchStream::extract(fresh.compact()));
+    EXPECT_EQ(serializeBranchStream(golden, name), image);
 }
 
 } // namespace

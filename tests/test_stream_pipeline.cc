@@ -1,19 +1,17 @@
 /**
  * @file
  * Branch-stream pipeline tests: the TPBS container codec
- * (round-trips, determinism, edge-case traces), the stream-tier
- * corruption suite (bit flip, truncation, version skew -> quarantine
- * + bit-identical re-extraction), the TraceCache stream tier and its
- * counters, segment-prefetch and SIMD differentials, the
+ * (round-trips, determinism, edge-case traces), the TraceCache
+ * stream tier and its counters, the SIMD differential, the
  * hardware-vs-software CRC32C proof, and corpus ls/gc behaviour for
- * derived stream containers.
+ * derived stream containers.  Stream-container corruption is covered
+ * with the other kinds by ContainerCorruption in test_corpus.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <random>
 #include <string>
@@ -24,7 +22,6 @@
 #include "common/crc32c.hh"
 #include "common/simd.hh"
 #include "corpus/corpus.hh"
-#include "corpus/segmented_trace.hh"
 #include "harness/paper_tables.hh"
 #include "harness/shard_replay.hh"
 #include "harness/sweep_kernel.hh"
@@ -116,13 +113,6 @@ roundTrip(const BranchStream &stream, const std::string &name)
     return back;
 }
 
-/** Restores a process-wide toggle on scope exit. */
-struct PrefetchGuard
-{
-    bool saved = segmentPrefetchEnabled();
-    ~PrefetchGuard() { setSegmentPrefetchEnabled(saved); }
-};
-
 struct ScalarGuard
 {
     ~ScalarGuard() { simd::setForceScalar(false); }
@@ -167,8 +157,7 @@ TEST(StreamContainer, PeekReportsHeaderSummary)
     const std::vector<uint8_t> image =
         serializeBranchStream(stream, "perl");
 
-    const StreamContainerInfo info =
-        peekBranchStreamContainer(image, "image");
+    const ContainerInfo info = peekBranchStreamContainer(image, "image");
     EXPECT_EQ(info.name, "perl");
     EXPECT_EQ(info.opCount, trace.size());
     EXPECT_EQ(info.branchCount, stream.size());
@@ -351,144 +340,6 @@ TEST(StreamTier, WarmTraceLoadAdoptsStoredStream)
 }
 
 // ---------------------------------------------------------------
-// Stream-container corruption suite
-// ---------------------------------------------------------------
-
-/** Damages the stored .tpbs file in place via @p mutate. */
-template <typename Mutate>
-void
-streamCorruptionCase(const char *tag, Mutate &&mutate)
-{
-    const TempDir dir(tag);
-    const std::string workload = "m88ksim";
-    const size_t ops = 20000;
-    const CorpusKey key{workload, 1, ops};
-
-    std::shared_ptr<const BranchStream> clean;
-    {
-        TraceCache cache;
-        cache.attachCorpus(std::make_shared<CorpusManager>(dir.path));
-        clean = cache.getStream(workload, ops);
-    }
-
-    const fs::path path =
-        fs::path(dir.path) / CorpusManager::streamFileName(key);
-    ASSERT_TRUE(fs::exists(path));
-    {
-        std::fstream f(path, std::ios::in | std::ios::out |
-                                 std::ios::binary);
-        ASSERT_TRUE(f.good());
-        std::vector<char> bytes(
-            (std::istreambuf_iterator<char>(f)),
-            std::istreambuf_iterator<char>());
-        mutate(bytes);
-        f.close();
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
-
-    // The damaged container must be quarantined — never trusted — and
-    // re-extraction from the (intact) trace must reproduce the clean
-    // stream bit for bit.
-    TraceCache cache;
-    cache.attachCorpus(std::make_shared<CorpusManager>(dir.path));
-    const auto stream = cache.getStream(workload, ops);
-    ASSERT_NE(stream, nullptr);
-    EXPECT_EQ(counterOf(cache.corpus()->metricsRegistry(),
-                        "stream_corpus.quarantined"), 1u);
-    EXPECT_TRUE(fs::exists(path.string() + ".quarantined"))
-        << "damaged stream container must be moved aside";
-    EXPECT_EQ(counterOf(cache.metricsRegistry(),
-                        "trace_cache.stream_extractions"), 1u)
-        << "quarantined stream must force re-extraction";
-    EXPECT_EQ(cache.recordings(), 0u)
-        << "the parent trace is intact; only the stream regenerates";
-    EXPECT_TRUE(*stream == *clean);
-
-    // The entry back under the original name is the fresh store: it
-    // must fully verify, and the next cache is stream-warm again.
-    {
-        bool verified = false;
-        for (const CorpusEntry &e : cache.corpus()->list(true))
-            if (e.file == CorpusManager::streamFileName(key))
-                verified = e.ok;
-        EXPECT_TRUE(verified);
-    }
-    TraceCache warm;
-    warm.attachCorpus(std::make_shared<CorpusManager>(dir.path));
-    const auto again = warm.getStream(workload, ops);
-    EXPECT_EQ(counterOf(warm.metricsRegistry(),
-                        "trace_cache.stream_corpus_hits"), 1u);
-    EXPECT_EQ(counterOf(warm.metricsRegistry(),
-                        "trace_cache.stream_extractions"), 0u);
-    EXPECT_TRUE(*again == *clean);
-}
-
-TEST(StreamCorruption, PayloadBitFlipIsQuarantined)
-{
-    streamCorruptionCase("bitflip", [](std::vector<char> &bytes) {
-        ASSERT_GT(bytes.size(), 300u);
-        bytes[bytes.size() / 2] ^= 0x10;  // flip one payload bit
-    });
-}
-
-TEST(StreamCorruption, TruncationIsQuarantined)
-{
-    streamCorruptionCase("truncate", [](std::vector<char> &bytes) {
-        ASSERT_GT(bytes.size(), 100u);
-        bytes.resize(bytes.size() / 2);
-    });
-}
-
-TEST(StreamCorruption, HeaderVersionSkewIsQuarantined)
-{
-    streamCorruptionCase("skew", [](std::vector<char> &bytes) {
-        ASSERT_GT(bytes.size(), 8u);
-        bytes[4] = 99;  // FileHeader.version (header CRC now stale
-                        // too; either check may fire — both reject)
-    });
-}
-
-TEST(StreamCorruption, ZeroLengthFileIsQuarantined)
-{
-    streamCorruptionCase("empty", [](std::vector<char> &bytes) {
-        bytes.clear();
-    });
-}
-
-// ---------------------------------------------------------------
-// Segment-prefetch differential
-// ---------------------------------------------------------------
-
-TEST(SegmentPrefetch, PrefetchedExtractionIsBitIdentical)
-{
-    const TempDir dir("prefetch");
-    const std::string workload = "gcc";
-    const CorpusKey key{workload, 1, 30000};
-    {
-        CorpusManager corpus(dir.path);
-        auto source = makeWorkload(workload, 1);
-        corpus.storeSegmentedFromSource(key, *source, source->name(),
-                                        4000);
-    }
-
-    PrefetchGuard guard;
-    CorpusManager corpus(dir.path);
-    const auto seg = corpus.loadSegmented(key, 4000);
-    ASSERT_NE(seg, nullptr);
-    ASSERT_GT(seg->segmentCount(), 2u);
-
-    setSegmentPrefetchEnabled(false);
-    const BranchStream sync = extractBranchStream(*seg);
-    setSegmentPrefetchEnabled(true);
-    const BranchStream prefetched = extractBranchStream(*seg);
-
-    EXPECT_TRUE(sync == prefetched);
-    EXPECT_GT(sync.size(), 0u);
-}
-
-// ---------------------------------------------------------------
 // SIMD kernel differential
 // ---------------------------------------------------------------
 
@@ -601,7 +452,8 @@ TEST(StreamCorpus, ListReportsArtifactKinds)
     const CorpusKey key{"compress", 1, 10000};
     const SharedTrace trace = recordWorkload("compress", 10000, 1);
     corpus.store(key, trace.compact(), trace.name());
-    corpus.storeSegmented(key, trace.compact(), trace.name(), 2500);
+    const auto source = makeWorkload("compress", 1);
+    corpus.storeSegmentedFromSource(key, *source, trace.name(), 2500);
     corpus.storeStream(key, trace.compact().branchStream(),
                        trace.name());
 

@@ -27,13 +27,28 @@ sampleOps()
     return ops;
 }
 
+/** Writes @p ops through their columnar encoding. */
+void
+writeOps(std::ostream &out, const std::vector<MicroOp> &ops,
+         const std::string &name)
+{
+    writeTrace(out, CompactTrace::encode(ops), name);
+}
+
+/** Reads a trace and decodes every op. */
+std::vector<MicroOp>
+readOps(std::istream &in, std::string &name)
+{
+    return readCompactTrace(in, name).decodeAll();
+}
+
 TEST(TraceIo, RoundTripPreservesEverything)
 {
     std::stringstream buffer;
-    writeTrace(buffer, sampleOps(), "sample");
+    writeOps(buffer, sampleOps(), "sample");
 
     std::string name;
-    auto ops = readTrace(buffer, name);
+    auto ops = readOps(buffer, name);
     EXPECT_EQ(name, "sample");
     ASSERT_EQ(ops.size(), 3u);
 
@@ -58,9 +73,9 @@ TEST(TraceIo, RoundTripRegisters)
     ops[0].dstReg = 12;
     ops[0].srcRegs = {3, kNoReg};
     std::stringstream buffer;
-    writeTrace(buffer, ops, "r");
+    writeOps(buffer, ops, "r");
     std::string name;
-    auto back = readTrace(buffer, name);
+    auto back = readOps(buffer, name);
     EXPECT_EQ(back[0].dstReg, 12);
     EXPECT_EQ(back[0].srcRegs[0], 3);
     EXPECT_EQ(back[0].srcRegs[1], kNoReg);
@@ -69,9 +84,9 @@ TEST(TraceIo, RoundTripRegisters)
 TEST(TraceIo, EmptyTrace)
 {
     std::stringstream buffer;
-    writeTrace(buffer, std::vector<MicroOp>{}, "");
+    writeOps(buffer, std::vector<MicroOp>{}, "");
     std::string name;
-    auto ops = readTrace(buffer, name);
+    auto ops = readOps(buffer, name);
     EXPECT_TRUE(ops.empty());
     EXPECT_TRUE(name.empty());
 }
@@ -80,28 +95,38 @@ TEST(TraceIo, RejectsBadMagic)
 {
     std::stringstream buffer("this is not a trace file at all......");
     std::string name;
-    EXPECT_THROW(readTrace(buffer, name), std::runtime_error);
+    EXPECT_THROW(readOps(buffer, name), std::runtime_error);
 }
 
 TEST(TraceIo, RejectsTruncation)
 {
     std::stringstream buffer;
-    writeTrace(buffer, sampleOps(), "t");
+    writeOps(buffer, sampleOps(), "t");
     std::string data = buffer.str();
     std::stringstream cut(data.substr(0, data.size() - 10));
     std::string name;
-    EXPECT_THROW(readTrace(cut, name), std::runtime_error);
+    EXPECT_THROW(readOps(cut, name), std::runtime_error);
 }
 
 TEST(TraceIo, RejectsWrongVersion)
 {
     std::stringstream buffer;
-    writeTrace(buffer, std::vector<MicroOp>{}, "v");
-    std::string data = buffer.str();
-    data[4] = 99;  // clobber the version field
-    std::stringstream bad(data);
-    std::string name;
-    EXPECT_THROW(readTrace(bad, name), std::runtime_error);
+    writeOps(buffer, std::vector<MicroOp>{}, "v");
+    // 99 is from the future; 1 is the retired per-record format.
+    for (const char version : {99, 1}) {
+        std::string data = buffer.str();
+        data[4] = version;  // clobber the version field
+        std::stringstream bad(data);
+        std::string name;
+        try {
+            readOps(bad, name);
+            FAIL() << "version " << int{version} << " was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "unsupported trace file version"),
+                      std::string::npos);
+        }
+    }
 }
 
 TEST(TraceIo, FileRoundTripOfWorkloadTrace)
@@ -109,10 +134,10 @@ TEST(TraceIo, FileRoundTripOfWorkloadTrace)
     auto workload = makeWorkload("compress", 3);
     auto ops = drainTrace(*workload, 5000);
     const std::string path = "/tmp/tpred_test_trace.tpr";
-    saveTraceFile(path, ops, "compress");
+    saveTraceFile(path, CompactTrace::encode(ops), "compress");
 
     std::string name;
-    auto back = loadTraceFile(path, name);
+    auto back = loadCompactTraceFile(path, name).decodeAll();
     EXPECT_EQ(name, "compress");
     ASSERT_EQ(back.size(), ops.size());
     for (size_t i = 0; i < ops.size(); i += 101) {
@@ -127,22 +152,8 @@ TEST(TraceIo, FileRoundTripOfWorkloadTrace)
 TEST(TraceIo, MissingFileThrows)
 {
     std::string name;
-    EXPECT_THROW(loadTraceFile("/nonexistent/path.tpr", name),
+    EXPECT_THROW(loadCompactTraceFile("/nonexistent/path.tpr", name),
                  std::runtime_error);
-}
-
-TEST(TraceIo, LegacyV1FilesStayReadable)
-{
-    const auto ops = sampleOps();
-    std::stringstream buffer;
-    writeTraceV1(buffer, ops, "old");
-
-    std::string name;
-    const auto back = readTrace(buffer, name);
-    EXPECT_EQ(name, "old");
-    ASSERT_EQ(back.size(), ops.size());
-    EXPECT_EQ(back[1].branch, BranchKind::IndirectJump);
-    EXPECT_EQ(back[1].nextPc, 0x4000u);
 }
 
 TEST(TraceIo, CompactRoundTripSkipsTheMicroOpDetour)
@@ -172,7 +183,7 @@ TEST(TraceIo, FileErrorsNameThePath)
         << "certainly not a trace file";
     std::string name;
     try {
-        loadTraceFile(path, name);
+        loadCompactTraceFile(path, name);
         FAIL() << "expected runtime_error";
     } catch (const std::runtime_error &e) {
         EXPECT_NE(std::string(e.what()).find(path),
@@ -186,7 +197,7 @@ TEST(TraceIo, TruncatedV2FileErrorNamesThePath)
     const std::string path = "/tmp/tpred_test_truncated.tpr";
     {
         std::stringstream buffer;
-        writeTrace(buffer, sampleOps(), "t");
+        writeOps(buffer, sampleOps(), "t");
         const std::string data = buffer.str();
         std::ofstream out(path, std::ios::binary);
         out.write(data.data(),
@@ -194,7 +205,7 @@ TEST(TraceIo, TruncatedV2FileErrorNamesThePath)
     }
     std::string name;
     try {
-        loadTraceFile(path, name);
+        loadCompactTraceFile(path, name);
         FAIL() << "expected runtime_error";
     } catch (const std::runtime_error &e) {
         EXPECT_NE(std::string(e.what()).find(path),
