@@ -3,8 +3,6 @@
 #ifndef TPRED_BENCH_BENCH_UTIL_HH
 #define TPRED_BENCH_BENCH_UTIL_HH
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -51,8 +49,7 @@ pendingReport()
  * When a report path is set (`--report` / `TPRED_REPORT`), a
  * tpred-run-report/1 document with the run's config and process
  * metrics is written there at exit — every bench gets the report
- * surface without per-main plumbing.  Benches with richer lane data
- * additionally emit their own report via LaneReport (below).
+ * surface without per-main plumbing.
  */
 inline RunOptions
 setup(int &argc, char **argv, size_t fallback_ops)
@@ -117,68 +114,6 @@ heading(const std::string &title, size_t ops)
                 formatCount(ops).c_str());
 }
 
-/** Baseline cycle counts for a set of traces (BTB-only machine). */
-inline std::vector<uint64_t>
-baselineCycles(const std::vector<SharedTrace> &traces)
-{
-    const ParallelRunner runner;
-    return runner.map<uint64_t>(traces.size(), [&](size_t i) {
-        return runTiming(traces[i], baselineConfig()).cycles;
-    });
-}
-
-/** Wall-clock stopwatch for the speedup lines in sweep benches. */
-class Stopwatch
-{
-  public:
-    Stopwatch() : start_(std::chrono::steady_clock::now()) {}
-
-    /** Seconds elapsed since construction. */
-    double
-    seconds() const
-    {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start_)
-            .count();
-    }
-
-  private:
-    std::chrono::steady_clock::time_point start_;
-};
-
-/**
- * Best-of-reps wall-clock throughput in Mops/s; @p lane returns a
- * checksum (stored into @p checksum) so the timed work cannot be
- * optimized away.
- */
-template <typename Lane>
-double
-measureMops(size_t ops, unsigned reps, uint64_t &checksum, Lane &&lane)
-{
-    double best = 0.0;
-    for (unsigned r = 0; r < reps; ++r) {
-        const Stopwatch timer;
-        checksum = lane();
-        const double secs = timer.seconds();
-        if (secs > 0.0)
-            best = std::max(best,
-                            static_cast<double>(ops) / secs / 1e6);
-    }
-    return best;
-}
-
-/** measureMops() for lanes whose side effects are their own sink. */
-template <typename Lane>
-double
-measureMops(size_t ops, unsigned reps, Lane &&lane)
-{
-    uint64_t ignored = 0;
-    return measureMops(ops, reps, ignored, [&lane] {
-        lane();
-        return uint64_t{0};
-    });
-}
-
 /** Field-by-field equality of two frontend statistic sets. */
 inline bool
 sameFrontendStats(const FrontendStats &a, const FrontendStats &b)
@@ -195,81 +130,6 @@ sameFrontendStats(const FrontendStats &a, const FrontendStats &b)
            ratio_eq(a.returns, b.returns) &&
            ratio_eq(a.btbHits, b.btbHits);
 }
-
-/**
- * Self-check gate for timed lanes: exits 1 unless @p got matches
- * @p want exactly — a bench must never report a speedup for a path
- * that computes different statistics.
- */
-inline void
-requireSameStats(const FrontendStats &want, const FrontendStats &got,
-                 const char *what, const std::string &workload)
-{
-    if (sameFrontendStats(want, got))
-        return;
-    std::fprintf(stderr, "FATAL: %s disagrees with reference on %s\n",
-                 what, workload.c_str());
-    std::exit(1);
-}
-
-/**
- * Per-workload lane results plus the run-report plumbing every bench
- * repeated by hand before: collects lane values, and write() emits a
- * tpred-run-report/1 JSON file to $TPRED_BENCH_OUT (or the bench's
- * default path) with the process metrics captured.
- */
-class LaneReport
-{
-  public:
-    /** @param default_out Path written when $TPRED_BENCH_OUT is unset. */
-    LaneReport(const char *tool, size_t ops, std::string default_out)
-        : report_(tool), defaultOut_(std::move(default_out))
-    {
-        report_.setConfig("ops", static_cast<uint64_t>(ops));
-    }
-
-    /** Underlying report, for extra config entries or tables. */
-    obs::RunReport &report() { return report_; }
-
-    void
-    value(const std::string &workload, const std::string &key,
-          double v, int precision = 2)
-    {
-        report_.addWorkloadValue(workload, key, v, precision);
-    }
-
-    void
-    value(const std::string &workload, const std::string &key,
-          uint64_t v)
-    {
-        report_.addWorkloadValue(workload, key, v);
-    }
-
-    /**
-     * Captures process metrics and writes the report; returns main()'s
-     * exit code (1 with a message on I/O failure).
-     */
-    int
-    write()
-    {
-        const char *env = std::getenv("TPRED_BENCH_OUT");
-        const std::string path =
-            env != nullptr && *env != '\0' ? env : defaultOut_;
-        try {
-            report_.captureProcess();
-            report_.write(path);
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "%s\n", e.what());
-            return 1;
-        }
-        std::printf("wrote %s\n", path.c_str());
-        return 0;
-    }
-
-  private:
-    obs::RunReport report_;
-    std::string defaultOut_;
-};
 
 } // namespace tpred::bench
 

@@ -10,182 +10,22 @@
  * second level recovers BTB hit rate and BTB-miss fetch stalls that
  * SPECint-sized working sets never expose.
  *
- * An untimed self-check first requires the fused sweep kernel under
- * every hierarchy override to be bit-identical to the per-config
- * runAccuracy() path, so the reported numbers only come from proven
- * plumbing.  The timed lanes then measure fused-sweep throughput per
- * hierarchy (the two-level lookup does strictly more work per fetch;
- * the lane quantifies the simulation cost) with fold checksums that
- * must agree with the untimed reference.  Results go to stdout and
- * BENCH_btb.json (override with TPRED_BENCH_OUT) as a
- * tpred-run-report/1 document for tools/bench_compare.py.
+ * Thin wrapper over renderBtbPressure(); the grid runs on the
+ * parallel experiment engine.
  */
 
-#include <cstdio>
-#include <string>
-#include <vector>
-
 #include "bench_util.hh"
-#include "harness/sweep_kernel.hh"
 
 using namespace tpred;
-
-namespace
-{
-
-inline uint64_t
-fold(uint64_t acc, const FrontendStats &s)
-{
-    return acc * 0x9E3779B97F4A7C15ull +
-           (s.indirectJumps.hits() ^ s.btbHits.hits());
-}
-
-/** One hierarchy preset: table label, report key prefix, front end. */
-struct Variant
-{
-    const char *label;
-    const char *key;
-    FrontendConfig fe;
-};
-
-std::vector<Variant>
-hierarchyVariants()
-{
-    return {
-        {"1-level 1K", "l1_1k", FrontendConfig{}},
-        {"1-level 64", "l1_64", smallBtbFrontend()},
-        {"2-level 64+8K", "two_level", twoLevelBtbFrontend()},
-    };
-}
-
-/** The per-variant sweep batch: BTB-only baseline + tagless cache. */
-std::vector<IndirectConfig>
-pressureConfigs()
-{
-    return {baselineConfig(), taglessGshare()};
-}
-
-/** Everything one (workload x hierarchy) cell reports. */
-struct CellResult
-{
-    double btbHitRate = 0.0;       ///< baseline-config BTB hit rate
-    double taglessMissRate = 0.0;  ///< indirect miss rate w/ tagless
-    double stallPerKiloInstr = 0.0;///< BTB-miss bubble cyc / 1K instr
-    double sweepMops = 0.0;        ///< fused-sweep throughput
-};
-
-CellResult
-runCell(const SharedTrace &trace, const std::string &name,
-        const Variant &variant, size_t ops, unsigned reps)
-{
-    const std::vector<IndirectConfig> configs = pressureConfigs();
-
-    // Untimed gate: the fused sweep under this hierarchy must
-    // reproduce every per-config runAccuracy() result bit for bit.
-    // (This also builds the cached BranchStream, so the timed lane
-    // measures the sweep itself.)
-    const std::vector<FrontendStats> fused_ref =
-        runSweep(trace, configs, variant.fe);
-    for (size_t c = 0; c < configs.size(); ++c)
-        bench::requireSameStats(
-            runAccuracy(trace, configs[c], variant.fe), fused_ref[c],
-            "fused sweep under a BTB hierarchy", name);
-    uint64_t want_sum = 0;
-    for (const FrontendStats &s : fused_ref)
-        want_sum = fold(want_sum, s);
-
-    CellResult cell;
-    cell.btbHitRate = 1.0 - fused_ref[0].btbHits.missRate();
-    cell.taglessMissRate = fused_ref[1].indirectJumps.missRate();
-
-    const CoreResult timing =
-        runTiming(trace, taglessGshare(), CoreParams{}, variant.fe);
-    cell.stallPerKiloInstr =
-        timing.instructions
-            ? 1000.0 * static_cast<double>(timing.btbMissStallCycles) /
-                  static_cast<double>(timing.instructions)
-            : 0.0;
-
-    const size_t aggregate_ops = ops * configs.size();
-    uint64_t got_sum = 0;
-    cell.sweepMops =
-        bench::measureMops(aggregate_ops, reps, got_sum, [&] {
-            uint64_t acc = 0;
-            for (const FrontendStats &s :
-                 runSweep(trace, configs, variant.fe))
-                acc = fold(acc, s);
-            return acc;
-        });
-    if (got_sum != want_sum) {
-        std::fprintf(stderr,
-                     "FATAL: %s sweep checksums disagree on %s\n",
-                     variant.label, name.c_str());
-        std::exit(1);
-    }
-    return cell;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     const size_t ops = bench::setup(argc, argv, kDefaultTimingOps).ops;
-    const unsigned reps = 3;
     bench::heading("BTB hierarchy pressure: SPECint95-like vs "
                    "server-shaped footprints",
                    ops);
-
-    const std::vector<Variant> variants = hierarchyVariants();
-    const std::vector<std::string> names = btbPressureWorkloads();
-    const std::vector<SharedTrace> traces = bench::recordAll(names, ops);
-
-    bench::LaneReport out("btb_pressure", ops, "BENCH_btb.json");
-    out.report().setConfig(
-        "configs", static_cast<uint64_t>(pressureConfigs().size()));
-    for (const Variant &v : variants)
-        out.report().setConfig(std::string(v.key) + "_btb",
-                               v.fe.btb.describe());
-
-    Table table;
-    table.setHeader({"Benchmark", "BTB hierarchy", "BTB hits",
-                     "tagless miss", "BTB-stall cyc/1K",
-                     "sweep Mops/s"});
-    for (size_t w = 0; w < names.size(); ++w) {
-        if (w)
-            table.addRule();
-        for (const Variant &variant : variants) {
-            const CellResult cell =
-                runCell(traces[w], names[w], variant, ops, reps);
-
-            char buf[64];
-            std::vector<std::string> row = {
-                &variant == &variants.front() ? names[w] : "",
-                variant.label,
-                formatPercent(cell.btbHitRate, 1),
-                formatPercent(cell.taglessMissRate, 1),
-            };
-            std::snprintf(buf, sizeof(buf), "%.1f",
-                          cell.stallPerKiloInstr);
-            row.push_back(buf);
-            std::snprintf(buf, sizeof(buf), "%.1f", cell.sweepMops);
-            row.push_back(buf);
-            table.addRow(row);
-
-            const std::string prefix = variant.key;
-            out.value(names[w], prefix + "_btb_hit_pct",
-                      100.0 * cell.btbHitRate);
-            out.value(names[w], prefix + "_tagless_miss_pct",
-                      100.0 * cell.taglessMissRate);
-            out.value(names[w], prefix + "_stall_per_1k",
-                      cell.stallPerKiloInstr);
-            out.value(names[w], prefix + "_sweep_mops", cell.sweepMops,
-                      1);
-        }
-    }
-
-    std::printf("%s\n", table.render().c_str());
     std::printf("paper-style grid (renderBtbPressure):\n%s\n",
                 renderBtbPressure({.ops = ops}).c_str());
-    return out.write();
+    return 0;
 }

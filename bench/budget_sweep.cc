@@ -6,13 +6,8 @@
  * for tags with entry count — the trade the paper quantifies with its
  * "target cache(n) = 32 x n bits" accounting.
  *
- * The cell grid is evaluated twice — once serially, once through the
- * parallel experiment engine — and the wall-clock speedup is reported
- * so BENCH_*.json can track the scaling trajectory.  Traces are
- * recorded up front through the shared cache so both timings measure
- * only the sweep itself.
- *
- * Pass "csv" as the second argument for machine-readable output.
+ * The cell grid runs on the parallel experiment engine.  Pass "csv"
+ * as the second argument for machine-readable output.
  */
 
 #include <cstring>
@@ -73,10 +68,9 @@ main(int argc, char **argv)
 
     // Flattened grid: (workload x point x {tagless, tagged}).  Every
     // point shares patternHistory(9), so the whole per-workload grid
-    // collapses into one fused sweep; the job unit in both lanes is
+    // collapses into one fused sweep; the job unit is
     // (workload x history-group).
     const size_t per_workload = kPoints.size() * 2;
-    const size_t cell_count = names.size() * per_workload;
     std::vector<IndirectConfig> configs;
     configs.reserve(per_workload);
     for (const Point &point : kPoints) {
@@ -84,48 +78,27 @@ main(int argc, char **argv)
         configs.push_back(taggedAt(point));
     }
     const auto groups = groupByHistory(configs);
-    const size_t job_count = names.size() * groups.size();
-    const auto job = [&](size_t j) {
-        const SharedTrace &trace = traces[j / groups.size()];
-        const auto &group = groups[j % groups.size()];
-        std::vector<IndirectConfig> batch;
-        batch.reserve(group.size());
-        for (size_t c : group)
-            batch.push_back(configs[c]);
-        std::vector<double> rates;
-        rates.reserve(group.size());
-        for (const FrontendStats &s : runSweep(trace, batch))
-            rates.push_back(s.indirectJumps.missRate());
-        return rates;
-    };
-    const auto scatter =
-        [&](const std::vector<std::vector<double>> &parts) {
-            std::vector<double> flat(cell_count);
-            for (size_t w = 0; w < names.size(); ++w)
-                for (size_t g = 0; g < groups.size(); ++g)
-                    for (size_t k = 0; k < groups[g].size(); ++k)
-                        flat[w * per_workload + groups[g][k]] =
-                            parts[w * groups.size() + g][k];
-            return flat;
-        };
-
-    bench::Stopwatch serial_watch;
-    std::vector<std::vector<double>> serial_parts;
-    serial_parts.reserve(job_count);
-    for (size_t j = 0; j < job_count; ++j)
-        serial_parts.push_back(job(j));
-    const std::vector<double> serial_cells = scatter(serial_parts);
-    const double serial_s = serial_watch.seconds();
-
     const ParallelRunner runner;
-    bench::Stopwatch parallel_watch;
-    const std::vector<double> cells =
-        scatter(runner.map<std::vector<double>>(job_count, job));
-    const double parallel_s = parallel_watch.seconds();
-
-    const bool identical =
-        std::memcmp(cells.data(), serial_cells.data(),
-                    cell_count * sizeof(double)) == 0;
+    const auto parts = runner.map<std::vector<double>>(
+        names.size() * groups.size(), [&](size_t j) {
+            const SharedTrace &trace = traces[j / groups.size()];
+            const auto &group = groups[j % groups.size()];
+            std::vector<IndirectConfig> batch;
+            batch.reserve(group.size());
+            for (size_t c : group)
+                batch.push_back(configs[c]);
+            std::vector<double> rates;
+            rates.reserve(group.size());
+            for (const FrontendStats &s : runSweep(trace, batch))
+                rates.push_back(s.indirectJumps.missRate());
+            return rates;
+        });
+    std::vector<double> cells(names.size() * per_workload);
+    for (size_t w = 0; w < names.size(); ++w)
+        for (size_t g = 0; g < groups.size(); ++g)
+            for (size_t k = 0; k < groups[g].size(); ++k)
+                cells[w * per_workload + groups[g][k]] =
+                    parts[w * groups.size() + g][k];
 
     for (size_t w = 0; w < names.size(); ++w) {
         Table table;
@@ -154,19 +127,5 @@ main(int argc, char **argv)
         }
     }
 
-    const double speedup =
-        parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
-    if (csv) {
-        std::printf("# speedup_x,serial_s,parallel_s,jobs,identical\n"
-                    "# %.2f,%.3f,%.3f,%u,%d\n",
-                    speedup, serial_s, parallel_s, runner.threads(),
-                    identical ? 1 : 0);
-    } else {
-        std::printf("parallel vs serial: %s (bit-identical cells)\n",
-                    identical ? "ok" : "MISMATCH");
-        std::printf("parallel speedup: %.2fx (serial %.3fs, parallel "
-                    "%.3fs, %u jobs)\n",
-                    speedup, serial_s, parallel_s, runner.threads());
-    }
-    return identical ? 0 : 1;
+    return 0;
 }

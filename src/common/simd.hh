@@ -1,40 +1,26 @@
 /**
  * @file
- * Portable SIMD kernels for the batched sweep hot loops.
+ * Way-scan kernels for the batched sweep hot loops.
  *
  * The fused sweep kernel's per-branch cost is dominated by two scans
  * over a tagged bank's way columns: the tag-match probe (valid &&
  * tag == needle) and the allocation victim scan (first invalid way,
  * else the true-LRU minimum).  Both walk small contiguous SoA
- * columns — exactly the shape vector compares want.
+ * columns.  They are plain loops: a hand-written AVX2 path was
+ * measured slower than these on the exhaustive autotuner search and
+ * was removed.
  *
- * Dispatch is compile-time: the AVX2 path exists only when the
- * translation unit is built with AVX2 enabled (the TPRED_NATIVE
- * CMake option's -march=native does this on capable hosts);
- * otherwise every call is the scalar loop, with zero runtime cost.
- * setForceScalar(true) pins the scalar path at runtime so
- * differential tests and the stream_pipeline bench can prove the two
- * paths bit-identical on the same binary.
- *
- * Semantics are defined by the scalar loops below — the vector paths
- * must preserve them exactly, including order: findTagMatch returns
- * the FIRST matching way, and findVictim returns the FIRST invalid
- * way, else the FIRST way holding the minimum lastUsed value (ties
- * keep the lowest index, as the scalar strict-less scan does).
+ * Order is part of the contract: findTagMatch returns the FIRST
+ * matching way, and findVictim returns the FIRST invalid way, else
+ * the FIRST way holding the minimum lastUsed value (ties keep the
+ * lowest index).
  */
 
 #ifndef TPRED_COMMON_SIMD_HH
 #define TPRED_COMMON_SIMD_HH
 
-#include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 namespace tpred::simd
 {
@@ -42,161 +28,11 @@ namespace tpred::simd
 /** "No way matched" sentinel, distinct from every way index. */
 inline constexpr size_t kNone = static_cast<size_t>(-1);
 
-/** Whether this binary carries a vector path at all. */
-#if defined(__AVX2__)
-inline constexpr bool kCompiled = true;
-#else
-inline constexpr bool kCompiled = false;
-#endif
-
-namespace detail
-{
-
-inline std::atomic<bool> forceScalar{false};
-
-/** Reference semantics: first way with a valid tag match. */
-inline size_t
-scalarFindTagMatch(const uint8_t *valid, const uint64_t *tags,
-                   size_t ways, uint64_t tag)
-{
-    for (size_t w = 0; w < ways; ++w) {
-        if (valid[w] && tags[w] == tag)
-            return w;
-    }
-    return kNone;
-}
-
-/** Reference semantics: first invalid way, else first LRU minimum. */
-inline size_t
-scalarFindVictim(const uint8_t *valid, const uint64_t *last_used,
-                 size_t ways)
-{
-    size_t e = 0;
-    for (size_t w = 0; w < ways; ++w) {
-        if (!valid[w])
-            return w;
-        if (last_used[w] < last_used[e])
-            e = w;
-    }
-    return e;
-}
-
-#if defined(__AVX2__)
-
-inline size_t
-avx2FindTagMatch(const uint8_t *valid, const uint64_t *tags,
-                 size_t ways, uint64_t tag)
-{
-    const __m256i needle =
-        _mm256_set1_epi64x(static_cast<long long>(tag));
-    size_t w = 0;
-    for (; w + 4 <= ways; w += 4) {
-        const __m256i quad = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(tags + w));
-        unsigned mask = static_cast<unsigned>(_mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(quad, needle))));
-        // Lanes come out lowest-index-first, so walking the set bits
-        // in ascending order preserves the first-match rule; the
-        // valid check stays scalar (an invalid way may hold a stale
-        // equal tag and must be skipped, not returned).
-        while (mask != 0) {
-            const unsigned lane =
-                static_cast<unsigned>(__builtin_ctz(mask));
-            if (valid[w + lane])
-                return w + lane;
-            mask &= mask - 1;
-        }
-    }
-    for (; w < ways; ++w) {
-        if (valid[w] && tags[w] == tag)
-            return w;
-    }
-    return kNone;
-}
-
-inline size_t
-avx2FindVictim(const uint8_t *valid, const uint64_t *last_used,
-               size_t ways)
-{
-    // Invalid ways first: eight valid bytes per step, the classic
-    // zero-byte test (valid holds only 0 or 1).
-    size_t w = 0;
-    for (; w + 8 <= ways; w += 8) {
-        uint64_t eight;
-        std::memcpy(&eight, valid + w, 8);
-        if (((eight - 0x0101010101010101ull) & ~eight &
-             0x8080808080808080ull) != 0)
-            break;  // this group holds an invalid way
-    }
-    for (size_t k = w; k < ways; ++k) {
-        if (!valid[k])
-            return k;
-    }
-
-    // All ways valid: unsigned vector min of lastUsed (sign-flip
-    // makes the signed cmpgt an unsigned compare), then the first
-    // index holding the minimum — the scalar scan's tie-break.
-    uint64_t min_val = UINT64_MAX;
-    size_t k = 0;
-    if (ways >= 4) {
-        const __m256i flip = _mm256_set1_epi64x(
-            static_cast<long long>(0x8000000000000000ull));
-        __m256i best = _mm256_xor_si256(
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(last_used)),
-            flip);
-        for (k = 4; k + 4 <= ways; k += 4) {
-            const __m256i cur = _mm256_xor_si256(
-                _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(last_used + k)),
-                flip);
-            best = _mm256_blendv_epi8(
-                best, cur, _mm256_cmpgt_epi64(best, cur));
-        }
-        alignas(32) uint64_t lanes[4];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), best);
-        for (uint64_t lane : lanes)
-            min_val = std::min(
-                min_val, static_cast<uint64_t>(
-                             lane ^ 0x8000000000000000ull));
-    }
-    for (; k < ways; ++k)
-        min_val = std::min(min_val, last_used[k]);
-    for (size_t i = 0; i < ways; ++i) {
-        if (last_used[i] == min_val)
-            return i;
-    }
-    return 0;  // unreachable: min_val came from the array
-}
-
-#endif // __AVX2__
-
-} // namespace detail
-
-/** True when calls will take the vector path. */
-inline bool
-enabled()
-{
-    return kCompiled &&
-           !detail::forceScalar.load(std::memory_order_relaxed);
-}
-
-/**
- * Pins every kernel to the scalar reference path (true) or restores
- * compile-time dispatch (false).  For differential tests; affects
- * the whole process.
- */
-inline void
-setForceScalar(bool force)
-{
-    detail::forceScalar.store(force, std::memory_order_relaxed);
-}
-
-/** "avx2" or "scalar" — what calls will actually run. */
+/** The way-scan ISA, for run fingerprints: always "scalar". */
 inline const char *
 activeIsa()
 {
-    return enabled() ? "avx2" : "scalar";
+    return "scalar";
 }
 
 /**
@@ -207,11 +43,11 @@ inline size_t
 findTagMatch(const uint8_t *valid, const uint64_t *tags, size_t ways,
              uint64_t tag)
 {
-#if defined(__AVX2__)
-    if (enabled())
-        return detail::avx2FindTagMatch(valid, tags, ways, tag);
-#endif
-    return detail::scalarFindTagMatch(valid, tags, ways, tag);
+    for (size_t w = 0; w < ways; ++w) {
+        if (valid[w] && tags[w] == tag)
+            return w;
+    }
+    return kNone;
 }
 
 /**
@@ -223,11 +59,14 @@ inline size_t
 findVictim(const uint8_t *valid, const uint64_t *last_used,
            size_t ways)
 {
-#if defined(__AVX2__)
-    if (enabled())
-        return detail::avx2FindVictim(valid, last_used, ways);
-#endif
-    return detail::scalarFindVictim(valid, last_used, ways);
+    size_t e = 0;
+    for (size_t w = 0; w < ways; ++w) {
+        if (!valid[w])
+            return w;
+        if (last_used[w] < last_used[e])
+            e = w;
+    }
+    return e;
 }
 
 } // namespace tpred::simd

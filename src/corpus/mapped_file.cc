@@ -26,7 +26,7 @@ fail(const std::string &path, const char *what)
 } // namespace
 
 std::shared_ptr<MappedFile>
-MappedFile::open(const std::string &path, bool drop_cache)
+MappedFile::open(const std::string &path)
 {
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
@@ -40,12 +40,6 @@ MappedFile::open(const std::string &path, bool drop_cache)
         fail(path, "fstat");
     }
     const size_t size = static_cast<size_t>(st.st_size);
-
-    if (drop_cache) {
-        // Best effort: evicts clean pages so the subsequent reads
-        // fault in from storage (cold-start measurement).
-        ::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
-    }
 
     void *base = nullptr;
     if (size > 0) {

@@ -29,14 +29,10 @@ class MappedFile
   public:
     /**
      * Maps @p path read-only.
-     * @param drop_cache Advise the kernel to evict the file's page
-     *        cache first (POSIX_FADV_DONTNEED) — used by the
-     *        corpus_load bench to approximate a cold start.
      * @throws std::runtime_error (message names the path) on any
      *         open/stat/mmap failure.
      */
-    static std::shared_ptr<MappedFile> open(const std::string &path,
-                                            bool drop_cache = false);
+    static std::shared_ptr<MappedFile> open(const std::string &path);
 
     /**
      * Maps only @p length bytes starting at @p offset — the windowed

@@ -25,9 +25,8 @@
  * HistorySpec per branch.  The per-branch loops walk dense *hot
  * columns* — parallel arrays holding exactly the fields the loop
  * reads (member, tracker, table base, geometry) — and the tagged
- * banks' way scans (tag compare, LRU victim) go through the portable
- * SIMD kernels in common/simd.hh (vectorized under TPRED_NATIVE/AVX2,
- * scalar otherwise, both order-exact).  The index math is the *same
+ * banks' way scans (tag compare, LRU victim) go through the
+ * order-exact loops in common/simd.hh.  The index math is the *same
  * code* the scalar predictors run — taglessIndexOf / taggedIndexOf /
  * cascadedStage1IndexOf are free functions over the geometry — so the
  * two paths cannot drift apart.

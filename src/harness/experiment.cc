@@ -12,36 +12,6 @@
 namespace tpred
 {
 
-namespace
-{
-
-/**
- * Virtual-TraceSource compatibility shim over the columnar storage:
- * keeps a shared reference to the trace and pulls ops through a
- * CompactReplay block decoder.
- */
-class ReplaySource : public TraceSource
-{
-  public:
-    ReplaySource(std::shared_ptr<const CompactTrace> trace,
-                 std::string name)
-        : trace_(std::move(trace)), replay_(*trace_),
-          name_(std::move(name))
-    {
-    }
-
-    bool next(MicroOp &op) override { return replay_.next(op); }
-
-    std::string name() const override { return name_; }
-
-  private:
-    std::shared_ptr<const CompactTrace> trace_;
-    CompactReplay replay_;
-    std::string name_;
-};
-
-} // namespace
-
 std::string
 IndirectConfig::describe() const
 {
@@ -119,12 +89,6 @@ SharedTrace::SharedTrace(std::shared_ptr<const CompactTrace> trace,
                          std::string name)
     : trace_(std::move(trace)), name_(std::move(name))
 {
-}
-
-std::unique_ptr<TraceSource>
-SharedTrace::open() const
-{
-    return std::make_unique<ReplaySource>(trace_, name_);
 }
 
 SharedTrace

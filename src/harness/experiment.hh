@@ -68,9 +68,8 @@ PredictorStack buildStack(const IndirectConfig &config);
  *
  * The canonical in-memory form is the columnar CompactTrace
  * (trace/compact_trace.hh) — ~8x smaller than the former
- * std::vector<MicroOp> storage.  Hot paths replay it through the
- * non-virtual batch API (forEachOp / forEachBranch / replay()); the
- * virtual TraceSource shim from open() remains for compatibility.
+ * std::vector<MicroOp> storage.  It is replayed through the
+ * non-virtual batch API (forEachOp / forEachBranch / replay()).
  */
 class SharedTrace
 {
@@ -91,12 +90,6 @@ class SharedTrace
      */
     SharedTrace(std::shared_ptr<const CompactTrace> trace,
                 std::string name);
-
-    /**
-     * Opens a virtual replay source positioned at the beginning
-     * (compatibility shim; prefer replay()/forEachOp on hot paths).
-     */
-    std::unique_ptr<TraceSource> open() const;
 
     /** Opens a devirtualized block-replay source. */
     CompactReplay replay() const { return CompactReplay(*trace_); }

@@ -181,27 +181,21 @@ reductionOver(uint64_t baseline_cycles, const SharedTrace &trace,
 // --- Paper-table drivers -------------------------------------------
 //
 // Every driver follows the same shape: record traces through the
-// shared cache, evaluate the experiment grid as index-keyed jobs
-// (serially or across the runner — each job is a pure function of its
-// index over immutable traces, so both paths produce the same bits),
-// then format the cells in grid order.
+// shared cache, evaluate the experiment grid as index-keyed jobs on
+// the runner (each job is a pure function of its index over immutable
+// traces, so every thread count produces the same bits; one thread
+// runs them inline, in index order), then format the cells in grid
+// order.
 
 namespace
 {
 
-/** Runs job(i) for i in [0, count) per the requested ExecMode. */
+/** Runs job(i) for i in [0, count) on opt.threads workers. */
 template <typename T>
 std::vector<T>
 mapJobs(const TableOptions &opt, size_t count,
         const std::function<T(size_t)> &job)
 {
-    if (opt.mode == ExecMode::Serial) {
-        std::vector<T> results;
-        results.reserve(count);
-        for (size_t i = 0; i < count; ++i)
-            results.push_back(job(i));
-        return results;
-    }
     return ParallelRunner(opt.threads).map<T>(count, job);
 }
 
@@ -353,8 +347,8 @@ renderReductionGrid(const TableOptions &opt,
 
     // Fused timing cells via runTimingSweep: the parallelism unit
     // stays one job per (workload x history group), with the whole
-    // group sharing one core trajectory inside the job, so Serial and
-    // Parallel modes produce the same bits as the per-cell layout did.
+    // group sharing one core trajectory inside the job, so every
+    // thread count produces the same bits as the per-cell layout did.
     std::vector<IndirectConfig> configs;
     configs.reserve(per_workload);
     for (size_t row = 0; row < rows; ++row)

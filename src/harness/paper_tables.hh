@@ -94,19 +94,11 @@ double reductionOver(uint64_t baseline_cycles, const SharedTrace &trace,
                      const IndirectConfig &config,
                      const CoreParams &params = {});
 
-/** How a paper-table driver executes its experiment grid. */
-enum class ExecMode : uint8_t
-{
-    Serial,    ///< legacy path: one cell after another, calling thread
-    Parallel,  ///< cells sharded across a ParallelRunner
-};
-
 /** Options shared by every paper-table render function. */
 struct TableOptions
 {
     size_t ops = kDefaultAccuracyOps;   ///< instructions per trace
-    ExecMode mode = ExecMode::Parallel;
-    unsigned threads = 0;               ///< 0 = defaultJobs()
+    unsigned threads = 0;  ///< 0 = defaultJobs(); 1 runs jobs inline
 };
 
 /** The paper's headline pair (sections 4.2-4.4 report these two). */
@@ -114,8 +106,8 @@ const std::vector<std::string> &headlineWorkloads();
 
 /**
  * Paper-table drivers.  Each records its traces through the shared
- * trace cache, evaluates its (workload x config) grid serially or
- * through the parallel runner — bit-identical output either way, with
+ * trace cache, evaluates its (workload x config) grid through the
+ * parallel runner — bit-identical output at any thread count, with
  * cells keyed by grid index — and returns the rendered text the
  * corresponding bench binary prints.
  */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Structured run reports: serializes one experiment run — tool and
- * config description, result tables, per-workload bench lanes, and a
+ * config description, result tables, per-workload values, and a
  * MetricsRegistry snapshot — to deterministic JSON.
  *
  * Schema (tpred-run-report/1): every report has the same six
@@ -14,7 +14,7 @@
  *     "metrics":   { deterministic counters — identical for serial
  *                    and parallel runs of the same experiment },
  *     "tables":    { table name -> rendered text },
- *     "workloads": { workload -> { lane -> number } (bench lanes) },
+ *     "workloads": { workload -> { key -> number } },
  *     "runtime":   { scheduling/timing data: runtime counters,
  *                    gauges, timers, jobs, build info, peak RSS }
  *   }
@@ -23,8 +23,7 @@
  * semantic config produce byte-identical JSON outside the "runtime"
  * section and any key matching *_ns / *_mops / *_seconds.
  * tools/report_lint.py validates the schema, masks those volatile
- * fields, and diffs reports; tools/bench_compare.py reads the
- * "workloads" section.  See docs/observability.md.
+ * fields, and diffs reports.  See docs/observability.md.
  */
 
 #ifndef TPRED_OBS_RUN_REPORT_HH
@@ -70,7 +69,7 @@ class RunReport
     /** Adds a rendered result table (deterministic section). */
     void addTable(std::string_view name, std::string_view text);
 
-    /** Adds one per-workload bench lane value (fixed precision). */
+    /** Adds one per-workload value (fixed precision). */
     void addWorkloadValue(std::string_view workload,
                           std::string_view key, double value,
                           int precision = 2);

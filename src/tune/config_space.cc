@@ -123,7 +123,7 @@ enumerateTiny(ConfigSpace &space)
     add(space, ittageConfig());
 }
 
-/** bench: the bench/tune_search grid (~1 hundred configs). */
+/** bench: a mid-sized grid (~1 hundred configs). */
 void
 enumerateBench(ConfigSpace &space)
 {

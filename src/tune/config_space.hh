@@ -82,7 +82,7 @@ inline constexpr size_t kDefaultSpaceCap = 4096;
  * Preset space names, in documentation order:
  *   smoke    — a couple dozen configs; CLI smoke tests
  *   tiny     — ~1 dozen; cheap enough for exhaustive differentials
- *   bench    — ~1 hundred; the bench/tune_search grid
+ *   bench    — ~1 hundred; the halving-vs-exhaustive differential
  *   standard — >= 1000 configs across all families (the default)
  *   btb      — BTB hierarchy geometry x indirect predictor: one- and
  *              two-level front ends (docs/btb_hierarchy.md) crossed

@@ -327,11 +327,11 @@ TEST(CompactDifferential, OpForOpIdenticalAcrossWorkloadsAndSeeds)
             ASSERT_EQ(trace.size(), legacy.size())
                 << name << " seed " << seed;
 
-            // Via the virtual shim...
-            auto src = trace.open();
+            // Via the block-replay source...
+            CompactReplay replay = trace.replay();
             MicroOp op;
             size_t i = 0;
-            while (src->next(op)) {
+            while (replay.next(op)) {
                 expectOpEq(op, legacy[i], i);
                 ++i;
             }
@@ -356,14 +356,15 @@ TEST(CompactDifferential, AccuracyFastPathMatchesVirtualReplay)
              {baselineConfig(), taglessGshare(),
               taggedConfig(TaggedIndexScheme::HistoryXor, 4),
               ittageConfig()}) {
-            // Ground truth: per-op virtual replay through the shim.
+            // Ground truth: per-op virtual replay of the decoded ops.
             PredictorStack stack = buildStack(config);
             FrontendPredictor frontend(FrontendConfig{},
                                        stack.predictor.get(),
                                        stack.tracker.get());
-            auto src = trace.open();
+            VectorTraceSource src(trace.decodeOps());
+            TraceSource &virtual_src = src;
             MicroOp op;
-            while (src->next(op))
+            while (virtual_src.next(op))
                 frontend.onInstruction(op);
             const FrontendStats legacy = frontend.stats();
 
@@ -393,8 +394,10 @@ TEST(CompactDifferential, TimingIdenticalThroughBlockReplay)
     FrontendPredictor frontend(FrontendConfig{}, stack.predictor.get(),
                                stack.tracker.get());
     CoreModel core({});
-    auto src = trace.open();
-    const CoreResult legacy = core.run(*src, frontend, trace.size());
+    VectorTraceSource src(trace.decodeOps());
+    TraceSource &virtual_src = src;
+    const CoreResult legacy =
+        core.run(virtual_src, frontend, trace.size());
 
     const CoreResult block = runTiming(trace, config);
     EXPECT_EQ(block.cycles, legacy.cycles);

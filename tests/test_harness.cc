@@ -23,12 +23,12 @@ TEST(Harness, RecordWorkloadIsDeterministic)
 TEST(Harness, SharedTraceOpensIndependentReplays)
 {
     SharedTrace trace = recordWorkload("compress", 2000);
-    auto s1 = trace.open();
-    auto s2 = trace.open();
+    CompactReplay s1 = trace.replay();
+    CompactReplay s2 = trace.replay();
     MicroOp a, b;
     for (int i = 0; i < 100; ++i) {
-        ASSERT_TRUE(s1->next(a));
-        ASSERT_TRUE(s2->next(b));
+        ASSERT_TRUE(s1.next(a));
+        ASSERT_TRUE(s2.next(b));
         EXPECT_EQ(a.pc, b.pc);
     }
 }

@@ -171,8 +171,7 @@ TEST(Metrics, DeterministicCountersAgreeSerialVsParallel)
     const auto run = [](unsigned threads) {
         obs::globalMetrics().reset();
         globalTraceCache().clear();
-        const TableOptions opt{/*ops=*/20000, ExecMode::Parallel,
-                               threads};
+        const TableOptions opt{.ops = 20000, .threads = threads};
         (void)renderTable4(opt);
         return obs::globalMetrics().snapshot();
     };
@@ -244,8 +243,7 @@ TEST(RunReport, Table4RunIsByteStable)
     const auto render = [] {
         obs::globalMetrics().reset();
         globalTraceCache().clear();
-        const TableOptions opt{/*ops=*/20000, ExecMode::Parallel,
-                               /*threads=*/1};
+        const TableOptions opt{.ops = 20000, .threads = 1};
         const std::string table = renderTable4(opt);
 
         obs::MetricsSnapshot snap = obs::globalMetrics().snapshot();

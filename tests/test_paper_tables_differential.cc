@@ -1,10 +1,10 @@
 /**
  * @file
  * Golden differential suite for the parallel experiment engine: every
- * paper-table driver is rendered through both the legacy serial path
- * and the ParallelRunner path at small op counts, and the outputs
- * must match byte for byte.  Runs under `ctest -L tsan` in a
- * TPRED_SANITIZE=thread build.
+ * paper-table driver is rendered with one thread (jobs run inline, in
+ * index order: the serial path) and with four, at small op counts,
+ * and the outputs must match byte for byte.  Runs under `ctest -L
+ * tsan` in a TPRED_SANITIZE=thread build.
  */
 
 #include <gtest/gtest.h>
@@ -28,10 +28,8 @@ expectSerialParallelMatch(
     const std::function<std::string(const TableOptions &)> &render,
     size_t ops)
 {
-    const std::string serial =
-        render({.ops = ops, .mode = ExecMode::Serial});
-    const std::string parallel =
-        render({.ops = ops, .mode = ExecMode::Parallel, .threads = 4});
+    const std::string serial = render({.ops = ops, .threads = 1});
+    const std::string parallel = render({.ops = ops, .threads = 4});
     ASSERT_FALSE(serial.empty());
     EXPECT_EQ(serial, parallel);
 }
@@ -85,10 +83,10 @@ TEST(PaperTablesDifferential, ParallelRerunIsStable)
 {
     // Two parallel renderings with different thread counts must also
     // agree with each other (scheduling independence).
-    const std::string two = renderTable4(
-        {.ops = kAccuracyOps, .mode = ExecMode::Parallel, .threads = 2});
-    const std::string eight = renderTable4(
-        {.ops = kAccuracyOps, .mode = ExecMode::Parallel, .threads = 8});
+    const std::string two =
+        renderTable4({.ops = kAccuracyOps, .threads = 2});
+    const std::string eight =
+        renderTable4({.ops = kAccuracyOps, .threads = 8});
     EXPECT_EQ(two, eight);
 }
 

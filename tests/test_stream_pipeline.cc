@@ -2,7 +2,7 @@
  * @file
  * Branch-stream pipeline tests: the TPBS container codec
  * (round-trips, determinism, edge-case traces), the TraceCache
- * stream tier and its counters, the SIMD differential, the
+ * stream tier and its counters, the way-scan kernels' contract, the
  * hardware-vs-software CRC32C proof, and corpus ls/gc behaviour for
  * derived stream containers.  Stream-container corruption is covered
  * with the other kinds by ContainerCorruption in test_corpus.cc.
@@ -112,11 +112,6 @@ roundTrip(const BranchStream &stream, const std::string &name)
     EXPECT_EQ(got_name, name);
     return back;
 }
-
-struct ScalarGuard
-{
-    ~ScalarGuard() { simd::setForceScalar(false); }
-};
 
 // ---------------------------------------------------------------
 // TPBS container codec
@@ -340,12 +335,11 @@ TEST(StreamTier, WarmTraceLoadAdoptsStoredStream)
 }
 
 // ---------------------------------------------------------------
-// SIMD kernel differential
+// Way-scan kernels
 // ---------------------------------------------------------------
 
 TEST(SimdKernels, MatchAndVictimAgreeWithScalar)
 {
-    ScalarGuard guard;
     std::mt19937_64 rng(0xbead5);
     for (size_t trial = 0; trial < 20000; ++trial) {
         const size_t ways = 1 + rng() % 12;
@@ -359,46 +353,29 @@ TEST(SimdKernels, MatchAndVictimAgreeWithScalar)
         }
         const uint64_t probe = rng() % 4;
 
-        simd::setForceScalar(true);
-        const size_t match_scalar =
-            simd::findTagMatch(valid.data(), tags.data(), ways, probe);
-        const size_t victim_scalar =
-            simd::findVictim(valid.data(), last_used.data(), ways);
-        simd::setForceScalar(false);
-        EXPECT_EQ(simd::findTagMatch(valid.data(), tags.data(), ways,
-                                     probe),
-                  match_scalar);
-        EXPECT_EQ(simd::findVictim(valid.data(), last_used.data(),
-                                   ways),
-                  victim_scalar);
-
-        // The scalar contract itself: first valid match, first
-        // invalid way, first minimum on ties.
+        // The contract, brute-forced: first valid match; first
+        // invalid way, else the first minimum on ties.
         size_t want_match = simd::kNone;
         for (size_t w = 0; w < ways && want_match == simd::kNone; ++w)
             if (valid[w] && tags[w] == probe)
                 want_match = w;
-        EXPECT_EQ(match_scalar, want_match);
-        ASSERT_LT(victim_scalar, ways);
+        size_t want_victim = ways;
+        for (size_t w = 0; w < ways && want_victim == ways; ++w)
+            if (!valid[w])
+                want_victim = w;
+        if (want_victim == ways) {
+            want_victim = 0;
+            for (size_t w = 1; w < ways; ++w)
+                if (last_used[w] < last_used[want_victim])
+                    want_victim = w;
+        }
+        EXPECT_EQ(simd::findTagMatch(valid.data(), tags.data(), ways,
+                                     probe),
+                  want_match);
+        EXPECT_EQ(simd::findVictim(valid.data(), last_used.data(),
+                                   ways),
+                  want_victim);
     }
-}
-
-TEST(SimdKernels, SweepIsBitIdenticalScalarVsDispatched)
-{
-    ScalarGuard guard;
-    const CompactTrace trace = sampleTrace(20000);
-    const BranchStream stream = BranchStream::extract(trace);
-
-    simd::setForceScalar(true);
-    const std::vector<FrontendStats> scalar =
-        runSweep(stream, sweepBatch());
-    simd::setForceScalar(false);
-    const std::vector<FrontendStats> dispatched =
-        runSweep(stream, sweepBatch());
-
-    ASSERT_EQ(scalar.size(), dispatched.size());
-    for (size_t i = 0; i < scalar.size(); ++i)
-        EXPECT_TRUE(sameStats(scalar[i], dispatched[i]));
 }
 
 // ---------------------------------------------------------------

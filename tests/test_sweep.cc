@@ -259,7 +259,11 @@ TEST(SweepKernel, FusedMatchesSequentialOnAllTableConfigs)
     }
 }
 
-/** Non-default front ends must fuse just as exactly. */
+/**
+ * Non-default front ends must fuse just as exactly: the 2-bit and
+ * tournament direction schemes on perl, and the BTB-pressure grid's
+ * small and two-level hierarchies on the BTB-hungry server trace.
+ */
 TEST(SweepKernel, FusedMatchesSequentialUnderAlternateFrontends)
 {
     const std::vector<IndirectConfig> configs = {
@@ -267,17 +271,22 @@ TEST(SweepKernel, FusedMatchesSequentialUnderAlternateFrontends)
         taggedConfig(TaggedIndexScheme::HistoryXor, 4),
         cascadedConfig(), ittageConfig(), oracleConfig(),
     };
-    const SharedTrace trace = recordWorkload("perl", 12000);
-
-    FrontendConfig two_bit = twoBitBtbFrontend();
     FrontendConfig tourney;
     tourney.direction = DirectionScheme::Tournament;
-    for (const FrontendConfig &fe : {two_bit, tourney}) {
+    const std::vector<std::pair<std::string, FrontendConfig>> cases = {
+        {"perl", twoBitBtbFrontend()},
+        {"perl", tourney},
+        {"server-dispatch", smallBtbFrontend()},
+        {"server-dispatch", twoLevelBtbFrontend()},
+    };
+    for (const auto &[name, fe] : cases) {
+        const SharedTrace trace = recordWorkload(name, 12000);
         const std::vector<FrontendStats> fused =
             runSweep(trace, configs, fe);
+        ASSERT_EQ(fused.size(), configs.size());
         for (size_t c = 0; c < configs.size(); ++c)
             expectSameStats(runAccuracy(trace, configs[c], fe),
-                            fused[c], configs[c].describe());
+                            fused[c], name + "/" + configs[c].describe());
     }
 }
 
@@ -343,25 +352,46 @@ timingFamilyConfigs()
 }
 
 /**
+ * Identical tagged geometry, shrinking tags: wide tags rarely alias,
+ * so the members rarely diverge from the 16-bit lead.
+ */
+std::vector<IndirectConfig>
+tagWidthConfigs()
+{
+    std::vector<IndirectConfig> configs;
+    for (unsigned tag_bits : {16u, 15u, 14u, 13u, 12u, 11u}) {
+        IndirectConfig c = taggedConfig(TaggedIndexScheme::HistoryXor, 4);
+        c.tagged.tagBits = tag_bits;
+        configs.push_back(c);
+    }
+    return configs;
+}
+
+/**
  * The fused-timing equivalence claim: one shared core trajectory plus
  * copy-on-divergence forks reproduces per-config runTiming() exactly
  * — cycles, penalty breakdown, front-end stats and dcache — for every
- * predictor family across workloads and seeds.
+ * predictor family, and for a batch that differs only in tag width,
+ * across workloads and seeds.
  */
 TEST(SweepKernel, FusedTimingMatchesPerConfig)
 {
-    const std::vector<IndirectConfig> configs = timingFamilyConfigs();
-    for (const std::string &name : {"gcc", "perl", "xlisp"}) {
-        for (uint64_t seed : {1u, 2u}) {
-            const SharedTrace trace = recordWorkload(name, 8000, seed);
-            const std::vector<CoreResult> fused =
-                runTimingSweep(trace, configs);
-            ASSERT_EQ(fused.size(), configs.size());
-            for (size_t c = 0; c < configs.size(); ++c) {
-                expectSameCoreResult(
-                    runTiming(trace, configs[c]), fused[c],
-                    name + "/seed" + std::to_string(seed) + "/" +
-                        configs[c].describe());
+    for (const std::vector<IndirectConfig> &configs :
+         {timingFamilyConfigs(), tagWidthConfigs()}) {
+        for (const char *name : {"gcc", "perl", "xlisp"}) {
+            for (uint64_t seed : {1u, 2u}) {
+                const SharedTrace trace =
+                    recordWorkload(name, 8000, seed);
+                const std::vector<CoreResult> fused =
+                    runTimingSweep(trace, configs);
+                ASSERT_EQ(fused.size(), configs.size());
+                for (size_t c = 0; c < configs.size(); ++c) {
+                    expectSameCoreResult(
+                        runTiming(trace, configs[c]), fused[c],
+                        std::string(name) + "/seed" +
+                            std::to_string(seed) + "/" +
+                            configs[c].describe());
+                }
             }
         }
     }
@@ -621,8 +651,7 @@ TEST(SweepKernel, CountersAgreeSerialVsParallel)
     const auto run = [](unsigned threads) {
         obs::globalMetrics().reset();
         globalTraceCache().clear();
-        const TableOptions opt{/*ops=*/20000, ExecMode::Parallel,
-                               threads};
+        const TableOptions opt{.ops = 20000, .threads = threads};
         (void)renderTable4(opt);
         return obs::globalMetrics().snapshot();
     };
