@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "common/bits.hh"
-#include "common/simd.hh"
 #include "core/cascaded.hh"
 
 namespace tpred
@@ -21,68 +20,32 @@ findOrAppendHistorySpec(std::vector<HistorySpec> &specs,
     return specs.size() - 1;
 }
 
-// --- TaggedBank ------------------------------------------------------
+// --- Tagged sets -----------------------------------------------------
 
-size_t
-BatchedPredictors::TaggedBank::addSlot(const TaggedConfig &config)
+WayLookup
+lookupSet(std::span<const TaggedWay> set, uint64_t tag)
 {
-    // The scalar constructor's invariants, enforced on the same
-    // geometry here.
-    assert(config.ways >= 1);
-    assert(config.entries % config.ways == 0);
-    assert(isPowerOfTwo(config.sets()));
-    assert(config.tagBits >= 1 && config.tagBits <= 32);
-
-    TaggedGeom g;
-    g.config = config;
-    g.setBits = config.sets() > 1 ? floorLog2(config.sets()) : 0;
-    g.base = valid.size();
-    valid.resize(g.base + config.entries, 0);
-    tag.resize(g.base + config.entries, 0);
-    target.resize(g.base + config.entries, 0);
-    lastUsed.resize(g.base + config.entries, 0);
-    geom.push_back(g);
-    useClock.push_back(0);
-    return geom.size() - 1;
-}
-
-size_t
-BatchedPredictors::TaggedBank::probe(size_t slot, uint64_t pc,
-                                     uint64_t history) const
-{
-    const TaggedGeom &g = geom[slot];
-    const auto [set, tg] = taggedIndexOf(g.config, g.setBits, pc, history);
-    const size_t base = g.base + set * g.config.ways;
-    const size_t w = simd::findTagMatch(valid.data() + base,
-                                        tag.data() + base,
-                                        g.config.ways, tg);
-    return w == simd::kNone ? kMiss : base + w;
+    // An invalid way's clock is 0, below every valid one, so the first
+    // minimum is the first invalid way when there is one.
+    size_t victim = 0;
+    for (size_t w = 0; w < set.size(); ++w) {
+        if (set[w].tag == tag)
+            return {w, true};
+        if (set[w].lastUsed < set[victim].lastUsed)
+            victim = w;
+    }
+    return {victim, false};
 }
 
 void
-BatchedPredictors::TaggedBank::update(size_t slot, uint64_t pc,
-                                      uint64_t history, uint64_t tgt)
+BatchedPredictors::TaggedBank::lookup(size_t j, uint64_t set,
+                                      uint64_t tag)
 {
-    const TaggedGeom &g = geom[slot];
-    const auto [set, tg] = taggedIndexOf(g.config, g.setBits, pc, history);
-    const size_t base = g.base + set * g.config.ways;
-    const size_t w = simd::findTagMatch(valid.data() + base,
-                                        tag.data() + base,
-                                        g.config.ways, tg);
-    size_t e;
-    if (w != simd::kNone) {
-        e = base + w;
-    } else {
-        // Invalid way first, else true-LRU victim — the scalar
-        // update()'s allocation scan, order preserved by findVictim.
-        e = base + simd::findVictim(valid.data() + base,
-                                    lastUsed.data() + base,
-                                    g.config.ways);
-        valid[e] = 1;
-        tag[e] = tg;
-    }
-    target[e] = tgt;
-    lastUsed[e] = ++useClock[slot];
+    const size_t first = base[j] + set * ways[j];
+    const WayLookup found =
+        lookupSet(std::span(way).subspan(first, ways[j]), tag);
+    entry[j] = first + found.way;
+    hit[j] = found.hit;
 }
 
 // --- BatchedPredictors -----------------------------------------------
@@ -90,11 +53,21 @@ BatchedPredictors::TaggedBank::update(size_t slot, uint64_t pc,
 BatchedPredictors::BatchedPredictors(
     std::span<const IndirectConfig> configs)
     : members_(configs.size()),
-      hist_(configs.size(), 0),
       predicted_(configs.size(), 0),
-      taglessIdx_(configs.size(), 0),
       indirect_(configs.size())
 {
+    // Size both way banks once, so the batch holds no growth slack.
+    size_t tagged_ways = 0;
+    size_t stage2_ways = 0;
+    for (const IndirectConfig &c : configs) {
+        if (c.structure == IndirectStructure::Tagged)
+            tagged_ways += c.tagged.entries;
+        else if (c.structure == IndirectStructure::Cascaded)
+            stage2_ways += c.cascaded.stage2.entries;
+    }
+    tagged_.way.reserve(tagged_ways);
+    cascaded_.way.reserve(stage2_ways);
+
     for (size_t i = 0; i < configs.size(); ++i) {
         const IndirectConfig &c = configs[i];
         if (c.structure == IndirectStructure::None) {
@@ -121,25 +94,21 @@ BatchedPredictors::BatchedPredictors(
             taglessHot_.tracker.push_back(t);
             taglessHot_.base.push_back(taglessTargets_.size());
             taglessHot_.config.push_back(c.tagless);
+            taglessHot_.index.push_back(0);
             taglessTargets_.resize(
                 taglessTargets_.size() + c.tagless.entries(), 0);
             break;
           }
           case IndirectStructure::Tagged:
-            taggedHot_.member.push_back(i);
-            taggedHot_.tracker.push_back(t);
-            taggedHot_.slot.push_back(tagged_.addSlot(c.tagged));
+            addTaggedSlot(tagged_, i, t, c.tagged);
             break;
           case IndirectStructure::Cascaded: {
             assert(isPowerOfTwo(c.cascaded.stage1Entries));
             const size_t s1_base = s1Valid_.size();
             const size_t s1_entries = c.cascaded.stage1Entries;
-            cascadedHot_.member.push_back(i);
-            cascadedHot_.tracker.push_back(t);
-            cascadedHot_.stage1Bits.push_back(floorLog2(s1_entries));
-            cascadedHot_.stage1Base.push_back(s1_base);
-            cascadedHot_.slot.push_back(
-                cascadedStage2_.addSlot(c.cascaded.stage2));
+            addTaggedSlot(cascaded_, i, t, c.cascaded.stage2);
+            s1Bits_.push_back(floorLog2(s1_entries));
+            s1Base_.push_back(s1_base);
             s1Valid_.resize(s1_base + s1_entries, 0);
             s1Tag_.resize(s1_base + s1_entries, 0);
             s1Target_.resize(s1_base + s1_entries, 0);
@@ -147,13 +116,53 @@ BatchedPredictors::BatchedPredictors(
           }
           case IndirectStructure::Ittage:
           case IndirectStructure::Oracle:
-            scalar_.push_back({i, t, buildStack(c).predictor});
+            scalar_.push_back({i, t, 0, buildStack(c).predictor});
             break;
           case IndirectStructure::None:
             break;  // handled above
         }
     }
     trackerVal_.assign(trackers_.size(), 0);
+    keySet_.assign(keys_.size(), 0);
+    keyTag_.assign(keys_.size(), 0);
+}
+
+void
+BatchedPredictors::addTaggedSlot(TaggedBank &bank, size_t m,
+                                 size_t tracker,
+                                 const TaggedConfig &config)
+{
+    // The scalar constructor's invariants, enforced on the same
+    // geometry here.
+    assert(config.ways >= 1);
+    assert(config.entries % config.ways == 0);
+    assert(isPowerOfTwo(config.sets()));
+    assert(config.tagBits >= 1 && config.tagBits <= 32);
+
+    IndexKey key;
+    key.tracker = tracker;
+    key.setBits = config.sets() > 1 ? floorLog2(config.sets()) : 0;
+    key.config = config;
+    size_t k = 0;
+    while (k < keys_.size() && !keys_[k].sharesDerivation(key))
+        ++k;
+    if (k == keys_.size())
+        keys_.push_back(key);
+
+    bank.member.push_back(m);
+    bank.key.push_back(k);
+    bank.base.push_back(bank.way.size());
+    bank.ways.push_back(config.ways);
+    bank.useClock.push_back(0);
+    bank.entry.push_back(0);
+    bank.hit.push_back(0);
+    bank.way.resize(bank.way.size() + config.entries);
+}
+
+size_t
+BatchedPredictors::stage1Entry(size_t j) const
+{
+    return s1Base_[j] + cascadedStage1IndexOf(s1Bits_[j], pc_);
 }
 
 void
@@ -169,68 +178,63 @@ BatchedPredictors::predictAll(const MicroOp &op, bool btb_hit,
     for (size_t t = 0; t < trackers_.size(); ++t)
         trackerVal_[t] = trackers_[t]->valueFor(pc_);
 
+    // One (set, tag) derivation per distinct index key.
+    for (size_t k = 0; k < keys_.size(); ++k) {
+        const IndexKey &key = keys_[k];
+        const auto [set, tag] =
+            taggedIndexOf(key.config, key.setBits, pc_,
+                          trackerVal_[key.tracker]);
+        keySet_[k] = set;
+        keyTag_[k] = tag;
+    }
+
     for (size_t j = 0; j < taglessHot_.size(); ++j) {
-        const size_t m = taglessHot_.member[j];
         const uint64_t h = trackerVal_[taglessHot_.tracker[j]];
-        hist_[m] = h;
         // The index is cached for update time regardless of the BTB
         // probe: the scalar path captures the history either way.
         const size_t idx =
             taglessHot_.base[j] +
             taglessIndexOf(taglessHot_.config[j], pc_, h);
-        taglessIdx_[m] = idx;
+        taglessHot_.index[j] = idx;
         // A tagless cache always produces a prediction on probe.
-        predicted_[m] = btb_hit ? taglessTargets_[idx] : fall;
+        predicted_[taglessHot_.member[j]] =
+            btb_hit ? taglessTargets_[idx] : fall;
     }
 
-    for (size_t j = 0; j < taggedHot_.size(); ++j) {
-        const size_t m = taggedHot_.member[j];
-        const uint64_t h = trackerVal_[taggedHot_.tracker[j]];
-        hist_[m] = h;
+    for (size_t j = 0; j < tagged_.size(); ++j) {
+        const size_t k = tagged_.key[j];
+        tagged_.lookup(j, keySet_[k], keyTag_[k]);
         uint64_t p = fall;
         if (btb_hit) {
-            const size_t slot = taggedHot_.slot[j];
-            const size_t e = tagged_.probe(slot, pc_, h);
-            p = btb_target;
-            if (e != kMiss) {
-                tagged_.touch(slot, e);
-                p = tagged_.target[e];
-            }
+            p = tagged_.hit[j] ? tagged_.way[tagged_.entry[j]].target
+                               : btb_target;
         }
-        predicted_[m] = p;
+        predicted_[tagged_.member[j]] = p;
     }
 
-    for (size_t j = 0; j < cascadedHot_.size(); ++j) {
-        const size_t m = cascadedHot_.member[j];
-        const uint64_t h = trackerVal_[cascadedHot_.tracker[j]];
-        hist_[m] = h;
+    for (size_t j = 0; j < cascaded_.size(); ++j) {
+        const size_t k = cascaded_.key[j];
+        cascaded_.lookup(j, keySet_[k], keyTag_[k]);
         uint64_t p = fall;
         if (btb_hit) {
-            const size_t slot = cascadedHot_.slot[j];
-            const size_t e = cascadedStage2_.probe(slot, pc_, h);
-            if (e != kMiss) {
-                cascadedStage2_.touch(slot, e);
-                p = cascadedStage2_.target[e];
+            if (cascaded_.hit[j]) {
+                p = cascaded_.way[cascaded_.entry[j]].target;
             } else {
-                const size_t s1 =
-                    cascadedHot_.stage1Base[j] +
-                    cascadedStage1IndexOf(cascadedHot_.stage1Bits[j],
-                                          pc_);
+                const size_t s1 = stage1Entry(j);
                 p = (s1Valid_[s1] && s1Tag_[s1] == (pc_ >> 2))
                         ? s1Target_[s1]
                         : btb_target;
             }
         }
-        predicted_[m] = p;
+        predicted_[cascaded_.member[j]] = p;
     }
 
     for (ScalarMember &g : scalar_) {
-        const uint64_t h = trackerVal_[g.tracker];
-        hist_[g.member] = h;
+        g.history = trackerVal_[g.tracker];
         uint64_t p = fall;
         if (btb_hit) {
             g.predictor->prime(op);
-            p = g.predictor->predict(pc_, h).value_or(btb_target);
+            p = g.predictor->predict(pc_, g.history).value_or(btb_target);
         }
         predicted_[g.member] = p;
     }
@@ -250,36 +254,29 @@ void
 BatchedPredictors::updateAll(uint64_t next_pc)
 {
     for (size_t j = 0; j < taglessHot_.size(); ++j)
-        taglessTargets_[taglessIdx_[taglessHot_.member[j]]] = next_pc;
+        taglessTargets_[taglessHot_.index[j]] = next_pc;
 
-    for (size_t j = 0; j < taggedHot_.size(); ++j) {
-        tagged_.update(taggedHot_.slot[j], pc_,
-                       hist_[taggedHot_.member[j]], next_pc);
-    }
+    // A hit fills its own way, a miss the victim; either way the
+    // scalar update() writes tag, target and a fresh clock.
+    for (size_t j = 0; j < tagged_.size(); ++j)
+        tagged_.fill(j, keyTag_[tagged_.key[j]], next_pc);
 
-    for (size_t j = 0; j < cascadedHot_.size(); ++j) {
-        const size_t m = cascadedHot_.member[j];
-        const size_t slot = cascadedHot_.slot[j];
-        const size_t s1 =
-            cascadedHot_.stage1Base[j] +
-            cascadedStage1IndexOf(cascadedHot_.stage1Bits[j], pc_);
-        const bool s1_hit = s1Valid_[s1] && s1Tag_[s1] == (pc_ >> 2);
-        const bool s1_correct = s1_hit && s1Target_[s1] == next_pc;
-        // The scalar update()'s presence probe goes through
-        // stage2.predict(), which refreshes LRU on a hit — replicated
-        // exactly, clock bump and all.
-        const size_t e = cascadedStage2_.probe(slot, pc_, hist_[m]);
-        if (e != kMiss)
-            cascadedStage2_.touch(slot, e);
-        if (e != kMiss || !s1_correct)
-            cascadedStage2_.update(slot, pc_, hist_[m], next_pc);
+    for (size_t j = 0; j < cascaded_.size(); ++j) {
+        const size_t s1 = stage1Entry(j);
+        const bool s1_correct = s1Valid_[s1] &&
+                                s1Tag_[s1] == (pc_ >> 2) &&
+                                s1Target_[s1] == next_pc;
+        // Stage 2 trains a present entry, and allocates only when
+        // stage 1 could not cover the jump.
+        if (cascaded_.hit[j] || !s1_correct)
+            cascaded_.fill(j, keyTag_[cascaded_.key[j]], next_pc);
         s1Valid_[s1] = 1;
         s1Tag_[s1] = pc_ >> 2;
         s1Target_[s1] = next_pc;
     }
 
     for (ScalarMember &g : scalar_)
-        g.predictor->update(pc_, hist_[g.member], next_pc);
+        g.predictor->update(pc_, g.history, next_pc);
 }
 
 void

@@ -2,17 +2,17 @@
  * @file
  * SoA-batched indirect-predictor state for the fused sweep kernels.
  *
- * PR 5's runSweep() shares one architectural front end per batch but
- * still routes every member's predict()/update() through a virtual
- * call on a unique_ptr<IndirectPredictor> — one dispatch per member
- * per indirect branch, each landing in a separately heap-allocated
- * table.  BatchedPredictors restructures that state as
- * structure-of-arrays, grouped by predictor family:
+ * Both sweep kernels (harness/sweep_kernel.cc) evaluate a batch of
+ * IndirectConfigs in one pass over a trace.  BatchedPredictors holds
+ * the batch's predictor state as structure-of-arrays, grouped by
+ * predictor family, instead of one heap-allocated IndirectPredictor
+ * per member behind a virtual call:
  *
  *  - **tagless** members share one contiguous target column,
  *    `[member][entry]`;
- *  - **tagged** members share one bank of parallel
- *    valid/tag/target/lastUsed columns, `[member][set][way]`;
+ *  - **tagged** members share one bank of ways, `[member][set][way]`,
+ *    each way one `{tag, lastUsed, target}` record, so a set's ways
+ *    sit together;
  *  - **cascaded** members share stage-1 valid/tag/target columns plus
  *    a second tagged bank for their stage-2 caches;
  *  - **ITTAGE and oracle** members stay scalar behind the same
@@ -20,30 +20,50 @@
  *    place exactly as in a per-config front end);
  *  - **BTB-only** members carry no table at all.
  *
- * Lookups and updates then run as tight, devirtualized loops over the
- * family groups, sharing one history computation per distinct
- * HistorySpec per branch.  The per-branch loops walk dense *hot
- * columns* — parallel arrays holding exactly the fields the loop
- * reads (member, tracker, table base, geometry) — and the tagged
- * banks' way scans (tag compare, LRU victim) go through the
- * order-exact loops in common/simd.hh.  The index math is the *same
- * code* the scalar predictors run — taglessIndexOf / taggedIndexOf /
- * cascadedStage1IndexOf are free functions over the geometry — so the
- * two paths cannot drift apart.
+ * Per indirect branch the batch shares what its members allow:
+ *
+ *  - one history computation per distinct HistorySpec;
+ *  - one (set, tag) derivation per distinct *index key* — tracker,
+ *    scheme, set bits, tag bits and history bits — for every tagged
+ *    member and cascaded stage-2 cache with that key, whatever its
+ *    entry count and associativity (caches of equal set count share
+ *    a key);
+ *  - one set lookup per tagged member and per cascaded stage-2 cache,
+ *    made by predictAll() on every indirect branch (the lookup has no
+ *    side effects) and cached: the matching way, else the way a fill
+ *    would take.  updateAll() fills from the cached lookup; nothing
+ *    changes a bank between the two calls.
+ *
+ * The scalar caches also refresh a hit way's LRU clock when they
+ * predict (and the cascaded update()'s presence probe does it again),
+ * but update() stamps the same way with a newer clock right after,
+ * and a set's clocks are only ever compared with each other.  So the
+ * batch leaves those refreshes to the fill: its clocks count fewer
+ * ticks, in the same order, and every lookup lands where the scalar
+ * one does.
+ *
+ * A way whose lastUsed clock is 0 is invalid: a valid way's clock is
+ * always at least 1, and an invalid way's tag (kNoTag) equals no real
+ * tag, which is at most 32 bits wide.  The scalar cache's allocation
+ * order — the first invalid way, else the first least recently used —
+ * is then simply the first minimum clock, and one plain loop over a
+ * set finds the match and the victim together.
+ *
+ * The index math is the *same code* the scalar predictors run —
+ * taglessIndexOf / taggedIndexOf / cascadedStage1IndexOf are free
+ * functions over the geometry — so the two paths cannot drift apart.
  *
  * The per-branch protocol is the scalar front end's, member-wise:
  *
- *   predictAll()      — fetch-time histories, predictions, and the
- *                       probe-time side effects (tagged LRU refresh,
- *                       cascaded stage-2 refresh, scalar prime());
+ *   predictAll()      — fetch-time histories, set lookups,
+ *                       predictions, and the scalar members' prime();
  *   recordOutcomes()  — predicted-vs-resolved per member;
- *   updateAll()       — resolution-time training with the cached
- *                       fetch-time histories;
+ *   updateAll()       — resolution-time training from the cached
+ *                       lookups and fetch-time histories;
  *   observeTrackers() — history advance, once per branch.
  *
- * Both sweep kernels drive one BatchedPredictors through the same
- * pass (harness/sweep_kernel.cc); timing sweeps read each member's
- * prediction() there to record an outcome tape.
+ * Timing sweeps read each member's prediction() in the same pass to
+ * record an outcome tape.
  */
 
 #ifndef TPRED_HARNESS_BATCHED_PREDICTORS_HH
@@ -71,6 +91,34 @@ namespace tpred
 size_t findOrAppendHistorySpec(std::vector<HistorySpec> &specs,
                                const HistorySpec &spec);
 
+/** Tag of an invalid TaggedWay; a real tag is at most 32 bits wide. */
+inline constexpr uint64_t kNoTag = UINT64_MAX;
+
+/**
+ * One way of a set in the batched tagged banks.  lastUsed == 0 marks
+ * the way invalid: a valid way's clock is always at least 1.
+ */
+struct TaggedWay
+{
+    uint64_t tag = kNoTag;
+    uint64_t lastUsed = 0;
+    uint64_t target = 0;
+};
+
+/** Where a lookup in one set lands. */
+struct WayLookup
+{
+    size_t way = 0;  ///< the matching way, else the fill victim
+    bool hit = false;
+};
+
+/**
+ * Looks @p tag up in the ways of one set: the first way holding it
+ * (a hit), else the first way with the minimum clock — the scalar
+ * cache's allocation order, first invalid way, else true LRU.
+ */
+WayLookup lookupSet(std::span<const TaggedWay> set, uint64_t tag);
+
 /**
  * One batch of indirect predictors in SoA layout.
  *
@@ -94,11 +142,12 @@ class BatchedPredictors
 
     /**
      * Computes every member's fetch-time history and predicted target
-     * for indirect branch @p op, applying the probe-time side effects
-     * the scalar predict() makes.  @p btb_hit / @p btb_target describe
+     * for indirect branch @p op.  @p btb_hit / @p btb_target describe
      * the shared front end's BTB probe; as in the per-config path,
-     * predictors are consulted only on a BTB hit, but histories are
-     * captured regardless because they index the update.
+     * predictors are consulted only on a BTB hit, but histories and
+     * set lookups are captured regardless because they drive the
+     * update.  updateAll() must follow for the same branch: it also
+     * makes the tagged caches' hit-time LRU refresh.
      */
     void predictAll(const MicroOp &op, bool btb_hit, uint64_t btb_target);
 
@@ -110,7 +159,8 @@ class BatchedPredictors
 
     /**
      * Training phase: update(pc, history, target) for every member,
-     * with the fetch-time histories cached by predictAll().
+     * from the lookups and fetch-time histories predictAll() cached
+     * for the same branch.
      */
     void updateAll(uint64_t next_pc);
 
@@ -124,46 +174,70 @@ class BatchedPredictors
     }
 
   private:
-    static constexpr size_t kMiss = SIZE_MAX;
-
-    /** One member's geometry within a TaggedBank. */
-    struct TaggedGeom
+    /**
+     * The inputs of one taggedIndexOf() call besides the pc: the
+     * history tracker, the set bits, and the geometry fields the
+     * derivation reads (scheme, tag bits, history bits).  Caches with
+     * equal keys share one derivation per branch.
+     */
+    struct IndexKey
     {
-        TaggedConfig config{};
+        size_t tracker = 0;
         unsigned setBits = 0;
-        size_t base = 0;  ///< first entry in the bank columns
+        TaggedConfig config{};  ///< entries and ways are not read
+
+        bool
+        sharesDerivation(const IndexKey &o) const
+        {
+            return tracker == o.tracker && setBits == o.setBits &&
+                   config.scheme == o.config.scheme &&
+                   config.tagBits == o.config.tagBits &&
+                   config.historyBits == o.config.historyBits;
+        }
     };
 
     /**
-     * A bank of tagged target caches in SoA layout — parallel
-     * valid/tag/target/lastUsed columns over all slots, per-slot LRU
-     * clocks.  Used for the tagged family and again for the cascaded
-     * members' stage-2 caches.
+     * A bank of set-associative, true-LRU tagged caches: slot j per
+     * member, its ways one contiguous `[set][way]` run.  Used for the
+     * tagged family and again for the cascaded stage-2 caches.  The
+     * per-slot columns hold exactly what the per-branch loops read,
+     * walked stride-1 by slot.
      */
     struct TaggedBank
     {
-        std::vector<TaggedGeom> geom;
+        std::vector<size_t> member;
+        std::vector<size_t> key;        ///< index into keys_
+        std::vector<size_t> base;       ///< first way of the slot
+        std::vector<unsigned> ways;
         std::vector<uint64_t> useClock;
-        std::vector<uint8_t> valid;
-        std::vector<uint64_t> tag;
-        std::vector<uint64_t> target;
-        std::vector<uint64_t> lastUsed;
+        // The current branch's lookup, per slot (lookup()).
+        std::vector<size_t> entry;      ///< matching way, else victim
+        std::vector<uint8_t> hit;
 
-        size_t addSlot(const TaggedConfig &config);
-        /** Entry index of a tag hit, or kMiss; no side effects. */
-        size_t probe(size_t slot, uint64_t pc, uint64_t history) const;
-        /** The scalar predict()'s hit-time LRU refresh. */
-        void touch(size_t slot, size_t entry)
+        std::vector<TaggedWay> way;
+
+        size_t size() const { return member.size(); }
+
+        /** lookupSet() on slot @p j's set @p set, kept per slot. */
+        void lookup(size_t j, uint64_t set, uint64_t tag);
+
+        /** The scalar update(), into the looked-up way. */
+        void
+        fill(size_t j, uint64_t tag, uint64_t target)
         {
-            lastUsed[entry] = ++useClock[slot];
+            TaggedWay &w = way[entry[j]];
+            w.tag = tag;
+            w.target = target;
+            w.lastUsed = ++useClock[j];
         }
-        void update(size_t slot, uint64_t pc, uint64_t history,
-                    uint64_t tgt);
     };
 
-    // Dense per-family hot columns: the fields the per-branch loops
-    // touch, as parallel arrays walked by plain index — stride-1
-    // loads instead of per-member struct chasing.
+    /** Adds member @p m's cache @p config, over @p tracker, to @p bank. */
+    void addTaggedSlot(TaggedBank &bank, size_t m, size_t tracker,
+                       const TaggedConfig &config);
+
+    /** Cascaded slot @p j's stage-1 entry for the current pc. */
+    size_t stage1Entry(size_t j) const;
 
     struct TaglessHot
     {
@@ -171,26 +245,7 @@ class BatchedPredictors
         std::vector<size_t> tracker;
         std::vector<size_t> base;  ///< first entry in the shared columns
         std::vector<TaglessConfig> config;
-
-        size_t size() const { return member.size(); }
-    };
-
-    struct TaggedHot
-    {
-        std::vector<size_t> member;
-        std::vector<size_t> tracker;
-        std::vector<size_t> slot;
-
-        size_t size() const { return member.size(); }
-    };
-
-    struct CascadedHot
-    {
-        std::vector<size_t> member;
-        std::vector<size_t> tracker;
-        std::vector<unsigned> stage1Bits;
-        std::vector<size_t> stage1Base;
-        std::vector<size_t> slot;  ///< stage-2 slot in cascadedStage2_
+        std::vector<size_t> index; ///< current branch's entry
 
         size_t size() const { return member.size(); }
     };
@@ -199,6 +254,7 @@ class BatchedPredictors
     {
         size_t member = 0;
         size_t tracker = 0;
+        uint64_t history = 0;  ///< current branch's fetch-time history
         std::unique_ptr<IndirectPredictor> predictor;
     };
 
@@ -209,27 +265,30 @@ class BatchedPredictors
     std::vector<std::unique_ptr<HistoryTracker>> trackers_;
     std::vector<uint64_t> trackerVal_;  ///< per-branch scratch
 
+    // Deduplicated (set, tag) derivations, with per-branch results.
+    std::vector<IndexKey> keys_;
+    std::vector<uint64_t> keySet_;
+    std::vector<uint64_t> keyTag_;
+
     // Family groups.
     TaglessHot taglessHot_;
     std::vector<uint64_t> taglessTargets_;
 
     TaggedBank tagged_;
-    TaggedHot taggedHot_;
 
-    CascadedHot cascadedHot_;
+    TaggedBank cascaded_;  ///< stage 2; stage-1 columns by slot below
+    std::vector<unsigned> s1Bits_;
+    std::vector<size_t> s1Base_;
     std::vector<uint8_t> s1Valid_;
     std::vector<uint64_t> s1Tag_;
     std::vector<uint64_t> s1Target_;
-    TaggedBank cascadedStage2_;
 
     std::vector<ScalarMember> scalar_;
 
     std::vector<size_t> none_;  ///< BTB-only member indices
 
-    // Per-branch scratch, indexed by member.
-    std::vector<uint64_t> hist_;
-    std::vector<uint64_t> predicted_;
-    std::vector<uint64_t> taglessIdx_;
+    // The current branch.
+    std::vector<uint64_t> predicted_;  ///< by member
     uint64_t pc_ = 0;
 
     std::vector<RatioStat> indirect_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -27,7 +28,32 @@ validated(const CoreParams &params)
     return params;
 }
 
+/** True for a register the writer map can index, or kNoReg. */
+bool
+trackable(RegIndex reg)
+{
+    return static_cast<unsigned>(reg + 1) <= kNumArchRegs;
+}
+
+std::string
+registerRangeMessage(uint64_t op_index, const MicroOp &op)
+{
+    const RegIndex regs[] = {op.dstReg, op.srcRegs[0], op.srcRegs[1]};
+    const RegIndex bad = *std::find_if_not(std::begin(regs),
+                                           std::end(regs), trackable);
+    return "op " + std::to_string(op_index) + " names register " +
+           std::to_string(bad) + ", outside the core's [0, " +
+           std::to_string(kNumArchRegs) + ")";
+}
+
 } // namespace
+
+RegisterRangeError::RegisterRangeError(uint64_t op_index,
+                                       const MicroOp &op)
+    : std::out_of_range(registerRangeMessage(op_index, op)),
+      opIndex_(op_index)
+{
+}
 
 uint64_t
 longestOperandWait(const CoreParams &params)
@@ -65,6 +91,9 @@ CoreModel::CoreModel(const CoreParams &params)
 void
 CoreModel::dispatch(const MicroOp &op, bool mispredicted)
 {
+    if (!trackable(op.dstReg) || !trackable(op.srcRegs[0]) ||
+        !trackable(op.srcRegs[1])) [[unlikely]]
+        throw RegisterRangeError(totalFetched_ - 1, op);
     const uint64_t seq = nextSeq_++;
     const auto slot = static_cast<uint32_t>(seq & mask_);
     InFlight &entry = ring_[slot];

@@ -47,6 +47,7 @@
 
 #include <array>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/frontend_predictor.hh"
@@ -88,6 +89,25 @@ uint64_t longestOperandWait(const CoreParams &params);
 
 /** The longest operand wait a CoreModel accepts, in cycles. */
 inline constexpr uint64_t kMaxOperandWait = 65535;
+
+/**
+ * A fetched op names a register the core cannot track: neither kNoReg
+ * nor in [0, kNumArchRegs).  Trace containers carry any i16 register,
+ * so a well-formed trace file can hold one; the core rejects it at
+ * dispatch, naming the first such op, instead of indexing its writer
+ * map out of bounds.  Every timing entry point reports it this way.
+ */
+class RegisterRangeError : public std::out_of_range
+{
+  public:
+    RegisterRangeError(uint64_t op_index, const MicroOp &op);
+
+    /** Trace position of the offending op. */
+    uint64_t opIndex() const { return opIndex_; }
+
+  private:
+    uint64_t opIndex_;
+};
 
 /** Result of one timing run. */
 struct CoreResult
@@ -176,6 +196,8 @@ class CoreModel
      * @p Source needs only `bool next(MicroOp&)`, and @p Outcomes only
      * `PredictionOutcome onInstruction(const MicroOp &)`, called once
      * per fetched op in trace order.
+     * @throws RegisterRangeError at the first fetched op whose
+     *         registers the core cannot track.
      */
     template <typename Source, typename Outcomes>
     bool

@@ -8,16 +8,22 @@
  * include 7 over 7 segments (uneven region/segment alignment) and 1
  * (degenerate).  Also covers the streaming primitives the sharding
  * rides on: SegmentedReplay vs resident decode, extractBranchStream
- * vs BranchStream::extract, and the fused sweep on segments.
+ * vs BranchStream::extract, and the fused sweep on segments.  Last,
+ * every timing entry (and tpredsim) on a trace whose registers the
+ * core cannot track.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "corpus/corpus.hh"
@@ -26,6 +32,8 @@
 #include "harness/shard_replay.hh"
 #include "harness/sweep_kernel.hh"
 #include "obs/metrics.hh"
+#include "test_util.hh"
+#include "trace/trace_io.hh"
 #include "workloads/workload.hh"
 
 namespace fs = std::filesystem;
@@ -278,6 +286,87 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name;
     });
+
+/**
+ * A hand-built trace whose registers lie outside the core's
+ * [0, kNumArchRegs): legal in every container, which carries any i16
+ * register.  Op 700 reads register 150 (a plain register byte), op
+ * 1200 writes 200 and op 1500 reads -7 (an escape).
+ */
+std::vector<MicroOp>
+outOfRangeRegisterOps()
+{
+    std::vector<MicroOp> ops = test::randomTrace(7, 2000);
+    ops[700].srcRegs[0] = 150;
+    ops[1200].dstReg = 200;
+    ops[1500].srcRegs[1] = -7;
+    return ops;
+}
+
+/** Runs @p entry, which must throw RegisterRangeError at op 700. */
+template <typename Entry>
+void
+expectRejectedAtOp700(Entry &&entry, const std::string &context)
+{
+    try {
+        entry();
+        ADD_FAILURE() << context << ": accepted the trace";
+    } catch (const RegisterRangeError &e) {
+        EXPECT_EQ(e.opIndex(), 700u) << context;
+        EXPECT_NE(std::string(e.what()).find("op 700 names register 150"),
+                  std::string::npos)
+            << context << ": " << e.what();
+    }
+}
+
+TEST(RegisterRange, EveryTimingEntryNamesTheFirstBadOp)
+{
+    const std::vector<MicroOp> ops = outOfRangeRegisterOps();
+    const SharedTrace trace(ops, "bad-registers");
+    const IndirectConfig tagged =
+        taggedConfig(TaggedIndexScheme::HistoryXor, 4);
+    const std::vector<IndirectConfig> batch = {tagged, baselineConfig(),
+                                               taglessGshare()};
+
+    expectRejectedAtOp700([&] { runTiming(trace, tagged); }, "runTiming");
+    expectRejectedAtOp700([&] { runTimingSweep(trace, batch); },
+                          "runTimingSweep");
+
+    // Segments of 600 ops: the first bad op lies in the second window.
+    const TempDir dir("registers");
+    CorpusManager corpus(dir.path);
+    const CorpusKey key{"bad-registers", 1, ops.size()};
+    VectorTraceSource source(ops, "bad-registers");
+    corpus.storeSegmentedFromSource(key, source, source.name(), 600);
+    const auto seg = corpus.loadSegmented(key, 600);
+    ASSERT_NE(seg, nullptr);
+    expectRejectedAtOp700([&] { runTimingStreaming(seg, tagged); },
+                          "runTimingStreaming");
+    expectRejectedAtOp700(
+        [&] { runTimingSharded(seg, tagged, {.shards = 2}); },
+        "runTimingSharded");
+}
+
+TEST(RegisterRange, TpredsimTimingExitsNonZero)
+{
+    const TempDir dir("registers_cli");
+    const SharedTrace trace(outOfRangeRegisterOps(), "bad-registers");
+    const std::string path = dir.path + "/bad.tpr";
+    const std::string log = dir.path + "/stderr.txt";
+    saveTraceFile(path, trace.compact(), trace.name());
+
+    const std::string cmd = std::string(TPRED_TPREDSIM) +
+                            " --load-trace " + path +
+                            " --timing > /dev/null 2> " + log;
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_NE(WEXITSTATUS(status), 0) << cmd;
+    std::ifstream in(log);
+    const std::string err((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    EXPECT_NE(err.find("op 700 names register 150"), std::string::npos)
+        << err;
+}
 
 } // namespace
 } // namespace tpred

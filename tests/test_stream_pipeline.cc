@@ -2,10 +2,10 @@
  * @file
  * Branch-stream pipeline tests: the TPBS container codec
  * (round-trips, determinism, edge-case traces), the TraceCache
- * stream tier and its counters, the way-scan kernels' contract, the
- * hardware-vs-software CRC32C proof, and corpus ls/gc behaviour for
- * derived stream containers.  Stream-container corruption is covered
- * with the other kinds by ContainerCorruption in test_corpus.cc.
+ * stream tier and its counters, the hardware-vs-software CRC32C
+ * proof, and corpus ls/gc behaviour for derived stream containers.
+ * Stream-container corruption is covered with the other kinds by
+ * ContainerCorruption in test_corpus.cc.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include <unistd.h>
 
 #include "common/crc32c.hh"
-#include "common/simd.hh"
 #include "corpus/corpus.hh"
 #include "harness/paper_tables.hh"
 #include "harness/shard_replay.hh"
@@ -332,50 +331,6 @@ TEST(StreamTier, WarmTraceLoadAdoptsStoredStream)
                         "stream_corpus.hits"), 1u);
     const BranchStream &adopted = trace.compact().branchStream();
     EXPECT_TRUE(adopted == BranchStream::extract(trace.compact()));
-}
-
-// ---------------------------------------------------------------
-// Way-scan kernels
-// ---------------------------------------------------------------
-
-TEST(SimdKernels, MatchAndVictimAgreeWithScalar)
-{
-    std::mt19937_64 rng(0xbead5);
-    for (size_t trial = 0; trial < 20000; ++trial) {
-        const size_t ways = 1 + rng() % 12;
-        std::vector<uint8_t> valid(ways);
-        std::vector<uint64_t> tags(ways);
-        std::vector<uint64_t> last_used(ways);
-        for (size_t w = 0; w < ways; ++w) {
-            valid[w] = rng() % 2;
-            tags[w] = rng() % 4;       // small range forces duplicates
-            last_used[w] = rng() % 8;  // small range forces ties
-        }
-        const uint64_t probe = rng() % 4;
-
-        // The contract, brute-forced: first valid match; first
-        // invalid way, else the first minimum on ties.
-        size_t want_match = simd::kNone;
-        for (size_t w = 0; w < ways && want_match == simd::kNone; ++w)
-            if (valid[w] && tags[w] == probe)
-                want_match = w;
-        size_t want_victim = ways;
-        for (size_t w = 0; w < ways && want_victim == ways; ++w)
-            if (!valid[w])
-                want_victim = w;
-        if (want_victim == ways) {
-            want_victim = 0;
-            for (size_t w = 1; w < ways; ++w)
-                if (last_used[w] < last_used[want_victim])
-                    want_victim = w;
-        }
-        EXPECT_EQ(simd::findTagMatch(valid.data(), tags.data(), ways,
-                                     probe),
-                  want_match);
-        EXPECT_EQ(simd::findVictim(valid.data(), last_used.data(),
-                                   ways),
-                  want_victim);
-    }
 }
 
 // ---------------------------------------------------------------

@@ -2,21 +2,26 @@
  * @file
  * Fused sweep-kernel tests: runSweep() must return FrontendStats
  * bit-identical to per-config runAccuracy() — across every Table 4-9
- * configuration on all workloads and seeds, under non-default front
- * ends, and on hostile traces that force forEachBranch's block-decode
- * fallback — plus HistorySpec grouping, BranchStream caching, and
+ * configuration on all workloads and seeds, over the tuner's whole
+ * standard space, under non-default front ends, and on hostile traces
+ * that force forEachBranch's block-decode fallback — plus a
+ * high-conflict fuzz of the batched tagged banks against the scalar
+ * caches, HistorySpec grouping, BranchStream caching, and
  * serial-vs-parallel determinism of the sweep.* counters.
  */
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <vector>
 
+#include "harness/batched_predictors.hh"
 #include "harness/paper_tables.hh"
 #include "harness/sweep_kernel.hh"
 #include "harness/trace_cache.hh"
 #include "obs/metrics.hh"
+#include "tune/config_space.hh"
 #include "workloads/workload.hh"
 
 namespace tpred
@@ -260,6 +265,34 @@ TEST(SweepKernel, FusedMatchesSequentialOnAllTableConfigs)
 }
 
 /**
+ * The autotuner's whole standard space as one batch, histories mixed.
+ * Its tagged caches share index keys across (entries, ways) pairs of
+ * equal set count, which no paper table does, so this is where shared
+ * (set, tag) derivations meet the per-config path.
+ */
+TEST(SweepKernel, FusedMatchesSequentialOnTheStandardSpace)
+{
+    const tune::ConfigSpace space = tune::enumerateSpace("standard");
+    ASSERT_EQ(space.truncated(), 0u);
+    std::vector<IndirectConfig> configs;
+    for (const tune::TuneCandidate &c : space.candidates) {
+        ASSERT_TRUE(c.frontendKey.empty()) << c.id;
+        configs.push_back(c.config);
+    }
+    for (const char *name : {"gcc", "perl"}) {
+        const SharedTrace trace = recordWorkload(name, 4000);
+        const std::vector<FrontendStats> fused = runSweep(trace, configs);
+        ASSERT_EQ(fused.size(), configs.size());
+        EXPECT_GT(fused[0].indirectJumps.total(), 0u) << name;
+        for (size_t c = 0; c < configs.size(); ++c) {
+            expectSameStats(runAccuracy(trace, configs[c]), fused[c],
+                            std::string(name) + "/" +
+                                space.candidates[c].id);
+        }
+    }
+}
+
+/**
  * Non-default front ends must fuse just as exactly: the 2-bit and
  * tournament direction schemes on perl, and the BTB-pressure grid's
  * small and two-level hierarchies on the BTB-hungry server trace.
@@ -484,6 +517,137 @@ TEST(SweepKernel, FusedTimingMatchesPerConfigUnderBtbFrontends)
 }
 
 /**
+ * High-conflict differential of the batched tagged banks against the
+ * scalar TaggedTargetCache and CascadedPredictor: 1-16 ways, one to
+ * four sets, a few PCs, targets and history values, so sets start
+ * all-invalid, overflow and evict.  Each batch also carries a twin of
+ * its first cache with the same set count and twice the ways, which
+ * shares its (set, tag) derivation.  Then lookupSet() on hand-made
+ * sets, where duplicate tags and tied clocks make the first-match and
+ * first-invalid-else-LRU orders observable.
+ */
+TEST(BatchedPredictors, TaggedAndCascadedMatchScalarUnderConflict)
+{
+    std::mt19937_64 rng(0x5e7a55);
+    const TaggedIndexScheme schemes[] = {TaggedIndexScheme::Address,
+                                         TaggedIndexScheme::HistoryConcat,
+                                         TaggedIndexScheme::HistoryXor};
+    for (int trial = 0; trial < 60; ++trial) {
+        const HistorySpec histories[] = {
+            patternHistory(1 + rng() % 4),
+            pathGlobal(PathFilter::IndJmp, 1 + rng() % 4)};
+        std::vector<IndirectConfig> configs;
+        for (int i = 0; i < 10; ++i) {
+            TaggedConfig cache;
+            cache.scheme = schemes[rng() % 3];
+            cache.ways = 1 + rng() % 16;
+            cache.entries = cache.ways << (rng() % 3);
+            cache.tagBits = 2 + rng() % 8;
+            cache.historyBits = 1 + rng() % 4;
+            IndirectConfig c;
+            c.history = histories[rng() % 2];
+            if (rng() % 3 == 0) {
+                c.structure = IndirectStructure::Cascaded;
+                c.cascaded.stage1Entries = 1u << (rng() % 3);
+                c.cascaded.stage2 = cache;
+            } else {
+                c.structure = IndirectStructure::Tagged;
+                c.tagged = cache;
+            }
+            configs.push_back(c);
+        }
+        IndirectConfig twin = configs[0];
+        TaggedConfig &twin_cache = twin.structure == IndirectStructure::Tagged
+                                       ? twin.tagged
+                                       : twin.cascaded.stage2;
+        twin_cache.ways *= 2;
+        twin_cache.entries *= 2;
+        configs.push_back(twin);
+
+        BatchedPredictors batch(configs);
+        std::vector<PredictorStack> scalar;
+        for (const IndirectConfig &c : configs)
+            scalar.push_back(buildStack(c));
+        std::vector<uint64_t> fetch_history(configs.size());
+
+        for (int step = 0; step < 800; ++step) {
+            MicroOp op;
+            op.cls = InstClass::Branch;
+            op.pc = 0x1000 + 4 * (rng() % 6);
+            op.fallthrough = op.pc + 4;
+            op.taken = true;
+            if (rng() % 3 == 0) {
+                // Moves the pattern history only.
+                op.branch = BranchKind::CondDirect;
+                op.taken = rng() % 2 != 0;
+                op.nextPc = op.taken ? op.pc + 0x40 : op.fallthrough;
+            } else {
+                op.branch = BranchKind::IndirectJump;
+                op.nextPc = 0x8000 + 4 * (rng() % 8);
+                const bool btb_hit = rng() % 4 != 0;
+                const uint64_t btb_target = 0x9000;
+                batch.predictAll(op, btb_hit, btb_target);
+                for (size_t m = 0; m < configs.size(); ++m) {
+                    fetch_history[m] =
+                        scalar[m].tracker->valueFor(op.pc);
+                    const uint64_t want =
+                        btb_hit ? scalar[m]
+                                      .predictor
+                                      ->predict(op.pc, fetch_history[m])
+                                      .value_or(btb_target)
+                                : op.fallthrough;
+                    ASSERT_EQ(batch.prediction(m), want)
+                        << "trial " << trial << " step " << step << " "
+                        << configs[m].describe();
+                }
+                batch.recordOutcomes(op.nextPc);
+                batch.updateAll(op.nextPc);
+                for (size_t m = 0; m < configs.size(); ++m)
+                    scalar[m].predictor->update(op.pc, fetch_history[m],
+                                                op.nextPc);
+            }
+            batch.observeTrackers(op);
+            for (PredictorStack &s : scalar)
+                s.tracker->observe(op);
+        }
+    }
+
+    for (int trial = 0; trial < 20000; ++trial) {
+        const size_t ways = 1 + rng() % 16;
+        std::vector<TaggedWay> set(ways);
+        std::vector<bool> valid(ways);
+        for (size_t w = 0; w < ways; ++w) {
+            valid[w] = rng() % 3 != 0;
+            if (valid[w]) {
+                set[w].tag = rng() % 4;           // duplicate tags
+                set[w].lastUsed = 1 + rng() % 8;  // tied clocks
+            }
+        }
+        const uint64_t tag = rng() % 4;
+
+        // The scalar contract, brute-forced: the first valid match;
+        // else the first invalid way, else the first LRU minimum.
+        size_t want = ways;
+        for (size_t w = 0; w < ways && want == ways; ++w)
+            if (valid[w] && set[w].tag == tag)
+                want = w;
+        const bool want_hit = want != ways;
+        for (size_t w = 0; w < ways && want == ways; ++w)
+            if (!valid[w])
+                want = w;
+        if (want == ways) {
+            want = 0;
+            for (size_t w = 1; w < ways; ++w)
+                if (set[w].lastUsed < set[want].lastUsed)
+                    want = w;
+        }
+        const WayLookup got = lookupSet(set, tag);
+        EXPECT_EQ(got.hit, want_hit);
+        EXPECT_EQ(got.way, want);
+    }
+}
+
+/**
  * Hostile traces force the block-decode fallback in the branch-stream
  * extractor, and the fused loop suspends the lead core at stream.pos
  * boundaries — both must stay exact there.
@@ -496,7 +660,7 @@ TEST(SweepKernel, FusedTimingMatchesPerConfigOnHostileTraces)
     // branch and memAddr-on-branch ops still force the fallback scan.
     std::vector<MicroOp> ops = hostileOps(3000);
     for (MicroOp &op : ops) {
-        if (op.dstReg != kNoReg && op.dstReg >= kNumArchRegs)
+        if (op.dstReg >= static_cast<RegIndex>(kNumArchRegs))
             op.dstReg = 33;
     }
     const SharedTrace trace(std::move(ops), "hostile");
