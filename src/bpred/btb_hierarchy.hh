@@ -129,10 +129,9 @@ makeBtbHierarchy(const BtbHierarchyConfig &config);
 
 /**
  * Credits @p stats to the deterministic btb.* obs counters.  Called by
- * the experiment layer once per *counted* run (the same discipline as
- * CoreModel::endSession's count_metrics): warm-up windows, shard
- * verification replays and divergence forks never credit, so a sharded
- * or fused run stays counter-indistinguishable from a continuous one.
+ * the experiment layer once per *counted* run: shard verification
+ * replays and divergence forks never credit, so a sharded or fused
+ * run stays counter-indistinguishable from a continuous one.
  */
 void creditBtbCounters(const BtbHierarchyStats &stats);
 

@@ -27,6 +27,7 @@
 #ifndef TPRED_CORPUS_CORPUS_HH
 #define TPRED_CORPUS_CORPUS_HH
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -48,6 +49,8 @@ struct CorpusKey
     std::string workload;
     uint64_t seed = 1;
     size_t ops = 0;
+
+    auto operator<=>(const CorpusKey &) const = default;
 };
 
 /** Artifact kind of one corpus file. */

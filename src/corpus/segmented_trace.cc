@@ -89,24 +89,14 @@ SegmentedTrace::verifyAllSegments() const
 }
 
 SegmentedReplay::SegmentedReplay(
-    std::shared_ptr<const SegmentedTrace> trace, uint64_t start_op,
+    std::shared_ptr<const SegmentedTrace> trace,
     std::function<void()> on_window_open)
     : trace_(std::move(trace)), onWindowOpen_(std::move(on_window_open))
 {
-    if (start_op >= trace_->totalOps()) {
-        // Positioned at (or past) the end: first next() returns false.
-        segIdx_ = trace_->segmentCount() - 1;
-        pos_ = trace_->totalOps();
-        return;
-    }
-    openSegmentWindow(trace_->segmentContaining(start_op));
-    // Skip within the starting segment to the exact op.
-    MicroOp scratch;
-    for (uint64_t skip = start_op - trace_->record(segIdx_).firstOp;
-         skip > 0; --skip) {
-        replay_->next(scratch);
-    }
-    pos_ = start_op;
+    if (trace_->totalOps() == 0)
+        segIdx_ = trace_->segmentCount();  // first next() returns false
+    else
+        openSegmentWindow(0);
 }
 
 void

@@ -101,22 +101,17 @@ class SegmentedTrace
  * counterpart of CompactReplay.  next() pulls from the current
  * segment's block decoder; crossing a segment boundary unmaps the old
  * window and maps the next, so exactly one segment is resident.
- * Optionally starts mid-trace (skipping within the starting segment),
- * which is how sharded replay begins its warm-up window at a
- * checkpointed segment boundary.
  */
 class SegmentedReplay
 {
   public:
     /**
      * @param trace    Shared so the replay keeps the envelope alive.
-     * @param start_op Global op index to start at (0 = whole trace).
      * @param on_window_open Invoked once per segment window mapped —
      *        observability hook (runtime-kind metrics), may be empty.
      */
     explicit SegmentedReplay(
         std::shared_ptr<const SegmentedTrace> trace,
-        uint64_t start_op = 0,
         std::function<void()> on_window_open = {});
 
     /** Pulls the next op; false at end of trace. */
@@ -124,10 +119,8 @@ class SegmentedReplay
     next(MicroOp &op)
     {
         while (true) {
-            if (replay_ && replay_->next(op)) {
-                ++pos_;
+            if (replay_ && replay_->next(op))
                 return true;
-            }
             if (segIdx_ + 1 >= trace_->segmentCount()) {
                 replay_.reset();
                 segment_.reset();
@@ -137,9 +130,6 @@ class SegmentedReplay
         }
     }
 
-    /** Global index of the next op next() would produce. */
-    uint64_t position() const { return pos_; }
-
   private:
     void openSegmentWindow(size_t idx);
 
@@ -148,7 +138,6 @@ class SegmentedReplay
     std::optional<CompactReplay> replay_;
     std::function<void()> onWindowOpen_;
     size_t segIdx_ = 0;
-    uint64_t pos_ = 0;
 };
 
 } // namespace tpred

@@ -229,35 +229,29 @@ pathSchemeLabels()
 }
 
 /**
- * Fused accuracy cells: evaluates every (workload x config) pair's
- * indirect miss rate, one runSweep() per (workload x history-group)
- * job, and scatters the results back into (workload x config) grid
- * order.  Cell values are bit-identical to per-config runAccuracy().
+ * Fused cells: evaluates every (workload x config) pair as one
+ * @p evaluate(w, batch) job per (workload x history-group) — it
+ * returns one value per batch member — and scatters the values back
+ * into (workload x config) grid order.
  */
 std::vector<double>
-sweepMissRates(const TableOptions &opt,
-               const std::vector<SharedTrace> &traces,
-               const std::vector<IndirectConfig> &configs,
-               const FrontendConfig &fe = {})
+sweepCells(const TableOptions &opt, size_t workloads,
+           const std::vector<IndirectConfig> &configs,
+           const std::function<std::vector<double>(
+               size_t w, const std::vector<IndirectConfig> &batch)>
+               &evaluate)
 {
     const auto groups = groupByHistory(configs);
     const auto parts = mapJobs<std::vector<double>>(
-        opt, traces.size() * groups.size(), [&](size_t j) {
-            const SharedTrace &trace = traces[j / groups.size()];
-            const auto &group = groups[j % groups.size()];
+        opt, workloads * groups.size(), [&](size_t j) {
             std::vector<IndirectConfig> batch;
-            batch.reserve(group.size());
-            for (size_t c : group)
+            for (size_t c : groups[j % groups.size()])
                 batch.push_back(configs[c]);
-            std::vector<double> rates;
-            rates.reserve(group.size());
-            for (const FrontendStats &s : runSweep(trace, batch, fe))
-                rates.push_back(s.indirectJumps.missRate());
-            return rates;
+            return evaluate(j / groups.size(), batch);
         });
 
-    std::vector<double> cells(traces.size() * configs.size());
-    for (size_t w = 0; w < traces.size(); ++w)
+    std::vector<double> cells(workloads * configs.size());
+    for (size_t w = 0; w < workloads; ++w)
         for (size_t g = 0; g < groups.size(); ++g)
             for (size_t k = 0; k < groups[g].size(); ++k)
                 cells[w * configs.size() + groups[g][k]] =
@@ -266,12 +260,33 @@ sweepMissRates(const TableOptions &opt,
 }
 
 /**
- * Fused timing cells: evaluates every (workload x config) pair's
- * execution-time reduction over the BTB baseline, one runTimingSweep()
- * per (workload x history-group) job, and scatters the results back
- * into (workload x config) grid order.  Cell values are bit-identical
- * to per-config runTiming() — the fusion shares one core trajectory
- * and forks members on divergence (docs/sweep_kernel.md).
+ * Fused accuracy cells: every (workload x config) pair's indirect
+ * miss rate, one runSweep() per (workload x history-group) job.  Cell
+ * values are bit-identical to per-config runAccuracy().
+ */
+std::vector<double>
+sweepMissRates(const TableOptions &opt,
+               const std::vector<SharedTrace> &traces,
+               const std::vector<IndirectConfig> &configs,
+               const FrontendConfig &fe = {})
+{
+    return sweepCells(opt, traces.size(), configs,
+                      [&](size_t w, const auto &batch) {
+                          std::vector<double> rates;
+                          for (const FrontendStats &s :
+                               runSweep(traces[w], batch, fe))
+                              rates.push_back(
+                                  s.indirectJumps.missRate());
+                          return rates;
+                      });
+}
+
+/**
+ * Fused timing cells: every (workload x config) pair's execution-time
+ * reduction over the BTB baseline, one runTimingSweep() per (workload
+ * x history-group) job.  Cell values are bit-identical to per-config
+ * runTiming() — the fusion shares one core trajectory and forks
+ * members on divergence (docs/sweep_kernel.md).
  */
 std::vector<double>
 sweepReductions(const TableOptions &opt,
@@ -279,29 +294,15 @@ sweepReductions(const TableOptions &opt,
                 const std::vector<uint64_t> &bases,
                 const std::vector<IndirectConfig> &configs)
 {
-    const auto groups = groupByHistory(configs);
-    const auto parts = mapJobs<std::vector<double>>(
-        opt, traces.size() * groups.size(), [&](size_t j) {
-            const size_t w = j / groups.size();
-            const auto &group = groups[j % groups.size()];
-            std::vector<IndirectConfig> batch;
-            batch.reserve(group.size());
-            for (size_t c : group)
-                batch.push_back(configs[c]);
-            std::vector<double> vals;
-            vals.reserve(group.size());
-            for (const CoreResult &r : runTimingSweep(traces[w], batch))
-                vals.push_back(execTimeReduction(bases[w], r.cycles));
-            return vals;
-        });
-
-    std::vector<double> cells(traces.size() * configs.size());
-    for (size_t w = 0; w < traces.size(); ++w)
-        for (size_t g = 0; g < groups.size(); ++g)
-            for (size_t k = 0; k < groups[g].size(); ++k)
-                cells[w * configs.size() + groups[g][k]] =
-                    parts[w * groups.size() + g][k];
-    return cells;
+    return sweepCells(opt, traces.size(), configs,
+                      [&](size_t w, const auto &batch) {
+                          std::vector<double> vals;
+                          for (const CoreResult &r :
+                               runTimingSweep(traces[w], batch))
+                              vals.push_back(
+                                  execTimeReduction(bases[w], r.cycles));
+                          return vals;
+                      });
 }
 
 HistorySpec

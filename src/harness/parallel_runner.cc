@@ -1,11 +1,14 @@
 #include "harness/parallel_runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <thread>
 
 #include "harness/run_options.hh"
+#include "obs/metrics.hh"
 
 namespace tpred
 {
@@ -35,7 +38,7 @@ defaultJobs()
     static const unsigned from_env = envJobs();
     if (from_env > 0)
         return from_env;
-    return ThreadPool::hardwareThreads();
+    return std::max(1u, std::thread::hardware_concurrency());
 }
 
 void
@@ -47,11 +50,7 @@ setDefaultJobs(unsigned jobs)
 ParallelRunner::ParallelRunner(unsigned threads)
     : threads_(threads > 0 ? threads : defaultJobs())
 {
-    if (threads_ > 1)
-        pool_ = std::make_unique<ThreadPool>(threads_);
 }
-
-ParallelRunner::~ParallelRunner() = default;
 
 void
 ParallelRunner::forEach(size_t count,
@@ -66,27 +65,44 @@ ParallelRunner::forEach(size_t count,
     batches.inc();
     jobs.inc(count);
 
-    if (!pool_) {
+    const size_t workers = std::min<size_t>(threads_, count);
+    if (workers <= 1) {
         for (size_t i = 0; i < count; ++i)
             job(i);
         return;
     }
+
+    // Indices are handed out in increasing order, so when job i fails
+    // every lower index has already been taken and runs to the end:
+    // stopping the hand-out there still finds the lowest failure.
+    std::atomic<size_t> next{0};
     std::mutex error_mutex;
-    std::exception_ptr first_error;
-    for (size_t i = 0; i < count; ++i) {
-        pool_->submit([&job, &error_mutex, &first_error, i] {
+    size_t error_index = count;
+    std::exception_ptr error;
+    const auto work = [&] {
+        for (size_t i = next.fetch_add(1); i < count;
+             i = next.fetch_add(1)) {
             try {
                 job(i);
             } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error)
-                    first_error = std::current_exception();
+                next.store(count);
+                const std::lock_guard<std::mutex> lock(error_mutex);
+                if (i < error_index) {
+                    error_index = i;
+                    error = std::current_exception();
+                }
             }
-        });
-    }
-    pool_->wait();
-    if (first_error)
-        std::rethrow_exception(first_error);
+        }
+    };
+    {
+        std::vector<std::jthread> helpers;
+        helpers.reserve(workers - 1);
+        for (size_t t = 1; t < workers; ++t)
+            helpers.emplace_back(work);
+        work();
+    }  // joins the helpers
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace tpred

@@ -1,10 +1,10 @@
 /**
  * @file
- * Parallel experiment engine: shards independent (workload x seed x
- * config) jobs across a work-stealing thread pool with deterministic
- * result ordering — results are keyed by job index, never by
- * completion order, so a parallel run is bit-identical to a serial
- * one.  See docs/parallelism.md.
+ * Parallel experiment engine: runs independent (workload x seed x
+ * config) jobs across threads that take job indices from one shared
+ * counter, with deterministic result ordering — results are keyed by
+ * job index, never by completion order, so a parallel run is
+ * bit-identical to a serial one.  See docs/parallelism.md.
  */
 
 #ifndef TPRED_HARNESS_PARALLEL_RUNNER_HH
@@ -12,10 +12,7 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
-
-#include "harness/thread_pool.hh"
 
 namespace tpred
 {
@@ -31,30 +28,29 @@ unsigned defaultJobs();
 void setDefaultJobs(unsigned jobs);
 
 /**
- * Runs an indexed batch of independent jobs across a thread pool.
+ * Runs an indexed batch of independent jobs across threads.
  *
  * Determinism contract: every job must be a pure function of its
  * index (plus immutable shared inputs such as cached traces), and
  * results are stored at their job's index, so output is independent
  * of thread count and scheduling.  With one thread, jobs run inline
- * on the calling thread with no pool involved.
+ * on the calling thread, in index order.
  */
 class ParallelRunner
 {
   public:
     /** @param threads Worker count; 0 means defaultJobs(). */
     explicit ParallelRunner(unsigned threads = 0);
-    ~ParallelRunner();
-
-    ParallelRunner(const ParallelRunner &) = delete;
-    ParallelRunner &operator=(const ParallelRunner &) = delete;
 
     unsigned threads() const { return threads_; }
 
     /**
      * Runs job(i) for every i in [0, count) and blocks until all
-     * finish.  The first exception thrown by a job is rethrown here
-     * after the batch drains.
+     * finish.  The calling thread and min(threads, count) - 1 spawned
+     * threads take indices from one atomic counter.  If jobs throw,
+     * no further index is started and the exception of the
+     * lowest-index failing job is rethrown — the same one at every
+     * thread count.
      */
     void forEach(size_t count,
                  const std::function<void(size_t)> &job) const;
@@ -74,7 +70,6 @@ class ParallelRunner
 
   private:
     unsigned threads_;
-    std::unique_ptr<ThreadPool> pool_;  ///< null when running inline
 };
 
 } // namespace tpred

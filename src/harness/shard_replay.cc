@@ -7,7 +7,7 @@
 #include <span>
 
 #include "common/state_io.hh"
-#include "harness/thread_pool.hh"
+#include "harness/parallel_runner.hh"
 #include "obs/metrics.hh"
 
 namespace tpred
@@ -17,9 +17,10 @@ namespace
 {
 
 // ---- Metrics ------------------------------------------------------
-// The deterministic pair is incremented identically by the streaming
-// and the sharded entry points, so a sharded replay is
-// counter-indistinguishable from a continuous one (asserted by
+// The deterministic counters are incremented identically by the
+// streaming and the sharded accuracy entry points, so a sharded
+// replay is counter-indistinguishable from a continuous one but for
+// the runner's count of its fan-out (asserted by
 // tests/test_shard_replay.cc).  Window/warm-up/checkpoint counts
 // depend on segment granularity and shard count, hence Runtime.
 
@@ -56,15 +57,15 @@ shardMetrics()
     return m;
 }
 
-// ---- Replay state bundles -----------------------------------------
+// ---- Replay state -------------------------------------------------
 
-/** Accuracy-path state: front end + borrowed predictor/tracker. */
-struct AccuracyRig
+/** Replay state: front end + borrowed predictor/tracker. */
+struct ReplayRig
 {
     PredictorStack stack;
     FrontendPredictor frontend;
 
-    AccuracyRig(const IndirectConfig &config, const FrontendConfig &fe)
+    ReplayRig(const IndirectConfig &config, const FrontendConfig &fe)
         : stack(buildStack(config)),
           frontend(fe, stack.predictor.get(), stack.tracker.get())
     {
@@ -92,48 +93,8 @@ struct AccuracyRig
     }
 };
 
-/** Timing-path state: the accuracy rig plus the core model. */
-struct TimingRig
-{
-    PredictorStack stack;
-    FrontendPredictor frontend;
-    CoreModel core;
-
-    TimingRig(const IndirectConfig &config, const FrontendConfig &fe,
-              const CoreParams &params)
-        : stack(buildStack(config)),
-          frontend(fe, stack.predictor.get(), stack.tracker.get()),
-          core(params)
-    {
-    }
-
-    void
-    save(StateWriter &w) const
-    {
-        core.saveState(w);
-        frontend.saveState(w);
-        if (stack.predictor) {
-            stack.predictor->saveState(w);
-            stack.tracker->saveState(w);
-        }
-    }
-
-    void
-    restore(StateReader &r)
-    {
-        core.restoreState(r);
-        frontend.restoreState(r);
-        if (stack.predictor) {
-            stack.predictor->restoreState(r);
-            stack.tracker->restoreState(r);
-        }
-        r.expectEnd();
-    }
-};
-
-template <typename Rig>
 std::vector<uint8_t>
-snapshot(const Rig &rig)
+snapshot(const ReplayRig &rig)
 {
     StateWriter w;
     rig.save(w);
@@ -141,9 +102,8 @@ snapshot(const Rig &rig)
 }
 
 /** Byte-exact comparison of a live state against a serial snapshot. */
-template <typename Rig>
 bool
-matches(const Rig &rig, const std::vector<uint8_t> &expected)
+matches(const ReplayRig &rig, const std::vector<uint8_t> &expected)
 {
     const bool equal = snapshot(rig) == expected;
     if (!equal)
@@ -236,15 +196,6 @@ replayAccuracyRange(const SegmentedTrace &trace,
     frontend.skipNonBranches(to - consumed);
 }
 
-unsigned
-poolThreads(const ShardOptions &opts, unsigned shards)
-{
-    if (opts.threads != 0)
-        return opts.threads;
-    return std::max(1u,
-                    std::min(shards, ThreadPool::hardwareThreads()));
-}
-
 } // namespace
 
 FrontendStats
@@ -256,7 +207,7 @@ runAccuracyStreaming(const std::shared_ptr<const SegmentedTrace> &trace,
     m.accuracyRuns.inc();
     m.opsReplayed.inc(trace->totalOps());
 
-    AccuracyRig rig(config, fe);
+    ReplayRig rig(config, fe);
     replayAccuracyRange(*trace, rig.frontend, 0, trace->totalOps(), {},
                         [](uint64_t) {});
     creditBtbCounters(rig.frontend.btb().hstats());
@@ -272,13 +223,11 @@ runTimingStreaming(const std::shared_ptr<const SegmentedTrace> &trace,
     m.timingRuns.inc();
     m.opsReplayed.inc(trace->totalOps());
 
-    TimingRig rig(config, fe, params);
-    SegmentedReplay replay(trace, 0,
-                           [&m] { m.windowsOpened.inc(); });
-    rig.core.beginSession();
-    rig.core.runSession(replay, rig.frontend, trace->totalOps(),
-                        UINT64_MAX);
-    const CoreResult result = rig.core.endSession(rig.frontend.stats());
+    ReplayRig rig(config, fe);
+    CoreModel core(params);
+    SegmentedReplay replay(trace, [&m] { m.windowsOpened.inc(); });
+    const CoreResult result =
+        core.run(replay, rig.frontend, trace->totalOps());
     creditBtbCounters(rig.frontend.btb().hstats());
     return result;
 }
@@ -301,7 +250,7 @@ runAccuracySharded(const std::shared_ptr<const SegmentedTrace> &trace,
     // land keyed by op position; proof positions and checkpoint sites
     // that coincide share one blob.
     std::map<uint64_t, std::vector<uint8_t>> blobs;
-    AccuracyRig serial(config, fe);
+    ReplayRig serial(config, fe);
     std::vector<uint64_t> points = plan.points;
     points.push_back(total);  // final proof, after the last op
     points.erase(std::unique(points.begin(), points.end()),
@@ -322,133 +271,37 @@ runAccuracySharded(const std::shared_ptr<const SegmentedTrace> &trace,
     m.checkpoints.inc(blobs.size());
     m.checkpointBytes.inc(out.checkpointBytes);
 
-    // Shard fan-out: each task restores its site checkpoint, warms up
+    // Shard fan-out: each job restores its site checkpoint, warms up
     // to b_k, replays its region, and byte-compares both edges.
-    ThreadPool pool(poolThreads(opts, shards));
     FrontendStats final_stats;
-    for (unsigned k = 0; k < shards; ++k) {
-        ShardProof &proof = out.shards[k];
-        proof.checkpointOp = plan.sites[k];
-        proof.beginOp = plan.bounds[k];
-        proof.endOp = plan.bounds[k + 1];
-        proof.warmupOps = proof.beginOp - proof.checkpointOp;
-        m.warmupOps.inc(proof.warmupOps);
+    ParallelRunner(opts.threads).forEach(shards, [&](size_t k) {
+        ShardProof &p = out.shards[k];
+        p.checkpointOp = plan.sites[k];
+        p.beginOp = plan.bounds[k];
+        p.endOp = plan.bounds[k + 1];
+        p.warmupOps = p.beginOp - p.checkpointOp;
+        m.warmupOps.inc(p.warmupOps);
         const bool last = k + 1 == shards;
-        pool.submit([&, k, last] {
-            ShardProof &p = out.shards[k];
-            try {
-                AccuracyRig shard(config, fe);
-                StateReader r(blobs.at(p.checkpointOp));
-                shard.restore(r);
-                const uint64_t end = last ? total : p.endOp;
-                const std::array<uint64_t, 2> edges{p.beginOp, end};
-                int edge = 0;
-                replayAccuracyRange(
-                    *trace, shard.frontend, p.checkpointOp, end, edges,
-                    [&](uint64_t pos) {
-                        const bool ok = matches(shard, blobs.at(pos));
-                        (edge++ == 0 ? p.entryMatched
-                                     : p.exitMatched) = ok;
-                    });
-                if (last)
-                    final_stats = shard.frontend.stats();
-            } catch (const std::exception &e) {
-                p.error = e.what();
-            }
-        });
-    }
-    pool.wait();
+        try {
+            ReplayRig shard(config, fe);
+            StateReader r(blobs.at(p.checkpointOp));
+            shard.restore(r);
+            const uint64_t end = last ? total : p.endOp;
+            const std::array<uint64_t, 2> edges{p.beginOp, end};
+            int edge = 0;
+            replayAccuracyRange(
+                *trace, shard.frontend, p.checkpointOp, end, edges,
+                [&](uint64_t pos) {
+                    const bool ok = matches(shard, blobs.at(pos));
+                    (edge++ == 0 ? p.entryMatched : p.exitMatched) = ok;
+                });
+            if (last)
+                final_stats = shard.frontend.stats();
+        } catch (const std::exception &e) {
+            p.error = e.what();
+        }
+    });
     out.stats = final_stats;
-    return out;
-}
-
-ShardedTimingResult
-runTimingSharded(const std::shared_ptr<const SegmentedTrace> &trace,
-                 const IndirectConfig &config, const ShardOptions &opts,
-                 const CoreParams &params, const FrontendConfig &fe)
-{
-    const ShardMetrics &m = shardMetrics();
-    m.timingRuns.inc();
-    m.opsReplayed.inc(trace->totalOps());
-
-    const uint64_t total = trace->totalOps();
-    const ShardPlan plan = planShards(*trace, opts.shards);
-    const unsigned shards =
-        static_cast<unsigned>(plan.sites.size());
-
-    // Serial checkpoint pass: one continuous session, suspended at
-    // each capture point via the exact-op-boundary stop, then run to
-    // completion for the final proof snapshot.
-    std::map<uint64_t, std::vector<uint8_t>> blobs;
-    TimingRig serial(config, fe, params);
-    SegmentedReplay replay(trace, 0,
-                           [&m] { m.windowsOpened.inc(); });
-    serial.core.beginSession();
-    for (uint64_t pos : plan.points) {
-        if (pos > 0)
-            serial.core.runSession(replay, serial.frontend, total,
-                                   pos);
-        blobs[pos] = snapshot(serial);
-    }
-    serial.core.runSession(replay, serial.frontend, total, UINT64_MAX);
-    blobs[total] = snapshot(serial);
-
-    ShardedTimingResult out;
-    // Counted pass: the serial checkpoint replay (shards never credit).
-    creditBtbCounters(serial.frontend.btb().hstats());
-    out.serial = serial.core.endSession(serial.frontend.stats());
-    out.shards.resize(shards);
-    for (const auto &[pos, blob] : blobs)
-        out.checkpointBytes += blob.size();
-    m.checkpoints.inc(blobs.size());
-    m.checkpointBytes.inc(out.checkpointBytes);
-
-    ThreadPool pool(poolThreads(opts, shards));
-    CoreResult final_result;
-    for (unsigned k = 0; k < shards; ++k) {
-        ShardProof &proof = out.shards[k];
-        proof.checkpointOp = plan.sites[k];
-        proof.beginOp = plan.bounds[k];
-        proof.endOp = plan.bounds[k + 1];
-        proof.warmupOps = proof.beginOp - proof.checkpointOp;
-        m.warmupOps.inc(proof.warmupOps);
-        const bool last = k + 1 == shards;
-        pool.submit([&, k, last] {
-            ShardProof &p = out.shards[k];
-            try {
-                TimingRig shard(config, fe, params);
-                StateReader r(blobs.at(p.checkpointOp));
-                shard.restore(r);
-                SegmentedReplay source(
-                    trace, p.checkpointOp,
-                    [&m] { m.windowsOpened.inc(); });
-                if (p.beginOp > p.checkpointOp) {
-                    shard.core.runSession(source, shard.frontend,
-                                          total, p.beginOp);
-                }
-                p.entryMatched =
-                    matches(shard, blobs.at(p.beginOp));
-                if (last) {
-                    shard.core.runSession(source, shard.frontend,
-                                          total, UINT64_MAX);
-                    p.exitMatched = matches(shard, blobs.at(total));
-                    final_result = shard.core.endSession(
-                        shard.frontend.stats(), /*count_metrics=*/false);
-                } else {
-                    if (p.endOp > p.beginOp) {
-                        shard.core.runSession(source, shard.frontend,
-                                              total, p.endOp);
-                    }
-                    p.exitMatched =
-                        matches(shard, blobs.at(p.endOp));
-                }
-            } catch (const std::exception &e) {
-                p.error = e.what();
-            }
-        });
-    }
-    pool.wait();
-    out.result = final_result;
     return out;
 }
 

@@ -6,16 +6,16 @@
  * a SegmentedTrace one mapped window at a time, so a trace of any
  * length replays at O(segment size) peak memory.
  *
- * Sharded replay splits one trace's replay into S contiguous regions
- * at boundaries b_k = floor(totalOps * k / S) and runs them on the
- * ThreadPool.  Exactness — not approximation — comes from explicit
- * checkpoints:
+ * Sharded accuracy replay splits one trace's replay into S contiguous
+ * regions at boundaries b_k = floor(totalOps * k / S) and runs them as
+ * ParallelRunner jobs.  Exactness — not approximation — comes from
+ * explicit checkpoints:
  *
  *  1. A serial streaming pass replays the trace once, serializing the
  *     complete replay state (front end + indirect predictor + history
- *     tracker, plus the core model on the timing path) at each shard's
- *     *checkpoint site* — the last segment boundary at or before b_k —
- *     and proof snapshots at every b_k and at the end of the trace.
+ *     tracker) at each shard's *checkpoint site* — the last segment
+ *     boundary at or before b_k — and proof snapshots at every b_k
+ *     and at the end of the trace.
  *  2. Each shard restores its site checkpoint into a fresh predictor
  *     stack, replays the short warm-up window [site_k, b_k) from its
  *     own segment windows, then its region [b_k, b_{k+1}).  At both
@@ -25,9 +25,11 @@
  *     continuous serial replay (docs/parallelism.md gives the
  *     exactness argument).
  *
- * The returned stats/results come from the final shard's own replay,
- * so the bit-identity tests (tests/test_shard_replay.cc) compare two
- * genuinely independent computations.
+ * The returned stats come from the final shard's own replay, so the
+ * bit-identity tests (tests/test_shard_replay.cc) compare two
+ * genuinely independent computations.  Sharding cannot beat the
+ * streaming replay its serial pass already is; it stays because the
+ * segmented-stream workload of bench/e2e pins it.
  */
 
 #ifndef TPRED_HARNESS_SHARD_REPLAY_HH
@@ -49,7 +51,7 @@ namespace tpred
 struct ShardOptions
 {
     unsigned shards = 1;   ///< number of contiguous regions S
-    unsigned threads = 0;  ///< pool size; 0 = min(S, hardware)
+    unsigned threads = 0;  ///< runner threads; 0 = defaultJobs()
 };
 
 /** What one shard did, and whether its differential proof held. */
@@ -75,24 +77,6 @@ struct ShardedAccuracyResult
     uint64_t checkpointBytes = 0;  ///< total serialized state
 
     /** Every shard's boundary snapshots byte-matched the serial pass. */
-    bool
-    verified() const
-    {
-        for (const ShardProof &p : shards)
-            if (!p.ok())
-                return false;
-        return !shards.empty();
-    }
-};
-
-/** Result of a sharded timing replay. */
-struct ShardedTimingResult
-{
-    CoreResult result;   ///< from the final shard's replay
-    CoreResult serial;   ///< from the serial checkpoint pass
-    std::vector<ShardProof> shards;
-    uint64_t checkpointBytes = 0;
-
     bool
     verified() const
     {
@@ -129,13 +113,6 @@ runAccuracySharded(const std::shared_ptr<const SegmentedTrace> &trace,
                    const IndirectConfig &config,
                    const ShardOptions &opts,
                    const FrontendConfig &fe = {});
-
-/** Sharded timing replay with differential checkpoint proofs. */
-ShardedTimingResult
-runTimingSharded(const std::shared_ptr<const SegmentedTrace> &trace,
-                 const IndirectConfig &config, const ShardOptions &opts,
-                 const CoreParams &params = {},
-                 const FrontendConfig &fe = {});
 
 /**
  * Extracts the dense branch stream of a segmented trace one window at

@@ -13,13 +13,12 @@ namespace
 {
 
 void
-logTraffic(const char *event, const std::string &workload, size_t ops,
-           uint64_t seed)
+logTraffic(const char *event, const CorpusKey &key)
 {
     if (verboseLogging())
         std::fprintf(stderr, "tpred-cache: %s %s ops=%zu seed=%llu\n",
-                     event, workload.c_str(), ops,
-                     static_cast<unsigned long long>(seed));
+                     event, key.workload.c_str(), key.ops,
+                     static_cast<unsigned long long>(key.seed));
 }
 
 } // namespace
@@ -43,37 +42,55 @@ TraceCache::TraceCache(obs::MetricsRegistry *metrics)
 {
 }
 
-size_t
-TraceCache::hashKey(std::string_view workload, uint64_t seed,
-                    size_t ops)
+template <typename T, typename Resolve>
+T
+TraceCache::claimOrWait(Memo<T> &memo, const CorpusKey &key,
+                        const obs::Counter &misses,
+                        const obs::Counter &hits, const char *hit_event,
+                        Resolve &&resolve)
 {
-    // FNV-1a over the name, then splitmix-style mixing of the
-    // numeric fields — cheap, and computed exactly once per get().
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (char c : workload) {
-        h ^= static_cast<uint8_t>(c);
-        h *= 0x100000001b3ull;
+    std::promise<T> promise;
+    std::shared_future<T> future;
+    bool claimed = false;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto [it, inserted] = memo.try_emplace(key);
+        if (inserted) {
+            it->second = promise.get_future().share();
+            claimed = true;
+        }
+        future = it->second;
     }
-    for (uint64_t v : {seed, static_cast<uint64_t>(ops)}) {
-        h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-        h *= 0xff51afd7ed558ccdull;
-        h ^= h >> 33;
+    if (!claimed) {
+        hits.inc();
+        logTraffic(hit_event, key);
+        return future.get();
     }
-    return static_cast<size_t>(h);
+    misses.inc();
+    try {
+        promise.set_value(resolve(key));
+    } catch (...) {
+        // Un-memoize so a later retry isn't poisoned, then let the
+        // waiters (and this caller, via get()) see the exception.
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            memo.erase(key);
+        }
+        promise.set_exception(std::current_exception());
+    }
+    return future.get();
 }
 
 SharedTrace
-TraceCache::acquire(const std::string &workload, size_t ops,
-                    uint64_t seed)
+TraceCache::acquire(const CorpusKey &key)
 {
     std::shared_ptr<CorpusManager> corpus = this->corpus();
     if (corpus) {
-        const CorpusKey key{workload, seed, ops};
         std::string name;
         if (auto trace = corpus->load(key, &name)) {
             corpusHits_.inc();
             bytesInserted_.inc(trace->residentBytes());
-            logTraffic("corpus-hit", workload, ops, seed);
+            logTraffic("corpus-hit", key);
             // Warm runs also get the derived branch stream for free:
             // adopting the stored container into the trace's lazy
             // stream cache lets branchStream() consumers (runSweep,
@@ -81,21 +98,20 @@ TraceCache::acquire(const std::string &workload, size_t ops,
             if (auto stream = corpus->loadStream(key))
                 trace->adoptBranchStream(*stream);
             return SharedTrace(std::move(trace),
-                               name.empty() ? workload : name);
+                               name.empty() ? key.workload : name);
         }
     }
 
     recordings_.inc();
-    logTraffic("generate", workload, ops, seed);
-    SharedTrace trace = recordWorkload(workload, ops, seed);
+    logTraffic("generate", key);
+    SharedTrace trace = recordWorkload(key.workload, key.ops, key.seed);
     bytesInserted_.inc(trace.compact().residentBytes());
 
     if (corpus) {
         // Best effort: a full disk must not fail the experiment.
         try {
-            corpus->store(CorpusKey{workload, seed, ops},
-                          trace.compact(), trace.name());
-            logTraffic("corpus-store", workload, ops, seed);
+            corpus->store(key, trace.compact(), trace.name());
+            logTraffic("corpus-store", key);
         } catch (const std::exception &e) {
             std::fprintf(stderr,
                          "tpred-cache: corpus store failed: %s\n",
@@ -108,57 +124,21 @@ TraceCache::acquire(const std::string &workload, size_t ops,
 SharedTrace
 TraceCache::get(std::string_view workload, size_t ops, uint64_t seed)
 {
-    const KeyRef ref{workload, seed, ops,
-                     hashKey(workload, seed, ops)};
-    std::promise<SharedTrace> promise;
-    std::shared_future<SharedTrace> future;
-    bool recorder = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = memo_.find(ref);
-        if (it != memo_.end()) {
-            future = it->second;
-        } else {
-            future = promise.get_future().share();
-            memo_.emplace(Key{std::string(workload), seed, ops,
-                              ref.hash},
-                          future);
-            recorder = true;
-        }
-    }
-    if (recorder) {
-        misses_.inc();
-        try {
-            promise.set_value(
-                acquire(std::string(workload), ops, seed));
-        } catch (...) {
-            // Un-memoize so a later retry isn't poisoned, then let the
-            // waiters (and this caller, via get()) see the exception.
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                auto it = memo_.find(ref);
-                if (it != memo_.end())
-                    memo_.erase(it);
-            }
-            promise.set_exception(std::current_exception());
-        }
-    } else {
-        hits_.inc();
-        logTraffic("memo-hit", std::string(workload), ops, seed);
-    }
-    return future.get();
+    return claimOrWait(memo_, CorpusKey{std::string(workload), seed, ops},
+                       misses_, hits_, "memo-hit",
+                       [this](const CorpusKey &key) {
+                           return acquire(key);
+                       });
 }
 
 std::shared_ptr<const BranchStream>
-TraceCache::acquireStream(const std::string &workload, size_t ops,
-                          uint64_t seed)
+TraceCache::acquireStream(const CorpusKey &key)
 {
     std::shared_ptr<CorpusManager> corpus = this->corpus();
-    const CorpusKey key{workload, seed, ops};
     if (corpus) {
         if (auto stream = corpus->loadStream(key)) {
             streamCorpusHits_.inc();
-            logTraffic("stream-corpus-hit", workload, ops, seed);
+            logTraffic("stream-corpus-hit", key);
             return stream;
         }
     }
@@ -167,8 +147,8 @@ TraceCache::acquireStream(const std::string &workload, size_t ops,
     // served from the corpus or memo).  The copy shares the trace's
     // column backing, so it stays valid past clear().
     streamExtractions_.inc();
-    logTraffic("stream-extract", workload, ops, seed);
-    SharedTrace trace = get(workload, ops, seed);
+    logTraffic("stream-extract", key);
+    SharedTrace trace = get(key.workload, key.ops, key.seed);
     auto stream = std::make_shared<const BranchStream>(
         trace.compact().branchStream());
 
@@ -176,7 +156,7 @@ TraceCache::acquireStream(const std::string &workload, size_t ops,
         // Best effort: a full disk must not fail the experiment.
         try {
             corpus->storeStream(key, *stream, trace.name());
-            logTraffic("stream-store", workload, ops, seed);
+            logTraffic("stream-store", key);
         } catch (const std::exception &e) {
             std::fprintf(stderr,
                          "tpred-cache: stream store failed: %s\n",
@@ -190,44 +170,12 @@ std::shared_ptr<const BranchStream>
 TraceCache::getStream(std::string_view workload, size_t ops,
                       uint64_t seed)
 {
-    const KeyRef ref{workload, seed, ops,
-                     hashKey(workload, seed, ops)};
-    std::promise<std::shared_ptr<const BranchStream>> promise;
-    std::shared_future<std::shared_ptr<const BranchStream>> future;
-    bool resolver = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = streamMemo_.find(ref);
-        if (it != streamMemo_.end()) {
-            future = it->second;
-        } else {
-            future = promise.get_future().share();
-            streamMemo_.emplace(Key{std::string(workload), seed, ops,
-                                    ref.hash},
-                                future);
-            resolver = true;
-        }
-    }
-    if (resolver) {
-        streamMisses_.inc();
-        try {
-            promise.set_value(
-                acquireStream(std::string(workload), ops, seed));
-        } catch (...) {
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                auto it = streamMemo_.find(ref);
-                if (it != streamMemo_.end())
-                    streamMemo_.erase(it);
-            }
-            promise.set_exception(std::current_exception());
-        }
-    } else {
-        streamHits_.inc();
-        logTraffic("stream-memo-hit", std::string(workload), ops,
-                   seed);
-    }
-    return future.get();
+    return claimOrWait(streamMemo_,
+                       CorpusKey{std::string(workload), seed, ops},
+                       streamMisses_, streamHits_, "stream-memo-hit",
+                       [this](const CorpusKey &key) {
+                           return acquireStream(key);
+                       });
 }
 
 void

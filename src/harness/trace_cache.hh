@@ -15,27 +15,20 @@
 #include <cstddef>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <mutex>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 
+#include "corpus/corpus.hh"
 #include "harness/experiment.hh"
 #include "obs/metrics.hh"
 
 namespace tpred
 {
 
-class CorpusManager;
-
 /**
  * Mutex-guarded memo from (workload, seed, ops) to a recorded
- * SharedTrace.
- *
- * The memo is an unordered_map whose key carries its hash,
- * precomputed once per get() from a string_view — a lookup for an
- * already-cached trace allocates nothing and compares strings at most
- * once per probed bucket entry.
+ * SharedTrace, keyed by CorpusKey.
  *
  * Thread safety: get() may be called concurrently from any number of
  * threads.  The first caller for a key claims it under the mutex and
@@ -107,81 +100,31 @@ class TraceCache
     void clear();
 
   private:
-    struct Key
-    {
-        std::string workload;
-        uint64_t seed;
-        size_t ops;
-        size_t hash;  ///< precomputed over the three fields above
-    };
+    template <typename T>
+    using Memo = std::map<CorpusKey, std::shared_future<T>>;
 
-    /** Borrowed-string probe key; same hash, no allocation. */
-    struct KeyRef
-    {
-        std::string_view workload;
-        uint64_t seed;
-        size_t ops;
-        size_t hash;
-    };
-
-    static size_t hashKey(std::string_view workload, uint64_t seed,
-                          size_t ops);
-
-    struct KeyHash
-    {
-        using is_transparent = void;
-        size_t operator()(const Key &k) const { return k.hash; }
-        size_t operator()(const KeyRef &k) const { return k.hash; }
-    };
-
-    struct KeyEqual
-    {
-        using is_transparent = void;
-
-        static bool
-        eq(std::string_view wa, uint64_t sa, size_t oa,
-           std::string_view wb, uint64_t sb, size_t ob)
-        {
-            return sa == sb && oa == ob && wa == wb;
-        }
-
-        bool
-        operator()(const Key &a, const Key &b) const
-        {
-            return eq(a.workload, a.seed, a.ops, b.workload, b.seed,
-                      b.ops);
-        }
-        bool
-        operator()(const KeyRef &a, const Key &b) const
-        {
-            return eq(a.workload, a.seed, a.ops, b.workload, b.seed,
-                      b.ops);
-        }
-        bool
-        operator()(const Key &a, const KeyRef &b) const
-        {
-            return eq(a.workload, a.seed, a.ops, b.workload, b.seed,
-                      b.ops);
-        }
-    };
+    /**
+     * Returns @p memo's value for @p key.  The first caller claims the
+     * key under the mutex, counts @p misses and runs @p resolve outside
+     * it; later callers count @p hits, log @p hit_event and wait on
+     * the claimant's shared future.  A failed resolve is un-memoized
+     * before its waiters see the exception, so a retry starts afresh.
+     */
+    template <typename T, typename Resolve>
+    T claimOrWait(Memo<T> &memo, const CorpusKey &key,
+                  const obs::Counter &misses, const obs::Counter &hits,
+                  const char *hit_event, Resolve &&resolve);
 
     /** Memo-miss path: corpus load, else generate (and persist). */
-    SharedTrace acquire(const std::string &workload, size_t ops,
-                        uint64_t seed);
+    SharedTrace acquire(const CorpusKey &key);
 
     /** Stream-memo-miss path: stream corpus, else extract+persist. */
     std::shared_ptr<const BranchStream>
-    acquireStream(const std::string &workload, size_t ops,
-                  uint64_t seed);
+    acquireStream(const CorpusKey &key);
 
     mutable std::mutex mutex_;
-    std::unordered_map<Key, std::shared_future<SharedTrace>, KeyHash,
-                       KeyEqual>
-        memo_;
-    std::unordered_map<
-        Key, std::shared_future<std::shared_ptr<const BranchStream>>,
-        KeyHash, KeyEqual>
-        streamMemo_;
+    Memo<SharedTrace> memo_;
+    Memo<std::shared_ptr<const BranchStream>> streamMemo_;
     std::shared_ptr<CorpusManager> corpus_;
 
     std::unique_ptr<obs::MetricsRegistry> owned_;  ///< when unshared

@@ -4,7 +4,7 @@
  * gauges, and wall/CPU timers with thread-local sharding.
  *
  * This is the one observability surface every layer reports through
- * (thread pool, trace cache, corpus, experiment harness, core model)
+ * (parallel runner, trace cache, corpus, experiment harness, core model)
  * instead of each keeping its own ad-hoc atomic-counter struct.  A
  * RunReport (run_report.hh) serializes a snapshot of the registry —
  * together with config and result tables — to deterministic JSON.

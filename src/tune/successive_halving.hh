@@ -10,9 +10,9 @@
  * Pareto frontier survives a ranking that accuracy alone would starve
  * — to the next rung; only the final rung's survivors pay for
  * full-trace replay.  Cheap rungs are fused runSweep() batches over cached
- * BranchStreams, sharded as (workload x history-group) jobs across
- * the PR-1 thread pool, so one rung costs a handful of trace passes
- * no matter how many hundreds of configs it holds.
+ * BranchStreams, run as (workload x history-group) ParallelRunner
+ * jobs, so one rung costs a handful of trace passes no matter how
+ * many hundreds of configs it holds.
  *
  * Determinism contract (the report byte-identity tests rest on it):
  *

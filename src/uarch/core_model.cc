@@ -336,25 +336,22 @@ CoreModel::result() const
 }
 
 CoreResult
-CoreModel::endSession(const FrontendStats &frontend, bool count_metrics)
+CoreModel::endSession(const FrontendStats &frontend)
 {
     CoreResult result = this->result();
     result.frontend = frontend;
 
-    if (count_metrics) {
-        // Once per run, not per cycle — the simulation loop stays
-        // clean.
-        static const obs::Counter cycles_simulated =
-            obs::globalMetrics().counter("core.cycles_simulated");
-        static const obs::Counter instructions_retired =
-            obs::globalMetrics().counter("core.instructions_retired");
-        static const obs::Counter idle_cycles_skipped =
-            obs::globalMetrics().counter("core.idle_cycles_skipped",
-                                         obs::MetricKind::Runtime);
-        cycles_simulated.inc(result.cycles);
-        instructions_retired.inc(result.instructions);
-        idle_cycles_skipped.inc(idleCyclesSkipped_);
-    }
+    // Once per run, not per cycle — the simulation loop stays clean.
+    static const obs::Counter cycles_simulated =
+        obs::globalMetrics().counter("core.cycles_simulated");
+    static const obs::Counter instructions_retired =
+        obs::globalMetrics().counter("core.instructions_retired");
+    static const obs::Counter idle_cycles_skipped =
+        obs::globalMetrics().counter("core.idle_cycles_skipped",
+                                     obs::MetricKind::Runtime);
+    cycles_simulated.inc(result.cycles);
+    instructions_retired.inc(result.instructions);
+    idle_cycles_skipped.inc(idleCyclesSkipped_);
     return result;
 }
 

@@ -19,12 +19,12 @@
  * Two driving styles share one simulation body:
  *  - run(): simulate a whole trace in one call (the classic API);
  *  - beginSession() / runSession() / endSession(): a resumable
- *    session that can suspend at an exact fetched-op boundary, have
- *    its complete microarchitectural state serialized (saveState /
- *    restoreState), and be continued — possibly in another thread
- *    from another windowed view of the same trace — with bit-identical
- *    results.  This is the timing-model half of the sharded-replay
- *    checkpoints (docs/parallelism.md).
+ *    session that can suspend at an exact fetched-op boundary and be
+ *    continued with bit-identical results.  There its complete
+ *    microarchitectural state can be serialized (saveState /
+ *    restoreState): no production path checkpoints a core; the bytes
+ *    are the core differential suite's oracle channel
+ *    (tests/test_core_model_differential.cc).
  *
  * The issue stage is event-driven (docs/timing_model.md): the window
  * is a ring indexed by sequence number, an instruction waits on its
@@ -155,7 +155,7 @@ struct CoreResult
 
 /**
  * Cycle-driven core.  One instance runs one trace against one outcome
- * source; construct fresh per experiment (or restoreState() into it).
+ * source; construct fresh per experiment (or forkFrom() another).
  */
 class CoreModel
 {
@@ -302,15 +302,11 @@ class CoreModel
 
     /**
      * Finishes a session: packages cycles, stall breakdown and the
-     * outcome source's accuracy @p frontend.
-     * @p count_metrics gates the global core.cycles_simulated /
-     * core.instructions_retired counters — sharded-replay warm-up and
-     * verification passes pass false so the deterministic counters
-     * stay identical to a continuous run.  It also gates the runtime
-     * core.idle_cycles_skipped counter.
+     * outcome source's accuracy @p frontend, and credits the global
+     * core.cycles_simulated / core.instructions_retired counters and
+     * the runtime core.idle_cycles_skipped counter.
      */
-    CoreResult endSession(const FrontendStats &frontend,
-                          bool count_metrics = true);
+    CoreResult endSession(const FrontendStats &frontend);
 
     /**
      * The session's result so far — cycles, instructions, stall
@@ -336,7 +332,10 @@ class CoreModel
      * Serializes the complete session state — cycle counters, window
      * contents, register writer map, fetch/stall flags and the data
      * cache.  The outcome source is checkpointed separately by the
-     * caller.
+     * caller.  No production path calls this or restoreState(): they
+     * are the oracle channel of the core differential suite, which
+     * compares these bytes with tests/reference_core_model.hh at op
+     * boundaries and continues runs from the reference's checkpoints.
      */
     void saveState(StateWriter &w) const;
 

@@ -69,7 +69,12 @@ class DCache
      */
     bool sameLines(const DCache &other) const;
 
-    /** Serializes lines, LRU clock and hit/miss counters. */
+    /**
+     * Serializes lines, LRU clock and hit/miss counters.  With
+     * restoreState() this has no production caller: it is the data
+     * cache's part of the core differential suite's oracle channel
+     * (CoreModel::saveState).
+     */
     void saveState(StateWriter &w) const;
 
     /** Restores a saveState() snapshot; geometry must match. */

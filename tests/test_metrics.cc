@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the obs metrics registry and run-report emitter: sharded
- * counter exactness under the thread pool, deterministic-counter
+ * counter exactness under the parallel runner, deterministic-counter
  * equality between serial and parallel schedules, the registry's
  * registration contract, and byte-stable RunReport JSON (golden
  * serialization, and a Table 4 run reproduced byte-identically after

@@ -1,14 +1,16 @@
 /**
  * @file
- * Tests for the parallel experiment engine: thread pool, runner
- * determinism (bit-identical results at any thread count), and
- * record-exactly-once behaviour of the shared trace cache.  These run
- * under `ctest -L tsan` in a TPRED_SANITIZE=thread build.
+ * Tests for the parallel experiment engine: the runner's contract
+ * (every index once, deterministic errors, nesting), determinism
+ * (bit-identical results at any thread count), and resolve-exactly-
+ * once behaviour of the shared trace cache's trace and stream memos.
+ * These run under `ctest -L tsan` in a TPRED_SANITIZE=thread build.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
@@ -17,63 +19,12 @@
 #include "harness/multi_seed.hh"
 #include "harness/paper_tables.hh"
 #include "harness/parallel_runner.hh"
-#include "harness/thread_pool.hh"
 #include "harness/trace_cache.hh"
 
 namespace tpred
 {
 namespace
 {
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 1000; ++i)
-        pool.submit([&count] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, WaitWithNoTasksReturnsImmediately)
-{
-    ThreadPool pool(2);
-    pool.wait();
-    SUCCEED();
-}
-
-TEST(ThreadPool, TasksCanSubmitTasks)
-{
-    // Nested submissions land on the submitting worker's own deque
-    // and get stolen by idle siblings; wait() must cover them too.
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 16; ++i) {
-        pool.submit([&pool, &count] {
-            for (int j = 0; j < 8; ++j)
-                pool.submit([&count] { count.fetch_add(1); });
-        });
-    }
-    pool.wait();
-    EXPECT_EQ(count.load(), 16 * 8);
-}
-
-TEST(ThreadPool, ReusableAcrossWaitCycles)
-{
-    ThreadPool pool(3);
-    std::atomic<int> count{0};
-    for (int round = 0; round < 5; ++round) {
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&count] { count.fetch_add(1); });
-        pool.wait();
-        EXPECT_EQ(count.load(), (round + 1) * 50);
-    }
-}
-
-TEST(ThreadPool, HardwareThreadsIsPositive)
-{
-    EXPECT_GE(ThreadPool::hardwareThreads(), 1u);
-}
 
 TEST(ParallelRunner, MapKeysResultsByIndex)
 {
@@ -103,6 +54,67 @@ TEST(ParallelRunner, PropagatesJobExceptions)
                                         throw std::runtime_error("boom");
                                 }),
                  std::runtime_error);
+}
+
+TEST(ParallelRunner, RunsEveryIndexExactlyOnce)
+{
+    // Threads both below and above the job count.
+    for (unsigned threads : {1u, 3u, 8u, 64u}) {
+        std::vector<std::atomic<int>> runs(40);
+        ParallelRunner(threads).forEach(
+            runs.size(), [&](size_t i) { runs[i].fetch_add(1); });
+        for (size_t i = 0; i < runs.size(); ++i)
+            EXPECT_EQ(runs[i].load(), 1)
+                << "threads=" << threads << " index " << i;
+    }
+}
+
+TEST(ParallelRunner, ZeroCountRunsNothing)
+{
+    for (unsigned threads : {1u, 4u}) {
+        std::atomic<int> runs{0};
+        ParallelRunner(threads).forEach(0, [&](size_t) { ++runs; });
+        EXPECT_EQ(runs.load(), 0) << "threads=" << threads;
+        EXPECT_TRUE(ParallelRunner(threads)
+                        .map<int>(0, [](size_t) { return 1; })
+                        .empty());
+    }
+}
+
+TEST(ParallelRunner, JobsCanRunNestedRunners)
+{
+    const ParallelRunner outer(4);
+    const auto sums = outer.map<size_t>(8, [](size_t i) {
+        const auto inner = ParallelRunner(3).map<size_t>(
+            16, [i](size_t j) { return i * 16 + j; });
+        size_t sum = 0;
+        for (size_t v : inner)
+            sum += v;
+        return sum;
+    });
+    for (size_t i = 0; i < sums.size(); ++i)
+        EXPECT_EQ(sums[i], i * 16 * 16 + 15 * 16 / 2) << i;
+}
+
+TEST(ParallelRunner, RethrowsLowestIndexFailureAtAnyThreadCount)
+{
+    for (unsigned threads : {1u, 2u, 8u}) {
+        try {
+            ParallelRunner(threads).forEach(100, [](size_t i) {
+                if (i == 13) {
+                    // Fail last, so that with threads job 71 fails first.
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(50));
+                    throw std::runtime_error("job 13");
+                }
+                if (i == 71)
+                    throw std::runtime_error("job 71");
+            });
+            ADD_FAILURE() << "threads=" << threads << ": no exception";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "job 13") << "threads=" << threads;
+        }
+    }
 }
 
 TEST(ParallelRunner, DefaultJobsOverride)
@@ -182,6 +194,32 @@ TEST(TraceCache, RecordsEachKeyExactlyOnceUnderConcurrentAccess)
             << "consumers must share one columnar trace";
 }
 
+TEST(TraceCache, StreamResolvesEachKeyOnceUnderConcurrentAccess)
+{
+    TraceCache cache;
+    constexpr unsigned kThreads = 8;
+    std::vector<std::shared_ptr<const BranchStream>> streams(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&cache, &streams, t] {
+            streams[t] = cache.getStream("perl", 20000, 5);
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+
+    const auto counters = cache.metricsRegistry().snapshot().counters;
+    EXPECT_EQ(counters.at("trace_cache.stream_extractions"), 1u);
+    EXPECT_EQ(counters.at("trace_cache.stream_misses"), 1u);
+    EXPECT_EQ(counters.at("trace_cache.stream_hits"), kThreads - 1);
+    EXPECT_EQ(cache.recordings(), 1u);
+    ASSERT_NE(streams[0], nullptr);
+    for (unsigned t = 1; t < kThreads; ++t)
+        EXPECT_EQ(streams[t], streams[0])
+            << "consumers must share one branch stream";
+}
+
 TEST(TraceCache, DistinctKeysRecordSeparately)
 {
     TraceCache cache;
@@ -239,6 +277,20 @@ TEST(TraceCache, UnknownWorkloadThrowsAndIsNotPoisoned)
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_THROW(cache.get("no-such-workload", 1000, 1),
                  std::invalid_argument);
+}
+
+TEST(TraceCache, UnknownWorkloadStreamFailureDoesNotPoisonKey)
+{
+    TraceCache cache;
+    for (int attempt = 0; attempt < 2; ++attempt)
+        EXPECT_THROW(cache.getStream("no-such-workload", 1000, 1),
+                     std::invalid_argument);
+    // A poisoned key would serve the second attempt as a memo hit.
+    const auto counters = cache.metricsRegistry().snapshot().counters;
+    EXPECT_EQ(counters.at("trace_cache.stream_misses"), 2u);
+    EXPECT_EQ(counters.at("trace_cache.stream_hits"), 0u);
+    EXPECT_EQ(counters.at("trace_cache.misses"), 2u);
+    EXPECT_EQ(cache.size(), 0u);
 }
 
 } // namespace

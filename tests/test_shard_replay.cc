@@ -1,16 +1,16 @@
 /**
  * @file
  * Sharded-vs-continuous differential: for every workload, replaying a
- * segmented container in shards (with checkpoint restore + warm-up)
- * must be bit-identical to continuous serial replay — FrontendStats,
- * timing results and the deterministic observability counters all
- * agree, and every shard's boundary proofs hold.  Shard counts
- * include 7 over 7 segments (uneven region/segment alignment) and 1
- * (degenerate).  Also covers the streaming primitives the sharding
- * rides on: SegmentedReplay vs resident decode, extractBranchStream
- * vs BranchStream::extract, and the fused sweep on segments.  Last,
- * every timing entry (and tpredsim) on a trace whose registers the
- * core cannot track.
+ * segmented container's accuracy in shards (with checkpoint restore +
+ * warm-up) must be bit-identical to continuous serial replay —
+ * FrontendStats and the deterministic observability counters agree,
+ * and every shard's boundary proofs hold.  Shard counts include 7
+ * over 7 segments (uneven region/segment alignment) and 1
+ * (degenerate).  Also covers the streaming primitives: streaming
+ * timing vs resident runTiming, SegmentedReplay vs resident decode,
+ * extractBranchStream vs BranchStream::extract, and the fused sweep
+ * on segments.  Last, every timing entry (and tpredsim) on a trace
+ * whose registers the core cannot track.
  */
 
 #include <gtest/gtest.h>
@@ -116,8 +116,9 @@ class ShardWorkloads
  * The tentpole differential: for 2 seeds x shard counts {1, 2, 4, 7},
  * sharded accuracy replay equals streaming replay equals resident
  * runAccuracy(), every checkpoint proof holds, and the deterministic
- * counter deltas of streaming and sharded runs are identical (a
- * sharded replay is counter-indistinguishable from a continuous one).
+ * counter deltas of streaming and sharded runs are identical but for
+ * the runner's count of the shard fan-out (a sharded replay is
+ * otherwise counter-indistinguishable from a continuous one).
  */
 TEST_P(ShardWorkloads, AccuracyShardedIsBitIdentical)
 {
@@ -161,18 +162,21 @@ TEST_P(ShardWorkloads, AccuracyShardedIsBitIdentical)
             EXPECT_GT(sharded.checkpointBytes, 0u);
 
             // Deterministic counters must not see the difference
-            // between one continuous replay and a sharded one.
-            EXPECT_EQ(
-                obs::snapshotDelta(before, mid).counters,
-                obs::snapshotDelta(pre, post).counters)
+            // between one continuous replay and a sharded one, apart
+            // from the shard fan-out itself: one runner batch of one
+            // job per shard.
+            auto want = obs::snapshotDelta(before, mid).counters;
+            want["runner.batches"] += 1;
+            want["runner.jobs"] += shards;
+            EXPECT_EQ(want, obs::snapshotDelta(pre, post).counters)
                 << workload << " shards " << shards;
         }
     }
 }
 
-/** Timing analogue on a workload subset (the core model is ~20x the
- *  cost of the accuracy path; full coverage rides the accuracy test). */
-TEST(ShardReplay, TimingShardedIsBitIdentical)
+/** Streaming timing replay equals resident runTiming() on a workload
+ *  subset (the core model is ~20x the cost of the accuracy path). */
+TEST(ShardReplay, TimingStreamingIsBitIdentical)
 {
     const IndirectConfig config =
         taggedConfig(TaggedIndexScheme::HistoryXor, 4,
@@ -185,16 +189,6 @@ TEST(ShardReplay, TimingShardedIsBitIdentical)
 
         const CoreResult streaming = runTimingStreaming(seg, config);
         EXPECT_TRUE(sameResult(streaming, expected)) << workload;
-
-        for (const unsigned shards : {2u, 7u}) {
-            const ShardedTimingResult sharded =
-                runTimingSharded(seg, config, {.shards = shards});
-            EXPECT_TRUE(sharded.verified())
-                << workload << " shards " << shards;
-            EXPECT_TRUE(sameResult(sharded.result, expected))
-                << workload << " shards " << shards;
-            EXPECT_TRUE(sameResult(sharded.serial, expected));
-        }
     }
 }
 
@@ -211,8 +205,8 @@ TEST(ShardReplay, MoreShardsThanSegmentsStillVerifies)
     EXPECT_TRUE(sameStats(sharded.stats, sharded.serial));
 }
 
-/** SegmentedReplay must yield exactly the resident op sequence, and
- *  mid-trace start positions must land on the right op. */
+/** SegmentedReplay must yield exactly the resident op sequence,
+ *  opening each segment window once. */
 TEST(ShardReplay, SegmentedReplayMatchesResidentDecode)
 {
     const TempDir dir("replay");
@@ -222,7 +216,7 @@ TEST(ShardReplay, SegmentedReplayMatchesResidentDecode)
     ASSERT_EQ(ops.size(), seg->totalOps());
 
     size_t windows = 0;
-    SegmentedReplay replay(seg, 0, [&] { ++windows; });
+    SegmentedReplay replay(seg, [&] { ++windows; });
     MicroOp op;
     for (size_t i = 0; i < ops.size(); ++i) {
         ASSERT_TRUE(replay.next(op)) << "op " << i;
@@ -233,16 +227,6 @@ TEST(ShardReplay, SegmentedReplayMatchesResidentDecode)
     }
     EXPECT_FALSE(replay.next(op));
     EXPECT_EQ(windows, seg->segmentCount());
-
-    // Start mid-segment and mid-trace: first op must be ops[start].
-    for (const uint64_t start : {1u, 5999u, 6000u, 23456u, 39999u}) {
-        SegmentedReplay from(seg, start);
-        ASSERT_TRUE(from.next(op)) << "start " << start;
-        EXPECT_EQ(op.pc, ops[start].pc) << "start " << start;
-        EXPECT_EQ(op.nextPc, ops[start].nextPc);
-    }
-    SegmentedReplay at_end(seg, seg->totalOps());
-    EXPECT_FALSE(at_end.next(op));
 }
 
 /** extractBranchStream must equal the resident extraction, and the
@@ -342,9 +326,6 @@ TEST(RegisterRange, EveryTimingEntryNamesTheFirstBadOp)
     ASSERT_NE(seg, nullptr);
     expectRejectedAtOp700([&] { runTimingStreaming(seg, tagged); },
                           "runTimingStreaming");
-    expectRejectedAtOp700(
-        [&] { runTimingSharded(seg, tagged, {.shards = 2}); },
-        "runTimingSharded");
 }
 
 TEST(RegisterRange, TpredsimTimingExitsNonZero)

@@ -89,8 +89,8 @@ usage()
         "  --load-trace FILE   replay a recorded trace file\n"
         "  --load-segmented F  stream a segmented (.tpcs) container,\n"
         "                      one mapped segment resident at a time\n"
-        "  --shards N          shard the segmented replay into N\n"
-        "                      regions with checkpoint proofs\n"
+        "  --shards N          shard the segmented accuracy replay\n"
+        "                      into N regions with checkpoint proofs\n"
         "  --tune SPACE        hand off to the tpredtune autotuner\n"
         "                      (smoke|tiny|bench|standard|btb)\n"
         "  --corpus DIR        persistent trace corpus directory\n"
@@ -249,8 +249,9 @@ printProofs(const std::vector<ShardProof> &shards, bool verified)
                          : "FAILED");
 }
 
-/** The --load-segmented path: streaming or sharded replay of a
- *  segmented container, never materializing the full trace. */
+/** The --load-segmented path: streaming (or, for accuracy, sharded)
+ *  replay of a segmented container, never materializing the full
+ *  trace. */
 int
 runSegmented(const Options &opt, const RunOptions &run)
 {
@@ -294,22 +295,10 @@ runSegmented(const Options &opt, const RunOptions &run)
     report.addWorkloadValue(w, "mpki", stats.mpki(), 4);
 
     if (opt.timing) {
-        CoreResult result;
-        if (opt.shards > 0) {
-            const ShardedTimingResult sharded = runTimingSharded(
-                trace, config, {.shards = opt.shards}, {}, fe);
-            result = sharded.result;
-            std::printf("\ntiming         : %s cycles, IPC %.2f\n",
-                        formatCount(result.cycles).c_str(),
-                        result.ipc());
-            printProofs(sharded.shards, sharded.verified());
-            verified = verified && sharded.verified();
-        } else {
-            result = runTimingStreaming(trace, config, {}, fe);
-            std::printf("\ntiming         : %s cycles, IPC %.2f\n",
-                        formatCount(result.cycles).c_str(),
-                        result.ipc());
-        }
+        const CoreResult result =
+            runTimingStreaming(trace, config, {}, fe);
+        std::printf("\ntiming         : %s cycles, IPC %.2f\n",
+                    formatCount(result.cycles).c_str(), result.ipc());
         report.addWorkloadValue(w, "cycles", result.cycles);
         report.addWorkloadValue(w, "ipc", result.ipc(), 4);
     }
@@ -322,6 +311,22 @@ runSegmented(const Options &opt, const RunOptions &run)
         std::printf("\nwrote report to %s\n", run.reportPath.c_str());
     }
     return verified ? 0 : 1;
+}
+
+/** Why @p opt combines flags its path would ignore, or nullptr. */
+const char *
+ignoredFlag(const Options &opt)
+{
+    if (opt.loadSegmented.empty())
+        return opt.shards > 0 ? "--shards needs --load-segmented"
+                              : nullptr;
+    if (opt.sites > 0)
+        return "--sites does not apply to --load-segmented";
+    if (!opt.saveTrace.empty())
+        return "--save-trace does not apply to --load-segmented";
+    if (!opt.loadTrace.empty())
+        return "--load-trace and --load-segmented are exclusive";
+    return nullptr;
 }
 
 /** The --tune path: hand off to the autotuner engine, same shared
@@ -376,6 +381,11 @@ main(int argc, char **argv)
             !tune::isSpaceName(opt.tuneSpace)) {
             std::fprintf(stderr, "tpredsim: unknown tune space '%s'\n",
                          opt.tuneSpace.c_str());
+            return 2;
+        }
+        // Same for flags the chosen path would silently ignore.
+        if (const char *why = ignoredFlag(opt)) {
+            std::fprintf(stderr, "tpredsim: %s\n", why);
             return 2;
         }
         // Same for workload names, unless a trace file replaces the
