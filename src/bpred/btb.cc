@@ -30,91 +30,119 @@ Btb::tagOf(uint64_t pc) const
     return pc >> (2 + setBits_);
 }
 
-Btb::Entry *
-Btb::findEntry(uint64_t pc)
+size_t
+Btb::find(uint64_t pc)
 {
-    const uint64_t set = setIndex(pc);
+    if (memoPc_ == pc)
+        return memoSlot_;
     const uint64_t tag = tagOf(pc);
-    Entry *base = &entries_[set * config_.ways];
-    for (unsigned w = 0; w < config_.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
+    const size_t base = setIndex(pc) * config_.ways;
+    memoPc_ = pc;
+    memoSlot_ = kAbsent;
+    for (size_t w = base; w < base + config_.ways; ++w) {
+        if (entries_[w].valid && entries_[w].tag == tag) {
+            memoSlot_ = w;
+            break;
+        }
     }
-    return nullptr;
+    return memoSlot_;
 }
 
-Btb::Entry &
-Btb::victimEntry(uint64_t set)
+size_t
+Btb::victimSlot(uint64_t set) const
 {
-    Entry *base = &entries_[set * config_.ways];
-    Entry *victim = base;
-    for (unsigned w = 0; w < config_.ways; ++w) {
-        if (!base[w].valid)
-            return base[w];
-        if (base[w].lastUsed < victim->lastUsed)
-            victim = &base[w];
+    const size_t base = set * config_.ways;
+    size_t victim = base;
+    for (size_t w = base; w < base + config_.ways; ++w) {
+        if (!entries_[w].valid)
+            return w;
+        if (entries_[w].lastUsed < entries_[victim].lastUsed)
+            victim = w;
     }
-    return *victim;
+    return victim;
 }
 
 std::optional<BtbPrediction>
 Btb::lookup(uint64_t pc)
 {
-    Entry *entry = findEntry(pc);
-    memoPc_ = pc;
-    memoEntry_ = entry;
-    memoValid_ = true;
-    if (!entry)
+    const size_t slot = find(pc);
+    if (slot == kAbsent)
         return std::nullopt;
-    entry->lastUsed = ++useClock_;
-    return BtbPrediction{entry->target, entry->fallthrough, entry->kind};
+    Entry &entry = entries_[slot];
+    entry.lastUsed = ++useClock_;
+    return BtbPrediction{entry.target, entry.fallthrough, entry.kind};
 }
 
-void
-Btb::update(const MicroOp &op)
+bool
+Btb::train(const MicroOp &op)
 {
     assert(op.isBranch());
-    Entry *entry = memoValid_ && memoPc_ == op.pc ? memoEntry_
-                                                  : findEntry(op.pc);
-    memoValid_ = false;
-    if (!entry) {
-        Entry &victim = victimEntry(setIndex(op.pc));
-        victim.valid = true;
-        victim.tag = tagOf(op.pc);
-        victim.kind = op.branch;
-        victim.fallthrough = op.fallthrough;
-        victim.missStreak = 0;
-        victim.lastUsed = ++useClock_;
-        // Only record a target when the branch actually produced one.
-        victim.target = op.taken ? op.nextPc : 0;
-        return;
-    }
-
-    entry->kind = op.branch;
-    entry->fallthrough = op.fallthrough;
-    entry->lastUsed = ++useClock_;
+    const size_t slot = find(op.pc);
+    if (slot == kAbsent)
+        return false;
+    Entry &entry = entries_[slot];
+    entry.kind = op.branch;
+    entry.fallthrough = op.fallthrough;
+    entry.lastUsed = ++useClock_;
 
     if (!op.taken)
-        return;  // not-taken conditional: keep the stored taken-target
+        return true;  // not-taken conditional: keep the stored taken-target
 
-    if (entry->target == op.nextPc) {
-        entry->missStreak = 0;
-        return;
+    if (entry.target == op.nextPc) {
+        entry.missStreak = 0;
+        return true;
     }
 
     switch (config_.strategy) {
       case BtbUpdateStrategy::Default:
-        entry->target = op.nextPc;
-        entry->missStreak = 0;
+        entry.target = op.nextPc;
+        entry.missStreak = 0;
         break;
       case BtbUpdateStrategy::TwoBit:
         // Keep the old target until it mispredicts twice in a row.
-        if (++entry->missStreak >= 2) {
-            entry->target = op.nextPc;
-            entry->missStreak = 0;
+        if (++entry.missStreak >= 2) {
+            entry.target = op.nextPc;
+            entry.missStreak = 0;
         }
         break;
     }
+    return true;
+}
+
+BtbEntry
+Btb::entryAt(size_t slot, uint64_t set) const
+{
+    // pc >> 2 is tag << setBits | set.
+    const Entry &e = entries_[slot];
+    return {(e.tag << setBits_ | set) << 2, e.target, e.fallthrough,
+            e.kind, e.missStreak};
+}
+
+std::optional<BtbEntry>
+Btb::take(uint64_t pc)
+{
+    const size_t slot = find(pc);
+    if (slot == kAbsent)
+        return std::nullopt;
+    entries_[slot].valid = false;
+    memoSlot_ = kAbsent;  // find() just remembered pc
+    return entryAt(slot, setIndex(pc));
+}
+
+std::optional<BtbEntry>
+Btb::insert(const BtbEntry &entry)
+{
+    const uint64_t set = setIndex(entry.pc);
+    const size_t slot = victimSlot(set);
+    std::optional<BtbEntry> displaced;
+    if (entries_[slot].valid)
+        displaced = entryAt(slot, set);
+    entries_[slot] = {true, tagOf(entry.pc), entry.target,
+                      entry.fallthrough, entry.kind, entry.missStreak,
+                      ++useClock_};
+    memoPc_ = entry.pc;
+    memoSlot_ = slot;
+    return displaced;
 }
 
 size_t
@@ -154,11 +182,7 @@ Btb::restoreState(StateReader &r)
         e.missStreak = r.u8();
         e.lastUsed = r.u64();
     }
-    // The memo is only valid between a lookup() and the matching
-    // update(); a restore never lands in that window.
-    memoValid_ = false;
-    memoEntry_ = nullptr;
-    memoPc_ = 0;
+    memoPc_.reset();
 }
 
 } // namespace tpred

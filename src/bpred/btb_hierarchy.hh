@@ -1,20 +1,20 @@
 /**
  * @file
- * BTB hierarchy interface: one fetch-time probe API over either the
- * paper's single monolithic BTB or a modern two-level front end.
+ * BTB hierarchy: one fetch-time probe API over either the paper's
+ * single monolithic BTB or a modern two-level front end.
  *
  * The paper models a single 1K-entry BTB (bpred/btb.hh).  Server front
  * ends (Micro BTB, arXiv 2106.04205; FDIP revisited, arXiv 2006.13547)
  * instead pair a tiny zero-bubble L1 BTB with a large second level:
  * an L1 miss that hits L2 still steers fetch, but the redirect arrives
  * a few cycles late — a fetch bubble charged even when the prediction
- * is *correct*.  The two-level implementation here models that regime
+ * is *correct*.  The two-level shape here models that regime
  * with exclusive L2->L1 prefetch-on-miss and L1-victim movement into
  * L2, using the Arm BTB geometries reverse-engineered in arXiv
  * 2412.05413 as realistic defaults (a ~64-entry nano BTB in front of a
  * several-K-entry main BTB, ~2-cycle bubble on an L2-supplied target).
  *
- * Both implementations expose deterministic per-level counters through
+ * Both shapes expose deterministic per-level counters through
  * the obs registry: btb.l1_hits, btb.l1_misses, btb.l2_hits,
  * btb.prefetches and btb.victims.  Probes accumulate in plain
  * per-instance stats (hstats) and the experiment layer credits them to
@@ -27,7 +27,7 @@
 #define TPRED_BPRED_BTB_HIERARCHY_HH
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 
 #include "bpred/btb.hh"
@@ -79,25 +79,40 @@ struct BtbHierarchyStats
 };
 
 /**
- * Fetch-time target/kind detection, one or two levels deep.
+ * Fetch-time target/kind detection, one or two levels deep: an L1
+ * `Btb` and, for a two-level shape, an L2 `Btb` kept exclusive of it.
  *
- * The contract every implementation honours: lookup() applies the one
- * architectural LRU refresh / promotion; update() trains wherever the
- * entry currently lives and allocates into L1 on a full miss.
+ * lookup() applies the one architectural LRU refresh or promotion;
+ * update() trains wherever the entry currently lives and allocates
+ * into L1 on a full miss.  A single-level hierarchy is exactly its
+ * `Btb`, probe stream and checkpoint bytes included.
  */
 class BtbHierarchy
 {
   public:
-    virtual ~BtbHierarchy() = default;
+    explicit BtbHierarchy(const BtbHierarchyConfig &config);
 
     /** Fetch-time probe; may move entries between levels. */
-    virtual BtbProbe lookup(uint64_t pc) = 0;
+    BtbProbe
+    lookup(uint64_t pc)
+    {
+        if (std::optional<BtbPrediction> hit = l1_.lookup(pc)) {
+            ++hstats_.l1Hits;
+            return {hit, 0};
+        }
+        return lookupMiss(pc);
+    }
 
     /** Resolution-time training (see bpred/btb.hh for the policy). */
-    virtual void update(const MicroOp &op) = 0;
+    void
+    update(const MicroOp &op)
+    {
+        if (!l1_.train(op))
+            updateMiss(op);
+    }
 
     /** Valid entries summed over all levels. */
-    virtual size_t validEntries() const = 0;
+    size_t validEntries() const;
 
     /**
      * Serializes all levels (tables + LRU clocks).  Probe accounting
@@ -105,27 +120,28 @@ class BtbHierarchy
      * work this instance performed, not architectural state, and a
      * restored fork must not re-report its parent's probes.
      */
-    virtual void saveState(StateWriter &w) const = 0;
+    void saveState(StateWriter &w) const;
 
     /** Restores a saveState() snapshot; config must match. */
-    virtual void restoreState(StateReader &r) = 0;
+    void restoreState(StateReader &r);
 
     const BtbHierarchyConfig &config() const { return config_; }
     const BtbHierarchyStats &hstats() const { return hstats_; }
 
-  protected:
-    explicit BtbHierarchy(const BtbHierarchyConfig &config)
-        : config_(config)
-    {
-    }
+  private:
+    // The L1-miss halves of lookup() and update(), out of line so the
+    // L1-hit paths inline into the front end's step.
+    BtbProbe lookupMiss(uint64_t pc);
+    void updateMiss(const MicroOp &op);
+
+    /** Moves an L1 victim, if any, into L2 (its L2 victim drops). */
+    void demote(const std::optional<BtbEntry> &victim);
 
     BtbHierarchyConfig config_;
+    Btb l1_;
+    std::optional<Btb> l2_;  ///< present iff config_.twoLevel
     BtbHierarchyStats hstats_;
 };
-
-/** Builds the implementation @p config selects. */
-std::unique_ptr<BtbHierarchy>
-makeBtbHierarchy(const BtbHierarchyConfig &config);
 
 /**
  * Credits @p stats to the deterministic btb.* obs counters.  Called by

@@ -31,168 +31,59 @@ FrontendPredictor::FrontendPredictor(const FrontendConfig &config,
                                      IndirectPredictor *indirect,
                                      HistoryTracker *tracker)
     : config_(config),
-      btb_(makeBtbHierarchy(config.btb)),
+      btb_(config.btb),
       gshare_(config.gshareIndexBits),
       tournament_(config.tournament),
       ghr_(config.gshareHistoryBits),
       ras_(config.rasDepth),
-      indirect_(indirect),
-      tracker_(tracker)
+      live_(indirect, tracker)
 {
-    assert(!indirect_ || tracker_);
+    assert(!indirect || tracker);
 }
 
-PredictionOutcome
-FrontendPredictor::onInstruction(const MicroOp &op)
+FrontendStats
+FrontendPredictor::statsWith(const RatioStat &indirect) const
 {
-    ++stats_.instructions;
-    if (!op.isBranch())
-        return {op.fallthrough, true};
-
-    // --- Fetch-time prediction -------------------------------------
-    const BtbProbe probe = btb_->lookup(op.pc);
-    const std::optional<BtbPrediction> &btb_pred = probe.pred;
-    stats_.btbHits.record(btb_pred.has_value());
-
-    uint64_t predicted = op.fallthrough;
-    uint64_t indirect_history = 0;
-    bool predicted_dir = false;
-
-    switch (op.branch) {
-      case BranchKind::CondDirect:
-        predicted_dir =
-            config_.direction == DirectionScheme::Tournament
-                ? tournament_.predict(op.pc, ghr_.value())
-                : gshare_.predict(op.pc, ghr_.value());
-        // A taken prediction needs the BTB for the target address.
-        if (predicted_dir && btb_pred)
-            predicted = btb_pred->target;
-        break;
-
-      case BranchKind::UncondDirect:
-      case BranchKind::Call:
-        predicted = btb_pred ? btb_pred->target : op.fallthrough;
-        break;
-
-      case BranchKind::Return:
-        predicted = ras_.pop();
-        break;
-
-      case BranchKind::IndirectJump:
-      case BranchKind::IndirectCall:
-        // The fetch-time history value is also the training index, so
-        // capture it even when the BTB fails to detect the branch.
-        if (indirect_)
-            indirect_history = tracker_->valueFor(op.pc);
-        if (btb_pred) {
-            // BTB detected the indirect branch; the target cache entry
-            // (when configured and hitting) overrides the BTB's
-            // last-computed target.
-            std::optional<uint64_t> cache_target;
-            if (indirect_) {
-                indirect_->prime(op);
-                cache_target = indirect_->predict(op.pc, indirect_history);
-            }
-            predicted = cache_target.value_or(btb_pred->target);
-        }
-        break;
-
-      case BranchKind::None:
-        break;
-    }
-
-    // RAS maintenance follows the architectural path.
-    if (op.branch == BranchKind::Call ||
-        op.branch == BranchKind::IndirectCall) {
-        ras_.push(op.fallthrough);
-    }
-
-    const bool correct = predicted == op.nextPc;
-
-    // An L2-supplied probe delays the fetch redirect — but only when
-    // the branch consumed the probe: a conditional predicted not-taken
-    // falls through regardless of what the BTB knew.  The condition
-    // depends only on batch-shared state (shared hierarchy, shared
-    // direction predictor), never on a member's predicted target.
-    unsigned bubble = probe.bubbleCycles;
-    if (op.branch == BranchKind::CondDirect && !predicted_dir)
-        bubble = 0;
-
-    // --- Scoring -----------------------------------------------------
-    stats_.allBranches.record(correct);
-    switch (op.branch) {
-      case BranchKind::CondDirect:
-        stats_.condDirection.record(predicted_dir == op.taken);
-        stats_.condBranches.record(correct);
-        break;
-      case BranchKind::UncondDirect:
-      case BranchKind::Call:
-        stats_.uncondDirect.record(correct);
-        break;
-      case BranchKind::IndirectJump:
-      case BranchKind::IndirectCall:
-        stats_.indirectJumps.record(correct);
-        break;
-      case BranchKind::Return:
-        stats_.returns.record(correct);
-        break;
-      case BranchKind::None:
-        break;
-    }
-
-    // --- Training ----------------------------------------------------
-    if (op.branch == BranchKind::CondDirect) {
-        if (config_.direction == DirectionScheme::Tournament)
-            tournament_.update(op.pc, ghr_.value(), op.taken);
-        else
-            gshare_.update(op.pc, ghr_.value(), op.taken);
-        ghr_.update(op.taken);
-    }
-    btb_->update(op);
-    if (indirect_ && isIndirectNonReturn(op.branch)) {
-        // Train with the same index the fetch-time probe used.
-        indirect_->update(op.pc, indirect_history, op.nextPc);
-    }
-    if (tracker_)
-        tracker_->observe(op);
-
-    return {predicted, correct, bubble};
+    FrontendStats s = shared_;
+    s.indirectJumps = indirect;
+    s.allBranches.merge(indirect);
+    return s;
 }
 
 void
 FrontendPredictor::saveState(StateWriter &w) const
 {
-    btb_->saveState(w);
+    btb_.saveState(w);
     gshare_.saveState(w);
     tournament_.saveState(w);
     w.u64(ghr_.value());
     ras_.saveState(w);
-    w.u64(stats_.instructions);
-    saveRatio(w, stats_.allBranches);
-    saveRatio(w, stats_.condDirection);
-    saveRatio(w, stats_.condBranches);
-    saveRatio(w, stats_.uncondDirect);
-    saveRatio(w, stats_.indirectJumps);
-    saveRatio(w, stats_.returns);
-    saveRatio(w, stats_.btbHits);
+    w.u64(shared_.instructions);
+    saveRatio(w, shared_.allBranches);
+    saveRatio(w, shared_.condDirection);
+    saveRatio(w, shared_.condBranches);
+    saveRatio(w, shared_.uncondDirect);
+    saveRatio(w, live_.stat);
+    saveRatio(w, shared_.returns);
+    saveRatio(w, shared_.btbHits);
 }
 
 void
 FrontendPredictor::restoreState(StateReader &r)
 {
-    btb_->restoreState(r);
+    btb_.restoreState(r);
     gshare_.restoreState(r);
     tournament_.restoreState(r);
     ghr_.restoreValue(r.u64());
     ras_.restoreState(r);
-    stats_.instructions = r.u64();
-    restoreRatio(r, stats_.allBranches);
-    restoreRatio(r, stats_.condDirection);
-    restoreRatio(r, stats_.condBranches);
-    restoreRatio(r, stats_.uncondDirect);
-    restoreRatio(r, stats_.indirectJumps);
-    restoreRatio(r, stats_.returns);
-    restoreRatio(r, stats_.btbHits);
+    shared_.instructions = r.u64();
+    restoreRatio(r, shared_.allBranches);
+    restoreRatio(r, shared_.condDirection);
+    restoreRatio(r, shared_.condBranches);
+    restoreRatio(r, shared_.uncondDirect);
+    restoreRatio(r, live_.stat);
+    restoreRatio(r, shared_.returns);
+    restoreRatio(r, shared_.btbHits);
 }
 
 } // namespace tpred

@@ -11,8 +11,9 @@
 #ifndef TPRED_CORE_FRONTEND_PREDICTOR_HH
 #define TPRED_CORE_FRONTEND_PREDICTOR_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <optional>
 
 #include "bpred/btb_hierarchy.hh"
 #include "bpred/gshare.hh"
@@ -21,6 +22,7 @@
 #include "bpred/ras.hh"
 #include "common/stats.hh"
 #include "core/indirect_predictor.hh"
+#include "trace/compact_trace.hh"
 
 namespace tpred
 {
@@ -96,8 +98,13 @@ struct PredictionOutcome
  * History registers are trained with architectural outcomes, modelling
  * the checkpoint-repaired history of the paper's HPS machine.
  *
- * The indirect predictor and its history tracker are borrowed, not
- * owned, so one experiment can share them across machine instances.
+ * The per-branch step is written once, templated on its *indirect
+ * stage*: whatever predicts indirect jumps and calls, spoken to
+ * through BatchedPredictors' per-branch protocol (predictAll,
+ * prediction, recordOutcomes, updateAll, observeTrackers).  The live
+ * stage adapts the borrowed IndirectPredictor and HistoryTracker, not
+ * owned, so one experiment can share them across machine instances;
+ * the fused sweep passes a whole batch (harness/sweep_kernel.cc).
  */
 class FrontendPredictor
 {
@@ -114,7 +121,19 @@ class FrontendPredictor
                       HistoryTracker *tracker = nullptr);
 
     /** Predicts, scores and trains on one instruction. */
-    PredictionOutcome onInstruction(const MicroOp &op);
+    PredictionOutcome
+    onInstruction(const MicroOp &op)
+    {
+        return onInstruction(op, live_);
+    }
+
+    /**
+     * The same step with @p stage predicting the indirect branches.
+     * At an indirect branch the outcome is member 0's; the stage
+     * keeps every member's prediction and indirect statistics.
+     */
+    template <typename Stage>
+    PredictionOutcome onInstruction(const MicroOp &op, Stage &stage);
 
     /**
      * Accounts @p count non-control instructions without replaying
@@ -123,13 +142,44 @@ class FrontendPredictor
      * instruction counter — the contract behind the branch-index
      * fast path (CompactTrace::forEachBranch).
      */
-    void skipNonBranches(uint64_t count) { stats_.instructions += count; }
+    void skipNonBranches(uint64_t count) { shared_.instructions += count; }
 
-    const FrontendStats &stats() const { return stats_; }
-    void resetStats() { stats_ = FrontendStats{}; }
+    /**
+     * Replays all of @p trace through onInstruction() by its branch
+     * index: only the branches are decoded, and the ops between them
+     * go to skipNonBranches().  @p visit(op, outcome) sees each branch.
+     */
+    template <typename Visit>
+    void
+    replayBranches(const CompactTrace &trace, Visit &&visit)
+    {
+        size_t consumed = 0;
+        trace.forEachBranch([&](const MicroOp &op, size_t pos) {
+            skipNonBranches(pos - consumed);
+            consumed = pos + 1;
+            visit(op, onInstruction(op));
+        });
+        skipNonBranches(trace.size() - consumed);
+    }
 
-    const BtbHierarchy &btb() const { return *btb_; }
-    IndirectPredictor *indirect() const { return indirect_; }
+    /** Accuracy so far, with the live stage's indirect outcomes. */
+    FrontendStats stats() const { return statsWith(live_.stat); }
+
+    /**
+     * The shared classes plus @p indirect: allBranches is the shared
+     * non-indirect branches merged with @p indirect (RatioStat::merge
+     * is counter addition, so this equals interleaved recording).
+     */
+    FrontendStats statsWith(const RatioStat &indirect) const;
+
+    void
+    resetStats()
+    {
+        shared_ = FrontendStats{};
+        live_.stat.reset();
+    }
+
+    const BtbHierarchy &btb() const { return btb_; }
 
     /**
      * Serializes the owned structures (BTB, direction predictors, GHR,
@@ -143,16 +193,166 @@ class FrontendPredictor
     void restoreState(StateReader &r);
 
   private:
+    /** The live indirect stage: a batch of one borrowed predictor. */
+    struct LiveStage
+    {
+        LiveStage(IndirectPredictor *p, HistoryTracker *t)
+            : predictor(p), tracker(t)
+        {
+        }
+
+        IndirectPredictor *predictor;  ///< nullptr = BTB-only
+        HistoryTracker *tracker;
+        uint64_t pc = 0;
+        uint64_t history = 0;  ///< fetch-time history, the update index
+        uint64_t predicted = 0;
+        RatioStat stat;
+
+        void
+        predictAll(const MicroOp &op, bool btb_hit, uint64_t btb_target)
+        {
+            pc = op.pc;
+            predicted = btb_hit ? btb_target : op.fallthrough;
+            if (!predictor)
+                return;
+            // The fetch-time history value is also the training index,
+            // so capture it even when the BTB fails to detect the
+            // branch.
+            history = tracker->valueFor(op.pc);
+            if (btb_hit) {
+                // The BTB detected the indirect branch; a hitting target
+                // cache entry overrides its last-computed target.
+                predictor->prime(op);
+                predicted = predictor->predict(op.pc, history)
+                                .value_or(btb_target);
+            }
+        }
+
+        uint64_t prediction(size_t) const { return predicted; }
+
+        void
+        recordOutcomes(uint64_t next_pc)
+        {
+            stat.record(predicted == next_pc);
+        }
+
+        void
+        updateAll(uint64_t next_pc)
+        {
+            // Train with the same index the fetch-time probe used.
+            if (predictor)
+                predictor->update(pc, history, next_pc);
+        }
+
+        void
+        observeTrackers(const MicroOp &op)
+        {
+            if (tracker)
+                tracker->observe(op);
+        }
+    };
+
     FrontendConfig config_;
-    std::unique_ptr<BtbHierarchy> btb_;
+    BtbHierarchy btb_;
     GShare gshare_;
     TournamentPredictor tournament_;
     PatternHistory ghr_;
     ReturnAddressStack ras_;
-    IndirectPredictor *indirect_;
-    HistoryTracker *tracker_;
-    FrontendStats stats_;
+    LiveStage live_;
+    /// Every class but the indirect one, which each stage keeps per
+    /// member: indirectJumps stays empty and allBranches counts the
+    /// non-indirect branches only (statsWith() composes).
+    FrontendStats shared_;
 };
+
+template <typename Stage>
+PredictionOutcome
+FrontendPredictor::onInstruction(const MicroOp &op, Stage &stage)
+{
+    ++shared_.instructions;
+    if (!op.isBranch())
+        return {op.fallthrough, true};
+
+    // --- Fetch-time prediction and scoring --------------------------
+    const BtbProbe probe = btb_.lookup(op.pc);
+    const std::optional<BtbPrediction> &btb_pred = probe.pred;
+    shared_.btbHits.record(btb_pred.has_value());
+
+    // An L2-supplied probe delays the fetch redirect — but only when
+    // the branch consumed the probe: a conditional predicted not-taken
+    // falls through regardless of what the BTB knew.  The condition
+    // depends only on batch-shared state (shared hierarchy, shared
+    // direction predictor), never on a member's predicted target.
+    unsigned bubble = probe.bubbleCycles;
+    uint64_t predicted = op.fallthrough;
+
+    // One dispatch on the branch kind predicts and scores; indirect
+    // outcomes are per member, so the stage keeps them.
+    switch (op.branch) {
+      case BranchKind::CondDirect: {
+        const bool dir =
+            config_.direction == DirectionScheme::Tournament
+                ? tournament_.predict(op.pc, ghr_.value())
+                : gshare_.predict(op.pc, ghr_.value());
+        // A taken prediction needs the BTB for the target address.
+        if (dir && btb_pred)
+            predicted = btb_pred->target;
+        if (!dir)
+            bubble = 0;
+        shared_.condDirection.record(dir == op.taken);
+        shared_.condBranches.record(predicted == op.nextPc);
+        shared_.allBranches.record(predicted == op.nextPc);
+        break;
+      }
+
+      case BranchKind::UncondDirect:
+      case BranchKind::Call:
+        predicted = btb_pred ? btb_pred->target : op.fallthrough;
+        shared_.uncondDirect.record(predicted == op.nextPc);
+        shared_.allBranches.record(predicted == op.nextPc);
+        break;
+
+      case BranchKind::Return:
+        predicted = ras_.pop();
+        shared_.returns.record(predicted == op.nextPc);
+        shared_.allBranches.record(predicted == op.nextPc);
+        break;
+
+      case BranchKind::IndirectJump:
+      case BranchKind::IndirectCall:
+        // The BTB and the target cache are examined concurrently; the
+        // stage consults its predictors only on a BTB hit.
+        stage.predictAll(op, btb_pred.has_value(),
+                         btb_pred ? btb_pred->target : 0);
+        stage.recordOutcomes(op.nextPc);
+        predicted = stage.prediction(0);
+        break;
+
+      case BranchKind::None:
+        break;
+    }
+
+    // RAS maintenance follows the architectural path.
+    if (op.branch == BranchKind::Call ||
+        op.branch == BranchKind::IndirectCall) {
+        ras_.push(op.fallthrough);
+    }
+
+    // --- Training ----------------------------------------------------
+    if (op.branch == BranchKind::CondDirect) {
+        if (config_.direction == DirectionScheme::Tournament)
+            tournament_.update(op.pc, ghr_.value(), op.taken);
+        else
+            gshare_.update(op.pc, ghr_.value(), op.taken);
+        ghr_.update(op.taken);
+    }
+    btb_.update(op);
+    if (isIndirectNonReturn(op.branch))
+        stage.updateAll(op.nextPc);
+    stage.observeTrackers(op);
+
+    return {predicted, predicted == op.nextPc, bubble};
+}
 
 } // namespace tpred
 

@@ -53,7 +53,7 @@
  * taglessIndexOf / taggedIndexOf / cascadedStage1IndexOf are free
  * functions over the geometry — so the two paths cannot drift apart.
  *
- * The per-branch protocol is the scalar front end's, member-wise:
+ * The per-branch protocol is FrontendPredictor's stage protocol, member-wise:
  *
  *   predictAll()      — fetch-time histories, set lookups,
  *                       predictions, and the scalar members' prime();

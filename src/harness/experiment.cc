@@ -120,16 +120,8 @@ runAccuracy(const SharedTrace &trace, const IndirectConfig &config,
     PredictorStack stack = buildStack(config);
     FrontendPredictor frontend(fe, stack.predictor.get(),
                                stack.tracker.get());
-    // Branch-index fast path: only control transfers touch predictor
-    // state, and a skipped op contributes exactly one instruction to
-    // the stats, so the gaps are accounted for arithmetically.
-    size_t consumed = 0;
-    trace.compact().forEachBranch([&](const MicroOp &op, size_t pos) {
-        frontend.skipNonBranches(pos - consumed);
-        frontend.onInstruction(op);
-        consumed = pos + 1;
-    });
-    frontend.skipNonBranches(trace.size() - consumed);
+    frontend.replayBranches(trace.compact(),
+                            [](const MicroOp &, PredictionOutcome) {});
     creditBtbCounters(frontend.btb().hstats());
     return frontend.stats();
 }

@@ -26,25 +26,21 @@ analyzeSites(const SharedTrace &trace, const IndirectConfig &config,
     std::unordered_map<uint64_t, Accum> sites;
 
     SiteReport report;
-    // Branch-index fast path: non-branch ops only bump the frontend's
-    // instruction counter and never appear in the report.
-    size_t consumed = 0;
-    trace.compact().forEachBranch([&](const MicroOp &op, size_t pos) {
-        frontend.skipNonBranches(pos - consumed);
-        consumed = pos + 1;
-        PredictionOutcome outcome = frontend.onInstruction(op);
-        if (!isIndirectNonReturn(op.branch))
-            return;
-        Accum &accum = sites[op.pc];
-        ++accum.executions;
-        accum.targets.insert(op.nextPc);
-        ++report.totalIndirect;
-        if (!outcome.correct) {
-            ++accum.misses;
-            ++report.totalMisses;
-        }
-    });
-    frontend.skipNonBranches(trace.size() - consumed);
+    // Non-branch ops never appear in the report.
+    frontend.replayBranches(
+        trace.compact(),
+        [&](const MicroOp &op, const PredictionOutcome &outcome) {
+            if (!isIndirectNonReturn(op.branch))
+                return;
+            Accum &accum = sites[op.pc];
+            ++accum.executions;
+            accum.targets.insert(op.nextPc);
+            ++report.totalIndirect;
+            if (!outcome.correct) {
+                ++accum.misses;
+                ++report.totalMisses;
+            }
+        });
 
     report.sites.reserve(sites.size());
     for (const auto &[pc, accum] : sites) {

@@ -4,12 +4,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <optional>
 
-#include "bpred/btb_hierarchy.hh"
-#include "bpred/gshare.hh"
-#include "bpred/ras.hh"
-#include "bpred/tournament.hh"
 #include "harness/batched_predictors.hh"
 #include "obs/metrics.hh"
 #include "trace/branch_stream.hh"
@@ -212,149 +207,39 @@ struct Member
 
 /**
  * The fused predictor pass both sweep entry points share: one walk of
- * @p stream through one architectural front end and every member of
- * @p batch.  Returns per-member statistics, bit-identical to
- * runAccuracy() per config; with a @p tape it also records what each
- * member's core reads from its front end.
+ * @p stream through one architectural front end with every member of
+ * @p batch as its indirect stage.  Returns per-member statistics,
+ * bit-identical to runAccuracy() per config; with a @p tape it also
+ * records what each member's core reads from its front end.
  */
 std::vector<FrontendStats>
 predictorPass(const BranchStream &stream, BatchedPredictors &batch,
               const FrontendConfig &fe, OutcomeTape *tape)
 {
-    // --- Shared architectural core --------------------------------
     // Trained only with architectural outcomes, so its trajectory is
-    // independent of any member's predictions: one instance stands in
+    // independent of any member's predictions: one front end stands in
     // for the per-config copies runAccuracy() would build.
-    std::unique_ptr<BtbHierarchy> btb = makeBtbHierarchy(fe.btb);
-    GShare gshare(fe.gshareIndexBits);
-    TournamentPredictor tournament(fe.tournament);
-    PatternHistory ghr(fe.gshareHistoryBits);
-    ReturnAddressStack ras(fe.rasDepth);
-    const bool use_tournament =
-        fe.direction == DirectionScheme::Tournament;
-
-    // Accumulators for the classes whose outcomes are config-
-    // independent; per-member divergence exists only at indirect
-    // jumps and calls.
-    RatioStat shared_non_indirect;  ///< allBranches minus indirect
-    RatioStat cond_direction;
-    RatioStat cond_branches;
-    RatioStat uncond_direct;
-    RatioStat returns;
-    RatioStat btb_hits;
-
+    FrontendPredictor frontend(fe);
     const size_t n = stream.size();
     for (size_t i = 0; i < n; ++i) {
         const MicroOp op = stream.opAt(i);
-        const uint64_t pc = stream.pc[i];
-        const uint64_t next_pc = stream.target[i];
-        const uint64_t fall = stream.fallthrough[i];
-        const auto kind = static_cast<BranchKind>(stream.kind[i]);
-        const bool taken = stream.taken[i] != 0;
-
-        const BtbProbe probe = btb->lookup(pc);
-        const std::optional<BtbPrediction> &btb_pred = probe.pred;
-        btb_hits.record(btb_pred.has_value());
-        // The late-redirect bubble of an L2-supplied probe, charged
-        // only when the branch consumes the probe (as in
-        // FrontendPredictor::onInstruction).
-        unsigned bubble = probe.bubbleCycles;
-        bool correct = true;
-
-        switch (kind) {
-          case BranchKind::CondDirect: {
-            const bool dir = use_tournament
-                                 ? tournament.predict(pc, ghr.value())
-                                 : gshare.predict(pc, ghr.value());
-            uint64_t predicted = fall;
-            if (dir && btb_pred)
-                predicted = btb_pred->target;
-            if (!dir)
-                bubble = 0;
-            correct = predicted == next_pc;
-            shared_non_indirect.record(correct);
-            cond_direction.record(dir == taken);
-            cond_branches.record(correct);
-            break;
-          }
-
-          case BranchKind::UncondDirect:
-          case BranchKind::Call: {
-            const uint64_t predicted =
-                btb_pred ? btb_pred->target : fall;
-            correct = predicted == next_pc;
-            shared_non_indirect.record(correct);
-            uncond_direct.record(correct);
-            break;
-          }
-
-          case BranchKind::Return: {
-            const uint64_t predicted = ras.pop();
-            correct = predicted == next_pc;
-            shared_non_indirect.record(correct);
-            returns.record(correct);
-            break;
-          }
-
-          case BranchKind::IndirectJump:
-          case BranchKind::IndirectCall: {
-            // The only per-member work on the whole path: SoA family
-            // loops, histories read before any tracker observes this
-            // op, matching the per-config ordering.
-            batch.predictAll(op, btb_pred.has_value(),
-                             btb_pred ? btb_pred->target : 0);
-            batch.recordOutcomes(next_pc);
-            break;
-          }
-
-          case BranchKind::None:
-            break;  // forEachBranch never yields these
-        }
-
-        if (tape) {
-            if (isIndirectNonReturn(kind))
-                tape->recordIndirect(stream.pos[i], bubble, batch,
-                                     next_pc);
-            else
-                tape->recordShared(correct, bubble);
-        }
-
-        if (kind == BranchKind::Call ||
-            kind == BranchKind::IndirectCall) {
-            ras.push(fall);
-        }
-
-        // --- Training (architectural, hence shared) ---------------
-        if (kind == BranchKind::CondDirect) {
-            if (use_tournament)
-                tournament.update(pc, ghr.value(), taken);
-            else
-                gshare.update(pc, ghr.value(), taken);
-            ghr.update(taken);
-        }
-        btb->update(op);
-        if (isIndirectNonReturn(kind))
-            batch.updateAll(next_pc);
-        batch.observeTrackers(op);
+        const PredictionOutcome outcome = frontend.onInstruction(op, batch);
+        if (!tape)
+            continue;
+        if (isIndirectNonReturn(op.branch))
+            tape->recordIndirect(stream.pos[i], outcome.fetchBubbleCycles,
+                                 batch, op.nextPc);
+        else
+            tape->recordShared(outcome.correct, outcome.fetchBubbleCycles);
     }
+    frontend.skipNonBranches(stream.opCount - n);
 
     // One counted pass over the stream, whatever the batch size.
-    creditBtbCounters(btb->hstats());
+    creditBtbCounters(frontend.btb().hstats());
 
-    // --- Compose per-config statistics ----------------------------
     std::vector<FrontendStats> out(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-        FrontendStats &s = out[i];
-        s.instructions = stream.opCount;
-        s.condDirection = cond_direction;
-        s.condBranches = cond_branches;
-        s.uncondDirect = uncond_direct;
-        s.returns = returns;
-        s.btbHits = btb_hits;
-        s.indirectJumps = batch.indirectStats(i);
-        s.allBranches = shared_non_indirect;
-        s.allBranches.merge(batch.indirectStats(i));
-    }
+    for (size_t m = 0; m < out.size(); ++m)
+        out[m] = frontend.statsWith(batch.indirectStats(m));
     return out;
 }
 

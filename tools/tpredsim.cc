@@ -28,9 +28,6 @@
 #include "harness/trace_cache.hh"
 #include "obs/run_report.hh"
 #include "trace/trace_io.hh"
-#include "tune/config_space.hh"
-#include "tune/successive_halving.hh"
-#include "tune/tune_report.hh"
 #include "workloads/workload.hh"
 
 using namespace tpred;
@@ -49,7 +46,6 @@ struct Options
     std::string saveTrace;
     std::string loadTrace;
     std::string loadSegmented;
-    std::string tuneSpace;
     unsigned shards = 0;
     unsigned ways = 4;
     unsigned histBits = 9;
@@ -91,8 +87,6 @@ usage()
         "                      one mapped segment resident at a time\n"
         "  --shards N          shard the segmented accuracy replay\n"
         "                      into N regions with checkpoint proofs\n"
-        "  --tune SPACE        hand off to the tpredtune autotuner\n"
-        "                      (smoke|tiny|bench|standard|btb)\n"
         "  --corpus DIR        persistent trace corpus directory\n"
         "                      (also honoured as $TPRED_CORPUS_DIR)\n"
         "  --report FILE       write a tpred-run-report/1 JSON file\n"
@@ -143,8 +137,6 @@ parse(int argc, char **argv)
             opt.loadSegmented = need(i);
         else if (arg == "--shards")
             opt.shards = parseUnsigned<unsigned>(need(i), "--shards");
-        else if (arg == "--tune")
-            opt.tuneSpace = need(i);
         else if (arg == "--list-workloads")
             opt.listWorkloads = true;
         else
@@ -329,37 +321,6 @@ ignoredFlag(const Options &opt)
     return nullptr;
 }
 
-/** The --tune path: hand off to the autotuner engine, same shared
- *  option vocabulary (--ops becomes the full rung budget). */
-int
-runTune(const Options &opt, const RunOptions &run)
-{
-    const tune::ConfigSpace space =
-        tune::enumerateSpace(opt.tuneSpace);
-    tune::TuneOptions topt;
-    topt.fullOps = run.ops;
-    topt.seed = opt.seed;
-    const tune::TuneResult result =
-        tune::runSuccessiveHalving(space, topt);
-
-    std::printf("space: %s, %zu configs\n\nsearch trajectory:\n%s",
-                space.name.c_str(), space.candidates.size(),
-                tune::renderRungTable(result).c_str());
-    std::printf("\naggregate frontier (miss rate vs storage bits):\n%s",
-                tune::renderFrontierTable(result.aggregateFrontier)
-                    .c_str());
-
-    if (!run.reportPath.empty()) {
-        obs::RunReport report =
-            tune::makeTuneReport("tpredsim", space, topt, result);
-        report.setRuntimeInfo("jobs", defaultJobs());
-        report.captureProcess();
-        report.write(run.reportPath);
-        std::printf("\nwrote report to %s\n", run.reportPath.c_str());
-    }
-    return 0;
-}
-
 } // namespace
 
 int
@@ -376,14 +337,8 @@ main(int argc, char **argv)
             return 0;
         }
 
-        // Fail loud (usage status) on unknown spaces before any work.
-        if (!opt.tuneSpace.empty() &&
-            !tune::isSpaceName(opt.tuneSpace)) {
-            std::fprintf(stderr, "tpredsim: unknown tune space '%s'\n",
-                         opt.tuneSpace.c_str());
-            return 2;
-        }
-        // Same for flags the chosen path would silently ignore.
+        // Fail loud (usage status) on flags the chosen path would
+        // silently ignore, before any work.
         if (const char *why = ignoredFlag(opt)) {
             std::fprintf(stderr, "tpredsim: %s\n", why);
             return 2;
@@ -399,9 +354,6 @@ main(int argc, char **argv)
             return 2;
         }
         run.apply();
-
-        if (!opt.tuneSpace.empty())
-            return runTune(opt, run);
 
         if (!opt.loadSegmented.empty())
             return runSegmented(opt, run);
@@ -442,17 +394,8 @@ main(int argc, char **argv)
 
         std::printf("predictor: %s\n\n", config.describe().c_str());
 
-        FrontendStats stats = runAccuracy(trace, config, fe);
-        std::printf("indirect jumps : %s, miss rate %s\n",
-                    formatCount(stats.indirectJumps.total()).c_str(),
-                    formatPercent(stats.indirectJumps.missRate(), 2)
-                        .c_str());
-        std::printf("cond direction : miss rate %s\n",
-                    formatPercent(stats.condDirection.missRate(), 2)
-                        .c_str());
-        std::printf("returns        : miss rate %s\n",
-                    formatPercent(stats.returns.missRate(), 2).c_str());
-        std::printf("all branches   : %.2f MPKI\n", stats.mpki());
+        const FrontendStats stats = runAccuracy(trace, config, fe);
+        printAccuracy(stats);
 
         obs::RunReport report("tpredsim");
         report.setConfig("workload", trace.name());
