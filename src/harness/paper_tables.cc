@@ -208,13 +208,17 @@ tracesFor(const TableOptions &opt, const std::vector<std::string> &names)
     });
 }
 
-/** BTB-only baseline cycles per trace, for the timing tables. */
+/**
+ * BTB-only baseline cycles per trace, for the timing tables: a batch
+ * of one, so that every timing cell runs on the tape path.
+ */
 std::vector<uint64_t>
 baseCyclesFor(const TableOptions &opt,
               const std::vector<SharedTrace> &traces)
 {
     return mapJobs<uint64_t>(opt, traces.size(), [&](size_t i) {
-        return runTiming(traces[i], baselineConfig()).cycles;
+        const std::vector<IndirectConfig> solo = {baselineConfig()};
+        return runTimingSweep(traces[i], solo)[0].cycles;
     });
 }
 
@@ -645,13 +649,15 @@ renderBtbPressure(const TableOptions &opt)
 
     // Timing cells: BTB-miss bubble cycles per 1000 instructions with
     // the tagless target cache in place — the stall a better hierarchy
-    // (or a smaller code footprint) recovers.
+    // (or a smaller code footprint) recovers.  Batches of one, on the
+    // tape path.
     const auto stalls = mapJobs<double>(
         opt, variants.size() * names.size(), [&](size_t j) {
             const size_t v = j / names.size();
             const size_t w = j % names.size();
-            const CoreResult r = runTiming(traces[w], taglessGshare(),
-                                           CoreParams{}, variants[v].fe);
+            const std::vector<IndirectConfig> solo = {taglessGshare()};
+            const CoreResult r = runTimingSweep(traces[w], solo, CoreParams{},
+                                                variants[v].fe)[0];
             return r.instructions ? 1000.0 *
                                         static_cast<double>(
                                             r.btbMissStallCycles) /

@@ -28,19 +28,13 @@ validated(const CoreParams &params)
     return params;
 }
 
-/** True for a register the writer map can index, or kNoReg. */
-bool
-trackable(RegIndex reg)
-{
-    return static_cast<unsigned>(reg + 1) <= kNumArchRegs;
-}
-
 std::string
 registerRangeMessage(uint64_t op_index, const MicroOp &op)
 {
     const RegIndex regs[] = {op.dstReg, op.srcRegs[0], op.srcRegs[1]};
     const RegIndex bad = *std::find_if_not(std::begin(regs),
-                                           std::end(regs), trackable);
+                                           std::end(regs),
+                                           trackableRegister);
     return "op " + std::to_string(op_index) + " names register " +
            std::to_string(bad) + ", outside the core's [0, " +
            std::to_string(kNumArchRegs) + ")";
@@ -86,205 +80,6 @@ CoreModel::CoreModel(const CoreParams &params)
     wheelMask_ = buckets - 1;
     wheel_.resize(buckets * readyBits_.size());
     wheelBusy_.resize((buckets + 63) / 64);
-}
-
-void
-CoreModel::dispatch(const MicroOp &op, bool mispredicted)
-{
-    if (!trackable(op.dstReg) || !trackable(op.srcRegs[0]) ||
-        !trackable(op.srcRegs[1])) [[unlikely]]
-        throw RegisterRangeError(totalFetched_ - 1, op);
-    const uint64_t seq = nextSeq_++;
-    const auto slot = static_cast<uint32_t>(seq & mask_);
-    InFlight &entry = ring_[slot];
-    entry.op = op;
-    entry.seq = seq;
-    for (unsigned s = 0; s < 2; ++s) {
-        const RegIndex reg = op.srcRegs[s];
-        entry.srcSeq[s] = reg == kNoReg ? 0 : lastWriter_[reg];
-    }
-    if (op.dstReg != kNoReg)
-        lastWriter_[op.dstReg] = seq;
-    entry.doneCycle = 0;
-    entry.issued = false;
-    entry.mispredicted = mispredicted;
-    linkSources(slot);
-}
-
-void
-CoreModel::linkSources(uint32_t slot)
-{
-    InFlight &entry = ring_[slot];
-    entry.pending = 0;
-    entry.readyCycle = 0;
-    entry.waiters = kNoSlot;
-    for (unsigned s = 0; s < 2; ++s) {
-        const uint64_t src = entry.srcSeq[s];
-        if (src == 0 || src < headSeq_)
-            continue;  // no producer, or the producer already retired
-        InFlight &producer = at(src);
-        if (producer.issued) {
-            entry.readyCycle =
-                std::max(entry.readyCycle, producer.doneCycle);
-        } else {
-            ++entry.pending;
-            entry.nextWaiter[s] = producer.waiters;
-            producer.waiters = slot * 2 + s;
-        }
-    }
-    if (entry.pending == 0)
-        markReady(slot);
-}
-
-void
-CoreModel::markReady(uint32_t slot)
-{
-    const uint64_t ready = ring_[slot].readyCycle;
-    const uint64_t bit = uint64_t{1} << (slot % 64);
-    if (ready <= cycle_) {
-        readyBits_[slot / 64] |= bit;
-        return;
-    }
-    // ready - cycle_ <= longestOperandWait(), less than the bucket
-    // count: the bucket holds no other cycle.
-    const uint64_t bucket = ready & wheelMask_;
-    wheel_[bucket * readyBits_.size() + slot / 64] |= bit;
-    wheelBusy_[bucket / 64] |= uint64_t{1} << (bucket % 64);
-}
-
-void
-CoreModel::wakeDue()
-{
-    const uint64_t bucket = cycle_ & wheelMask_;
-    uint64_t &busy = wheelBusy_[bucket / 64];
-    const uint64_t bit = uint64_t{1} << (bucket % 64);
-    if ((busy & bit) == 0)
-        return;
-    busy &= ~bit;
-    uint64_t *due = &wheel_[bucket * readyBits_.size()];
-    for (size_t w = 0; w < readyBits_.size(); ++w) {
-        readyBits_[w] |= due[w];
-        due[w] = 0;
-    }
-}
-
-uint64_t
-CoreModel::nextWakeup() const
-{
-    // The first busy bucket in wheel order after this cycle's.  Every
-    // pending wake-up lies within one turn of the wheel, so the
-    // distance in buckets is the distance in cycles.
-    const size_t words = wheelBusy_.size();
-    const uint64_t from = (cycle_ + 1) & wheelMask_;
-    size_t w = from / 64;
-    uint64_t bits = wheelBusy_[w] & (~uint64_t{0} << (from % 64));
-    for (size_t i = 0; i <= words; ++i) {
-        if (bits != 0) {
-            const uint64_t bucket = w * 64 + std::countr_zero(bits);
-            return cycle_ + 1 + ((bucket - from) & wheelMask_);
-        }
-        w = w + 1 == words ? 0 : w + 1;
-        bits = wheelBusy_[w];
-    }
-    return UINT64_MAX;
-}
-
-void
-CoreModel::issueOldestReady()
-{
-    // Ring order from the head slot is age order: the head's word from
-    // the head bit, the words after it, then the head's word again,
-    // whose low bits are the youngest slots.  Every latency is >= 1,
-    // so issue() readies nothing in this cycle and one pass over the
-    // words sees every candidate.
-    const size_t words = readyBits_.size();
-    const size_t head = headSeq_ & mask_;
-    size_t w = head / 64;
-    uint64_t bits = readyBits_[w] & (~uint64_t{0} << (head % 64));
-    unsigned issued = 0;
-    for (size_t i = 0; i <= words; ++i) {
-        for (; bits != 0; bits &= bits - 1) {
-            if (issued == params_.fuCount)
-                return;
-            issue(static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
-            ++issued;
-        }
-        w = w + 1 == words ? 0 : w + 1;
-        bits = readyBits_[w];
-    }
-}
-
-void
-CoreModel::issue(uint32_t slot)
-{
-    readyBits_[slot / 64] &= ~(uint64_t{1} << (slot % 64));
-    InFlight &entry = ring_[slot];
-    entry.issued = true;
-    unsigned latency = executionLatency(entry.op.cls);
-    if (entry.op.cls == InstClass::Load || entry.op.cls == InstClass::Store)
-        latency += dcache_.access(entry.op.memAddr,
-                                  entry.op.cls == InstClass::Store);
-    entry.doneCycle = cycle_ + latency;
-    if (entry.mispredicted) {
-        // Checkpoint repair: correct-path fetch restarts the cycle
-        // after the branch resolves.
-        fetchAllowed_ = entry.doneCycle + 1;
-        redirectPending_ = false;
-    }
-    // Every latency is >= 1, so a consumer woken here becomes issuable
-    // in a later cycle, never in this one.
-    for (uint32_t link = entry.waiters; link != kNoSlot;) {
-        InFlight &consumer = ring_[link / 2];
-        const uint32_t next = consumer.nextWaiter[link % 2];
-        consumer.readyCycle =
-            std::max(consumer.readyCycle, entry.doneCycle);
-        if (--consumer.pending == 0)
-            markReady(link / 2);
-        link = next;
-    }
-    entry.waiters = kNoSlot;
-}
-
-void
-CoreModel::chargeStall(uint64_t cycles)
-{
-    if (stallKind_ != BranchKind::None)
-        stallByKind_[static_cast<size_t>(stallKind_)] += cycles;
-    else if (btbStallPending_)
-        btbMissStall_ += cycles;
-}
-
-void
-CoreModel::skipIdleCycles()
-{
-    for (uint64_t word : readyBits_)
-        if (word != 0)
-            return;  // the next cycle issues
-
-    // The earliest later cycle in which a stage can act: the head
-    // completes, an operand arrives, or fetch unblocks (a full window
-    // with fetch open waits for a retire instead).  Until then every
-    // cycle would repeat this one's fetch verdict and change nothing
-    // but the stall counters.
-    uint64_t next = UINT64_MAX;
-    if (headSeq_ != nextSeq_ && at(headSeq_).issued)
-        next = at(headSeq_).doneCycle;
-    next = std::min(next, nextWakeup());
-    if (!traceEnded_ && !redirectPending_ &&
-        (fetchAllowed_ > cycle_ || nextSeq_ - headSeq_ < params_.window))
-        next = std::min(next, std::max(fetchAllowed_, cycle_ + 1));
-    if (next == UINT64_MAX || next <= cycle_ + 1)
-        return;
-
-    const uint64_t skipped = next - cycle_ - 1;
-    if (!traceEnded_) {
-        if (redirectPending_ || cycle_ + 1 < fetchAllowed_)
-            chargeStall(skipped);
-        else
-            fetched_ = 0;  // open fetch groups that find the window full
-    }
-    cycle_ += skipped;
-    idleCyclesSkipped_ += skipped;
 }
 
 void
@@ -355,45 +150,6 @@ CoreModel::endSession(const FrontendStats &frontend)
     return result;
 }
 
-namespace
-{
-
-void
-saveOp(StateWriter &w, const MicroOp &op)
-{
-    w.u64(op.pc);
-    w.u64(op.nextPc);
-    w.u64(op.fallthrough);
-    w.u64(op.memAddr);
-    w.u64(op.selector);
-    w.u8(static_cast<uint8_t>(op.cls));
-    w.u8(static_cast<uint8_t>(op.branch));
-    w.b(op.taken);
-    w.i16(op.dstReg);
-    w.i16(op.srcRegs[0]);
-    w.i16(op.srcRegs[1]);
-}
-
-MicroOp
-restoreOp(StateReader &r)
-{
-    MicroOp op;
-    op.pc = r.u64();
-    op.nextPc = r.u64();
-    op.fallthrough = r.u64();
-    op.memAddr = r.u64();
-    op.selector = r.u64();
-    op.cls = static_cast<InstClass>(r.u8());
-    op.branch = static_cast<BranchKind>(r.u8());
-    op.taken = r.b();
-    op.dstReg = r.i16();
-    op.srcRegs[0] = r.i16();
-    op.srcRegs[1] = r.i16();
-    return op;
-}
-
-} // namespace
-
 void
 CoreModel::saveState(StateWriter &w) const
 {
@@ -417,8 +173,9 @@ CoreModel::saveState(StateWriter &w) const
     w.u64(nextSeq_ - headSeq_);
     for (uint64_t seq = headSeq_; seq != nextSeq_; ++seq) {
         const InFlight &entry = at(seq);
-        saveOp(w, entry.op);
-        w.u64(entry.seq);
+        w.u64(entry.memAddr);
+        w.u8(static_cast<uint8_t>(entry.cls));
+        w.i16(entry.dstReg);
         w.u64(entry.srcSeq[0]);
         w.u64(entry.srcSeq[1]);
         w.u64(entry.doneCycle);
@@ -457,18 +214,18 @@ CoreModel::restoreState(StateReader &r)
     const uint64_t longest_wait = longestOperandWait(params_);
     for (uint64_t seq = headSeq_; seq != nextSeq_; ++seq) {
         InFlight &entry = at(seq);
-        entry.op = restoreOp(r);
-        entry.seq = r.u64();
+        entry.memAddr = r.u64();
+        entry.cls = static_cast<InstClass>(r.u8());
+        entry.dstReg = r.i16();
         entry.srcSeq[0] = r.u64();
         entry.srcSeq[1] = r.u64();
         entry.doneCycle = r.u64();
         entry.issued = r.b();
         entry.mispredicted = r.b();
-        if (entry.seq != seq || entry.srcSeq[0] >= seq ||
-            entry.srcSeq[1] >= seq)
+        if (entry.srcSeq[0] >= seq || entry.srcSeq[1] >= seq)
             throw StateFormatError(
-                "core checkpoint window is not a run of consecutive "
-                "ops ending at the next sequence number");
+                "core checkpoint holds an op whose producer does not "
+                "precede it");
         if (entry.issued && entry.doneCycle > cycle_ &&
             entry.doneCycle - cycle_ > longest_wait)
             throw StateFormatError(

@@ -45,7 +45,9 @@
 #ifndef TPRED_UARCH_CORE_MODEL_HH
 #define TPRED_UARCH_CORE_MODEL_HH
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -66,9 +68,9 @@ class StateReader;
 /**
  * Machine parameters (paper section 4.1 and DESIGN.md section 5).
  * width, window and fuCount must be nonzero (CoreModel throws
- * std::invalid_argument otherwise: a zero would never retire), and
- * the D-cache latencies must keep longestOperandWait() within
- * kMaxOperandWait.
+ * std::invalid_argument otherwise: a zero would never retire), the
+ * D-cache geometry must be one DCache can index (DCacheConfig), and
+ * its latencies must keep longestOperandWait() within kMaxOperandWait.
  */
 struct CoreParams
 {
@@ -89,6 +91,13 @@ uint64_t longestOperandWait(const CoreParams &params);
 
 /** The longest operand wait a CoreModel accepts, in cycles. */
 inline constexpr uint64_t kMaxOperandWait = 65535;
+
+/** True for a register the core's writer map can index, or kNoReg. */
+inline bool
+trackableRegister(RegIndex reg)
+{
+    return static_cast<unsigned>(reg + 1) <= kNumArchRegs;
+}
 
 /**
  * A fetched op names a register the core cannot track: neither kNoReg
@@ -222,9 +231,9 @@ class CoreModel
                     // A retiring writer's value is ready by
                     // construction; drop its writer record if it is
                     // still the latest.
-                    if (head.op.dstReg != kNoReg &&
-                        lastWriter_[head.op.dstReg] == headSeq_) {
-                        lastWriter_[head.op.dstReg] = 0;
+                    if (head.dstReg != kNoReg &&
+                        lastWriter_[head.dstReg] == headSeq_) {
+                        lastWriter_[head.dstReg] = 0;
                     }
                     ++headSeq_;
                     ++instructions_;
@@ -342,7 +351,7 @@ class CoreModel
     /**
      * Restores a saveState() snapshot; params must match.
      * @throws StateFormatError when the window does not fit this core
-     *         or its sequence numbers are not consecutive.
+     *         or names a producer that does not precede its op.
      */
     void restoreState(StateReader &r);
 
@@ -386,16 +395,19 @@ class CoreModel
     static constexpr uint32_t kNoSlot = UINT32_MAX;
 
     /**
-     * One window entry.  The first six fields are the serialized
-     * state; the rest is the wake-up bookkeeping restoreState()
-     * rebuilds from them.
+     * One window entry, one cache line: only what the core reads after
+     * dispatch (its sequence number is its position in the window).
+     * memAddr through mispredicted are the serialized state; the
+     * rest is the wake-up bookkeeping restoreState() rebuilds from
+     * them.
      */
-    struct InFlight
+    struct alignas(64) InFlight
     {
-        MicroOp op;
-        uint64_t seq = 0;
+        uint64_t memAddr = 0;
         uint64_t srcSeq[2] = {0, 0};  ///< producing seq, 0 = ready
         uint64_t doneCycle = 0;
+        RegIndex dstReg = kNoReg;
+        InstClass cls = InstClass::Integer;
         bool issued = false;
         bool mispredicted = false;
 
@@ -406,6 +418,7 @@ class CoreModel
         /// Next link of operand s's entry in its producer's list.
         uint32_t nextWaiter[2] = {kNoSlot, kNoSlot};
     };
+    static_assert(sizeof(InFlight) == 64);
 
     InFlight &at(uint64_t seq) { return ring_[seq & mask_]; }
     const InFlight &at(uint64_t seq) const { return ring_[seq & mask_]; }
@@ -466,6 +479,209 @@ class CoreModel
     uint64_t btbMissStall_ = 0;    ///< cycles lost to BTB-miss bubbles
     bool traceEnded_ = false;
 };
+
+// ---- The per-op and per-cycle steps of runSession(), inline --------
+
+inline void
+CoreModel::dispatch(const MicroOp &op, bool mispredicted)
+{
+    if (!trackableRegister(op.dstReg) ||
+        !trackableRegister(op.srcRegs[0]) ||
+        !trackableRegister(op.srcRegs[1])) [[unlikely]]
+        throw RegisterRangeError(totalFetched_ - 1, op);
+    const uint64_t seq = nextSeq_++;
+    const auto slot = static_cast<uint32_t>(seq & mask_);
+    InFlight &entry = ring_[slot];
+    entry.memAddr = op.memAddr;
+    entry.dstReg = op.dstReg;
+    entry.cls = op.cls;
+    for (unsigned s = 0; s < 2; ++s) {
+        const RegIndex reg = op.srcRegs[s];
+        entry.srcSeq[s] = reg == kNoReg ? 0 : lastWriter_[reg];
+    }
+    if (op.dstReg != kNoReg)
+        lastWriter_[op.dstReg] = seq;
+    entry.doneCycle = 0;
+    entry.issued = false;
+    entry.mispredicted = mispredicted;
+    linkSources(slot);
+}
+
+inline void
+CoreModel::linkSources(uint32_t slot)
+{
+    InFlight &entry = ring_[slot];
+    entry.pending = 0;
+    entry.readyCycle = 0;
+    entry.waiters = kNoSlot;
+    for (unsigned s = 0; s < 2; ++s) {
+        const uint64_t src = entry.srcSeq[s];
+        if (src == 0 || src < headSeq_)
+            continue;  // no producer, or the producer already retired
+        InFlight &producer = at(src);
+        if (producer.issued) {
+            entry.readyCycle =
+                std::max(entry.readyCycle, producer.doneCycle);
+        } else {
+            ++entry.pending;
+            entry.nextWaiter[s] = producer.waiters;
+            producer.waiters = slot * 2 + s;
+        }
+    }
+    if (entry.pending == 0)
+        markReady(slot);
+}
+
+inline void
+CoreModel::markReady(uint32_t slot)
+{
+    const uint64_t ready = ring_[slot].readyCycle;
+    const uint64_t bit = uint64_t{1} << (slot % 64);
+    if (ready <= cycle_) {
+        readyBits_[slot / 64] |= bit;
+        return;
+    }
+    // ready - cycle_ <= longestOperandWait(), less than the bucket
+    // count: the bucket holds no other cycle.
+    const uint64_t bucket = ready & wheelMask_;
+    wheel_[bucket * readyBits_.size() + slot / 64] |= bit;
+    wheelBusy_[bucket / 64] |= uint64_t{1} << (bucket % 64);
+}
+
+inline void
+CoreModel::wakeDue()
+{
+    const uint64_t bucket = cycle_ & wheelMask_;
+    uint64_t &busy = wheelBusy_[bucket / 64];
+    const uint64_t bit = uint64_t{1} << (bucket % 64);
+    if ((busy & bit) == 0)
+        return;
+    busy &= ~bit;
+    uint64_t *due = &wheel_[bucket * readyBits_.size()];
+    for (size_t w = 0; w < readyBits_.size(); ++w) {
+        readyBits_[w] |= due[w];
+        due[w] = 0;
+    }
+}
+
+inline uint64_t
+CoreModel::nextWakeup() const
+{
+    // The first busy bucket in wheel order after this cycle's.  Every
+    // pending wake-up lies within one turn of the wheel, so the
+    // distance in buckets is the distance in cycles.
+    const size_t words = wheelBusy_.size();
+    const uint64_t from = (cycle_ + 1) & wheelMask_;
+    size_t w = from / 64;
+    uint64_t bits = wheelBusy_[w] & (~uint64_t{0} << (from % 64));
+    for (size_t i = 0; i <= words; ++i) {
+        if (bits != 0) {
+            const uint64_t bucket = w * 64 + std::countr_zero(bits);
+            return cycle_ + 1 + ((bucket - from) & wheelMask_);
+        }
+        w = w + 1 == words ? 0 : w + 1;
+        bits = wheelBusy_[w];
+    }
+    return UINT64_MAX;
+}
+
+inline void
+CoreModel::issueOldestReady()
+{
+    // Ring order from the head slot is age order: the head's word from
+    // the head bit, the words after it, then the head's word again,
+    // whose low bits are the youngest slots.  Every latency is >= 1,
+    // so issue() readies nothing in this cycle and one pass over the
+    // words sees every candidate.
+    const size_t words = readyBits_.size();
+    const size_t head = headSeq_ & mask_;
+    size_t w = head / 64;
+    uint64_t bits = readyBits_[w] & (~uint64_t{0} << (head % 64));
+    unsigned issued = 0;
+    for (size_t i = 0; i <= words; ++i) {
+        for (; bits != 0; bits &= bits - 1) {
+            if (issued == params_.fuCount)
+                return;
+            issue(static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
+            ++issued;
+        }
+        w = w + 1 == words ? 0 : w + 1;
+        bits = readyBits_[w];
+    }
+}
+
+inline void
+CoreModel::issue(uint32_t slot)
+{
+    readyBits_[slot / 64] &= ~(uint64_t{1} << (slot % 64));
+    InFlight &entry = ring_[slot];
+    entry.issued = true;
+    unsigned latency = executionLatency(entry.cls);
+    if (entry.cls == InstClass::Load || entry.cls == InstClass::Store)
+        latency += dcache_.access(entry.memAddr,
+                                  entry.cls == InstClass::Store);
+    entry.doneCycle = cycle_ + latency;
+    if (entry.mispredicted) {
+        // Checkpoint repair: correct-path fetch restarts the cycle
+        // after the branch resolves.
+        fetchAllowed_ = entry.doneCycle + 1;
+        redirectPending_ = false;
+    }
+    // Every latency is >= 1, so a consumer woken here becomes issuable
+    // in a later cycle, never in this one.
+    for (uint32_t link = entry.waiters; link != kNoSlot;) {
+        InFlight &consumer = ring_[link / 2];
+        const uint32_t next = consumer.nextWaiter[link % 2];
+        consumer.readyCycle =
+            std::max(consumer.readyCycle, entry.doneCycle);
+        if (--consumer.pending == 0)
+            markReady(link / 2);
+        link = next;
+    }
+    entry.waiters = kNoSlot;
+}
+
+inline void
+CoreModel::chargeStall(uint64_t cycles)
+{
+    if (stallKind_ != BranchKind::None)
+        stallByKind_[static_cast<size_t>(stallKind_)] += cycles;
+    else if (btbStallPending_)
+        btbMissStall_ += cycles;
+}
+
+inline void
+CoreModel::skipIdleCycles()
+{
+    for (uint64_t word : readyBits_)
+        if (word != 0)
+            return;  // the next cycle issues
+
+    // The earliest later cycle in which a stage can act: the head
+    // completes, an operand arrives, or fetch unblocks (a full window
+    // with fetch open waits for a retire instead).  Until then every
+    // cycle would repeat this one's fetch verdict and change nothing
+    // but the stall counters.
+    uint64_t next = UINT64_MAX;
+    if (headSeq_ != nextSeq_ && at(headSeq_).issued)
+        next = at(headSeq_).doneCycle;
+    next = std::min(next, nextWakeup());
+    if (!traceEnded_ && !redirectPending_ &&
+        (fetchAllowed_ > cycle_ || nextSeq_ - headSeq_ < params_.window))
+        next = std::min(next, std::max(fetchAllowed_, cycle_ + 1));
+    if (next == UINT64_MAX || next <= cycle_ + 1)
+        return;
+
+    const uint64_t skipped = next - cycle_ - 1;
+    if (!traceEnded_) {
+        if (redirectPending_ || cycle_ + 1 < fetchAllowed_)
+            chargeStall(skipped);
+        else
+            fetched_ = 0;  // open fetch groups that find the window full
+    }
+    cycle_ += skipped;
+    idleCyclesSkipped_ += skipped;
+}
 
 } // namespace tpred
 

@@ -1,54 +1,45 @@
 #include "uarch/dcache.hh"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
-#include "common/bits.hh"
 #include "common/state_io.hh"
 
 namespace tpred
 {
 
+namespace
+{
+
+/** A geometry access() can index with bit fields, or a throw. */
+const DCacheConfig &
+indexable(const DCacheConfig &config)
+{
+    if (config.ways == 0)
+        throw std::invalid_argument("D-cache: ways must be nonzero");
+    if (!isPowerOfTwo(config.lineBytes))
+        throw std::invalid_argument(
+            "D-cache: lineBytes must be a power of two, not " +
+            std::to_string(config.lineBytes));
+    const uint64_t way_bytes = uint64_t{config.lineBytes} * config.ways;
+    if (config.sizeBytes % way_bytes != 0 ||
+        !isPowerOfTwo(config.sizeBytes / way_bytes))
+        throw std::invalid_argument(
+            "D-cache: sizeBytes must be lineBytes * ways (" +
+            std::to_string(way_bytes) + ") times a power of two, not " +
+            std::to_string(config.sizeBytes));
+    return config;
+}
+
+} // namespace
+
 DCache::DCache(const DCacheConfig &config)
-    : config_(config),
+    : config_(indexable(config)),
       setBits_(floorLog2(config.sets())),
       offsetBits_(floorLog2(config.lineBytes)),
       lines_(config.sets() * config.ways)
 {
-    assert(isPowerOfTwo(config.sets()));
-    assert(isPowerOfTwo(config.lineBytes));
-}
-
-unsigned
-DCache::access(uint64_t addr, bool is_store)
-{
-    (void)is_store;  // write-allocate: stores behave like loads here
-    const uint64_t set = bits(addr >> offsetBits_, 0, setBits_);
-    const uint64_t tag = addr >> (offsetBits_ + setBits_);
-    Line *base = &lines_[set * config_.ways];
-
-    for (unsigned w = 0; w < config_.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            base[w].lastUsed = ++useClock_;
-            ++stats_.hits;
-            return config_.hitLatency;
-        }
-    }
-
-    // Miss: fill the LRU way.
-    Line *victim = base;
-    for (unsigned w = 0; w < config_.ways; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
-        }
-        if (base[w].lastUsed < victim->lastUsed)
-            victim = &base[w];
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUsed = ++useClock_;
-    ++stats_.misses;
-    return config_.hitLatency + config_.missLatency;
 }
 
 bool

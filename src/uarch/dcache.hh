@@ -11,13 +11,20 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bits.hh"
+
 namespace tpred
 {
 
 class StateWriter;
 class StateReader;
 
-/** D-cache geometry and timing. */
+/**
+ * D-cache geometry and timing.  DCache indexes sets and line offsets
+ * by bit fields, so it throws std::invalid_argument unless ways is
+ * nonzero, lineBytes a power of two and sizeBytes lineBytes * ways
+ * times a power of two.
+ */
 struct DCacheConfig
 {
     unsigned sizeBytes = 16 * 1024;
@@ -95,6 +102,40 @@ class DCache
     DCacheStats stats_;
     uint64_t useClock_ = 0;
 };
+
+// Inline: the core model calls it once per issued load or store.
+inline unsigned
+DCache::access(uint64_t addr, bool is_store)
+{
+    (void)is_store;  // write-allocate: stores behave like loads here
+    const uint64_t set = bits(addr >> offsetBits_, 0, setBits_);
+    const uint64_t tag = addr >> (offsetBits_ + setBits_);
+    Line *base = &lines_[set * config_.ways];
+
+    for (unsigned w = 0; w < config_.ways; ++w) {
+        if (base[w].valid && base[w].tag == tag) {
+            base[w].lastUsed = ++useClock_;
+            ++stats_.hits;
+            return config_.hitLatency;
+        }
+    }
+
+    // Miss: fill the LRU way.
+    Line *victim = base;
+    for (unsigned w = 0; w < config_.ways; ++w) {
+        if (!base[w].valid) {
+            victim = &base[w];
+            break;
+        }
+        if (base[w].lastUsed < victim->lastUsed)
+            victim = &base[w];
+    }
+    victim->valid = true;
+    victim->tag = tag;
+    victim->lastUsed = ++useClock_;
+    ++stats_.misses;
+    return config_.hitLatency + config_.missLatency;
+}
 
 } // namespace tpred
 

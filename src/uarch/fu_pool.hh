@@ -20,11 +20,27 @@
 namespace tpred
 {
 
+/**
+ * Per-class latency table in InstClass order: Integer, FpAdd, Mul,
+ * Div, Load, Store, BitField, Branch.  Load latency here is the
+ * execute stage only; the data-cache model adds hit/miss time on top.
+ */
+inline constexpr std::array<unsigned, kNumInstClasses> kExecutionLatencies =
+    {1, 3, 3, 8, 1, 1, 1, 1};
+
 /** Execution latency of one instruction class, in cycles. */
-unsigned executionLatency(InstClass cls);
+inline unsigned
+executionLatency(InstClass cls)
+{
+    return kExecutionLatencies[static_cast<size_t>(cls)];
+}
 
 /** Per-class latency table in InstClass order (for reporting). */
-const std::array<unsigned, kNumInstClasses> &latencyTable();
+inline const std::array<unsigned, kNumInstClasses> &
+latencyTable()
+{
+    return kExecutionLatencies;
+}
 
 } // namespace tpred
 

@@ -178,18 +178,9 @@ class ReferenceCoreModel
         w.b(traceEnded_);
         w.u64(window_.size());
         for (const Entry &e : window_) {
-            w.u64(e.op.pc);
-            w.u64(e.op.nextPc);
-            w.u64(e.op.fallthrough);
             w.u64(e.op.memAddr);
-            w.u64(e.op.selector);
             w.u8(static_cast<uint8_t>(e.op.cls));
-            w.u8(static_cast<uint8_t>(e.op.branch));
-            w.b(e.op.taken);
             w.i16(e.op.dstReg);
-            w.i16(e.op.srcRegs[0]);
-            w.i16(e.op.srcRegs[1]);
-            w.u64(e.seq);
             w.u64(e.srcSeq[0]);
             w.u64(e.srcSeq[1]);
             w.u64(e.doneCycle);

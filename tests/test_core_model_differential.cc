@@ -409,15 +409,9 @@ mapCheckpoint(const std::vector<uint8_t> &bytes, size_t dcache_lines)
     r.b();  // trace ended
     const uint64_t window = r.u64();
     for (uint64_t i = 0; i < window; ++i) {
-        for (int f = 0; f < 5; ++f)
-            r.u64();  // pc, nextPc, fallthrough, memAddr, selector
+        r.u64();  // memAddr
         r.u8();   // class
-        r.u8();   // branch kind
-        r.b();    // taken
         r.i16();  // destination
-        r.i16();  // sources
-        r.i16();
-        r.u64();  // seq
         r.u64();  // producers
         r.u64();
         CheckpointMap::Entry entry{};
@@ -597,6 +591,9 @@ TEST(CoreEventDriven, RejectsZeroMachineParameters)
     EXPECT_THROW(CoreModel{p}, std::invalid_argument);
     p = CoreParams{};
     p.fuCount = 0;
+    EXPECT_THROW(CoreModel{p}, std::invalid_argument);
+    p = CoreParams{};
+    p.dcache.ways = 0;  // DCacheConfig::sets() would divide by zero
     EXPECT_THROW(CoreModel{p}, std::invalid_argument);
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "uarch/dcache.hh"
 
 namespace tpred
@@ -25,6 +28,44 @@ TEST(DCache, PaperGeometry)
     EXPECT_EQ(config.sizeBytes, 16u * 1024);
     EXPECT_EQ(config.missLatency, 20u);
     EXPECT_EQ(config.sets(), 128u);
+}
+
+/**
+ * access() indexes sets and line offsets by bit fields, so a geometry
+ * without whole power-of-two fields is rejected in every build, naming
+ * the field: no ways or no line bytes would divide by zero, and 3000
+ * bytes of 32-byte 4-way lines would be 23 sets of which the index
+ * reaches 16.
+ */
+TEST(DCache, RejectsUnindexableGeometry)
+{
+    const auto rejection = [](const DCacheConfig &config) -> std::string {
+        try {
+            DCache cache(config);
+        } catch (const std::invalid_argument &e) {
+            return e.what();
+        }
+        return "";
+    };
+    DCacheConfig config;
+    EXPECT_EQ(rejection(config), "");
+    config.ways = 0;
+    EXPECT_NE(rejection(config).find("ways"), std::string::npos);
+    config = DCacheConfig{};
+    config.lineBytes = 0;
+    EXPECT_NE(rejection(config).find("lineBytes"), std::string::npos);
+    config.lineBytes = 24;
+    EXPECT_NE(rejection(config).find("lineBytes"), std::string::npos);
+    config = DCacheConfig{};
+    for (unsigned size : {3000u, 64u, 3u * 32 * 4 * 16}) {
+        config.sizeBytes = size;  // 23.4, half a set, 48 sets
+        EXPECT_NE(rejection(config).find("sizeBytes"), std::string::npos)
+            << size;
+    }
+    config = DCacheConfig{};
+    config.ways = 3;
+    config.sizeBytes = 3 * 32 * 64;  // 64 sets of three ways
+    EXPECT_EQ(rejection(config), "");
 }
 
 TEST(DCache, ColdMissThenHit)

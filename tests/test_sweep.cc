@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -725,6 +726,64 @@ counterOf(const obs::MetricsSnapshot &snap, const char *name)
 {
     const auto it = snap.counters.find(name);
     return it == snap.counters.end() ? 0 : it->second;
+}
+
+/**
+ * The paper drivers run every timing cell as a runTimingSweep() batch,
+ * the BTB-only baselines and btb_pressure's stall cells as batches of
+ * one.  On a trace whose branch stream is built, a batch of one is
+ * runTiming() exactly: the same result and the same delta of every
+ * core.*, sweep.*, btb.* and experiment.* counter.
+ */
+TEST(SweepKernel, OneMemberTimingSweepMatchesRunTiming)
+{
+    struct Cell
+    {
+        const char *label;
+        IndirectConfig config;
+        FrontendConfig fe;
+    };
+    const std::vector<Cell> cells = {
+        {"baseline/default", baselineConfig(), FrontendConfig{}},
+        {"tagless/default", taglessGshare(), FrontendConfig{}},
+        {"tagless/small", taglessGshare(), smallBtbFrontend()},
+        {"tagless/two-level", taglessGshare(), twoLevelBtbFrontend()},
+    };
+    // Nonzero values only: a counter one path never registered reads 0.
+    const auto deltas = [] {
+        const obs::MetricsSnapshot snap = obs::globalMetrics().snapshot();
+        std::map<std::string, uint64_t> out;
+        for (const auto *kind : {&snap.counters, &snap.runtime})
+            for (const auto &[name, value] : *kind)
+                for (const char *prefix :
+                     {"core.", "sweep.", "btb.", "experiment."})
+                    if (name.starts_with(prefix) && value != 0)
+                        out[name] = value;
+        return out;
+    };
+    for (const char *name : {"gcc", "server-dispatch"}) {
+        const SharedTrace trace = recordWorkload(name, 10000);
+        (void)trace.branchStream();
+        for (const Cell &cell : cells) {
+            const std::string where = std::string(name) + "/" + cell.label;
+            obs::globalMetrics().reset();
+            const CoreResult live =
+                runTiming(trace, cell.config, CoreParams{}, cell.fe);
+            const auto want = deltas();
+
+            obs::globalMetrics().reset();
+            const std::vector<CoreResult> taped = runTimingSweep(
+                trace, std::span(&cell.config, 1), CoreParams{}, cell.fe);
+            const auto got = deltas();
+
+            ASSERT_EQ(taped.size(), 1u) << where;
+            expectSameCoreResult(live, taped[0], where);
+            EXPECT_EQ(want, got) << where;
+            EXPECT_TRUE(want.contains("core.cycles_simulated")) << where;
+            EXPECT_TRUE(want.contains("btb.l1_hits")) << where;
+            EXPECT_TRUE(want.contains("experiment.timing_runs")) << where;
+        }
+    }
 }
 
 /**
