@@ -27,8 +27,9 @@ namespace
 
 /**
  * Fused (workload x config) accuracy grid: one runSweep() per
- * (workload x history-group) job, results scattered back into grid
- * order.  Cell values are bit-identical to per-config runAccuracy().
+ * (workload x history-group) job, each replaying its workload's
+ * front-end tape, results scattered back into grid order.  Cell
+ * values are bit-identical to per-config runAccuracy().
  */
 std::vector<double>
 sweepGrid(const ParallelRunner &runner,
@@ -36,9 +37,11 @@ sweepGrid(const ParallelRunner &runner,
           const std::vector<IndirectConfig> &configs)
 {
     const auto groups = groupByHistory(configs);
+    const auto tapes = runner.map<FrontendTape>(
+        traces.size(), [&](size_t w) { return recordTape(traces[w]); });
     const auto parts = runner.map<std::vector<double>>(
         traces.size() * groups.size(), [&](size_t j) {
-            const SharedTrace &trace = traces[j / groups.size()];
+            const size_t w = j / groups.size();
             const auto &group = groups[j % groups.size()];
             std::vector<IndirectConfig> batch;
             batch.reserve(group.size());
@@ -46,7 +49,8 @@ sweepGrid(const ParallelRunner &runner,
                 batch.push_back(configs[c]);
             std::vector<double> rates;
             rates.reserve(group.size());
-            for (const FrontendStats &s : runSweep(trace, batch))
+            for (const FrontendStats &s :
+                 runSweep(traces[w], batch, {}, tapes[w]))
                 rates.push_back(s.indirectJumps.missRate());
             return rates;
         });

@@ -44,6 +44,8 @@ struct BtbConfig
     BtbUpdateStrategy strategy = BtbUpdateStrategy::Default;
 
     unsigned entries() const { return sets * ways; }
+
+    bool operator==(const BtbConfig &) const = default;
 };
 
 /** What a BTB hit tells the fetch stage. */

@@ -54,6 +54,8 @@ struct BtbHierarchyConfig
 
     /** Modeled storage cost of all levels (tune axis). */
     uint64_t storageBits() const;
+
+    bool operator==(const BtbHierarchyConfig &) const = default;
 };
 
 /** What a hierarchy probe tells the fetch stage. */

@@ -27,6 +27,8 @@ struct TournamentConfig
     unsigned bimodalBits = 12;  ///< log2 bimodal entries
     unsigned gshareBits = 12;   ///< log2 gshare PHT entries
     unsigned chooserBits = 12;  ///< log2 chooser entries
+
+    bool operator==(const TournamentConfig &) const = default;
 };
 
 /**

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "common/state_io.hh"
+#include "obs/metrics.hh"
 
 namespace tpred
 {
@@ -41,13 +42,84 @@ FrontendPredictor::FrontendPredictor(const FrontendConfig &config,
     assert(!indirect || tracker);
 }
 
-FrontendStats
-FrontendPredictor::statsWith(const RatioStat &indirect) const
+namespace
 {
-    FrontendStats s = shared_;
-    s.indirectJumps = indirect;
-    s.allBranches.merge(indirect);
-    return s;
+
+/**
+ * The stage a FrontendTape is recorded with: it keeps the BTB probe's
+ * result at each indirect non-return branch and predicts nothing.
+ */
+struct ProbeRecorder
+{
+    bool hit = false;
+    uint64_t target = 0;
+
+    void
+    predictAll(const MicroOp &, bool btb_hit, uint64_t btb_target)
+    {
+        hit = btb_hit;
+        target = btb_target;
+    }
+
+    // The tape keeps no verdict at indirect branches: each replayed
+    // stage makes its own.
+    uint64_t prediction(size_t) const { return 0; }
+    void recordOutcomes(uint64_t) {}
+    void updateAll(uint64_t) {}
+    void observeTrackers(const MicroOp &) {}
+};
+
+bool
+sameColumns(const BranchStream &a, const BranchStream &b)
+{
+    return a.opCount == b.opCount && a.size() == b.size() &&
+           a.pos.data() == b.pos.data() && a.pc.data() == b.pc.data() &&
+           a.target.data() == b.target.data() &&
+           a.fallthrough.data() == b.fallthrough.data() &&
+           a.kind.data() == b.kind.data() &&
+           a.taken.data() == b.taken.data();
+}
+
+} // namespace
+
+FrontendTape::FrontendTape(const BranchStream &stream,
+                           const FrontendConfig &config)
+    : stream_(stream), config_(config)
+{
+    static const obs::Counter recorded =
+        obs::globalMetrics().counter("frontend.tapes_recorded");
+    static const obs::Timer phase =
+        obs::globalMetrics().timer("phase.frontend_tape");
+
+    const obs::ScopedTimer timed(phase);
+    FrontendPredictor frontend(config);
+    ProbeRecorder probe;
+    const size_t n = stream.size();
+    branches_.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+        const MicroOp op = stream.opAt(i);
+        const PredictionOutcome outcome = frontend.onInstruction(op, probe);
+        assert(outcome.fetchBubbleCycles <= UINT32_MAX >> kBubbleShift);
+        uint32_t word = outcome.fetchBubbleCycles << kBubbleShift;
+        if (isIndirectNonReturn(op.branch)) {
+            word |= probe.hit ? kBtbHit : 0;
+            targets_.push_back(probe.target);
+        } else if (outcome.correct) {
+            word |= kCorrect;
+        }
+        branches_.push_back(word);
+    }
+    frontend.skipNonBranches(stream.opCount - n);
+    shared_ = frontend.shared_;
+    btb_ = frontend.btb().hstats();
+    recorded.inc();
+}
+
+bool
+FrontendTape::recordedFrom(const BranchStream &stream,
+                           const FrontendConfig &config) const
+{
+    return sameColumns(stream, stream_) && config == config_;
 }
 
 void

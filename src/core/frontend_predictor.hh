@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "bpred/btb_hierarchy.hh"
 #include "bpred/gshare.hh"
@@ -22,6 +23,7 @@
 #include "bpred/ras.hh"
 #include "common/stats.hh"
 #include "core/indirect_predictor.hh"
+#include "trace/branch_stream.hh"
 #include "trace/compact_trace.hh"
 
 namespace tpred
@@ -44,6 +46,8 @@ struct FrontendConfig
     unsigned gshareHistoryBits = 12;
     TournamentConfig tournament{};
     unsigned rasDepth = 16;
+
+    bool operator==(const FrontendConfig &) const = default;
 };
 
 /** Prediction-accuracy accumulators, split by branch class. */
@@ -66,6 +70,21 @@ struct FrontendStats
                    ? 1000.0 * static_cast<double>(allBranches.misses()) /
                          static_cast<double>(instructions)
                    : 0.0;
+    }
+
+    /**
+     * These stats, which hold every class but the indirect one, with
+     * @p indirect as the indirect class: allBranches gains its counts
+     * (RatioStat::merge is counter addition, so this equals
+     * interleaved recording).
+     */
+    FrontendStats
+    withIndirect(const RatioStat &indirect) const
+    {
+        FrontendStats s = *this;
+        s.indirectJumps = indirect;
+        s.allBranches.merge(indirect);
+        return s;
     }
 };
 
@@ -103,8 +122,10 @@ struct PredictionOutcome
  * through BatchedPredictors' per-branch protocol (predictAll,
  * prediction, recordOutcomes, updateAll, observeTrackers).  The live
  * stage adapts the borrowed IndirectPredictor and HistoryTracker, not
- * owned, so one experiment can share them across machine instances;
- * the fused sweep passes a whole batch (harness/sweep_kernel.cc).
+ * owned, so one experiment can share them across machine instances.
+ * The fused sweep (harness/sweep_kernel.cc) runs the step once per
+ * stream into a FrontendTape, and replays the tape into a whole batch
+ * through the same stageStep().
  */
 class FrontendPredictor
 {
@@ -163,14 +184,7 @@ class FrontendPredictor
     }
 
     /** Accuracy so far, with the live stage's indirect outcomes. */
-    FrontendStats stats() const { return statsWith(live_.stat); }
-
-    /**
-     * The shared classes plus @p indirect: allBranches is the shared
-     * non-indirect branches merged with @p indirect (RatioStat::merge
-     * is counter addition, so this equals interleaved recording).
-     */
-    FrontendStats statsWith(const RatioStat &indirect) const;
+    FrontendStats stats() const { return shared_.withIndirect(live_.stat); }
 
     void
     resetStats()
@@ -193,6 +207,30 @@ class FrontendPredictor
     void restoreState(StateReader &r);
 
   private:
+    friend class FrontendTape;
+
+    /**
+     * The indirect stage's whole part of one branch, in this order:
+     * at an indirect non-return branch predictAll() with the BTB
+     * probe's fetch-time result, recordOutcomes() and updateAll(); at
+     * every branch, observeTrackers() last.  onInstruction() and
+     * FrontendTape::replay() both run it, so the live step and the
+     * replay cannot drift apart.  The stage's state is disjoint from
+     * the front end's, so it may run after the front end has trained.
+     */
+    template <typename Stage>
+    static void
+    stageStep(const MicroOp &op, bool btb_hit, uint64_t btb_target,
+              Stage &stage)
+    {
+        if (isIndirectNonReturn(op.branch)) {
+            stage.predictAll(op, btb_hit, btb_target);
+            stage.recordOutcomes(op.nextPc);
+            stage.updateAll(op.nextPc);
+        }
+        stage.observeTrackers(op);
+    }
+
     /** The live indirect stage: a batch of one borrowed predictor. */
     struct LiveStage
     {
@@ -261,8 +299,91 @@ class FrontendPredictor
     LiveStage live_;
     /// Every class but the indirect one, which each stage keeps per
     /// member: indirectJumps stays empty and allBranches counts the
-    /// non-indirect branches only (statsWith() composes).
+    /// non-indirect branches only (FrontendStats::withIndirect
+    /// composes).
     FrontendStats shared_;
+};
+
+/**
+ * One front end's whole trajectory over one branch stream, recorded
+ * once and replayed into any number of indirect stages.
+ *
+ * The front end trains only on architectural outcomes, so what it
+ * does at each branch is a function of the stream and the
+ * FrontendConfig alone (docs/sweep_kernel.md).  The constructor runs
+ * onInstruction() over the stream once, with a stage that records the
+ * BTB probe, and keeps:
+ *
+ *  - per branch, one 4-byte word: the fetch bubble, the BTB hit, and
+ *    outside indirect non-return branches the correctness every stage
+ *    shares;
+ *  - per indirect non-return branch, the 8-byte BTB target handed to
+ *    the stage;
+ *  - the shared FrontendStats and the BTB hierarchy's probe counts.
+ *
+ * replay() then drives a stage through stageStep() at every branch,
+ * without simulating the BTB, the direction predictor or the RAS
+ * again.  The tape holds a copy of its stream, so the columns it
+ * replays stay alive, and recordedFrom() can tell its own stream from
+ * any other.  A recorded tape is immutable and may be replayed by many
+ * threads at once.  Each recording counts frontend.tapes_recorded.
+ */
+class FrontendTape
+{
+  public:
+    /** An empty tape; assign over it to fill a result slot. */
+    FrontendTape() = default;
+
+    /** Runs @p stream through a fresh front end of @p config. */
+    FrontendTape(const BranchStream &stream, const FrontendConfig &config);
+
+    /** The stream this tape was recorded from. */
+    const BranchStream &stream() const { return stream_; }
+
+    /**
+     * Whether this tape was recorded from @p stream (the same columns,
+     * not an equal copy) under @p config.
+     */
+    bool recordedFrom(const BranchStream &stream,
+                      const FrontendConfig &config) const;
+
+    /**
+     * What the front end told every stage's core at branch @p i: the
+     * fetch bubble and the correctness.  At an indirect non-return
+     * branch `correct` is false: there each stage's own prediction
+     * decides it.  predictedNext is not kept (the core never reads it).
+     */
+    PredictionOutcome
+    sharedOutcome(size_t i) const
+    {
+        const uint32_t word = branches_[i];
+        return {0, (word & kCorrect) != 0, word >> kBubbleShift};
+    }
+
+    /**
+     * Replays every branch into @p stage, exactly as onInstruction()
+     * would drive it, and calls @p visit(i, op) after branch @p i.
+     */
+    template <typename Stage, typename Visit>
+    void replay(Stage &stage, Visit &&visit) const;
+
+    /** The front end's stats of every class but the indirect one. */
+    const FrontendStats &sharedStats() const { return shared_; }
+
+    /** The recording's BTB probe counts (creditBtbCounters()). */
+    const BtbHierarchyStats &btbStats() const { return btb_; }
+
+  private:
+    static constexpr uint32_t kCorrect = 1;
+    static constexpr uint32_t kBtbHit = 2;
+    static constexpr unsigned kBubbleShift = 2;
+
+    BranchStream stream_;
+    FrontendConfig config_;
+    std::vector<uint32_t> branches_;  ///< bubble << 2 | hit | correct
+    std::vector<uint64_t> targets_;   ///< per indirect non-return branch
+    FrontendStats shared_;
+    BtbHierarchyStats btb_;
 };
 
 template <typename Stage>
@@ -320,12 +441,9 @@ FrontendPredictor::onInstruction(const MicroOp &op, Stage &stage)
 
       case BranchKind::IndirectJump:
       case BranchKind::IndirectCall:
-        // The BTB and the target cache are examined concurrently; the
-        // stage consults its predictors only on a BTB hit.
-        stage.predictAll(op, btb_pred.has_value(),
-                         btb_pred ? btb_pred->target : 0);
-        stage.recordOutcomes(op.nextPc);
-        predicted = stage.prediction(0);
+        // The BTB and the target cache are examined concurrently: the
+        // stage predicts below, from this probe's result, and
+        // consults its predictors only on a BTB hit.
         break;
 
       case BranchKind::None:
@@ -347,11 +465,29 @@ FrontendPredictor::onInstruction(const MicroOp &op, Stage &stage)
         ghr_.update(op.taken);
     }
     btb_.update(op);
+
+    // --- The indirect stage: predict, score, train, observe ----------
+    stageStep(op, btb_pred.has_value(), btb_pred ? btb_pred->target : 0,
+              stage);
     if (isIndirectNonReturn(op.branch))
-        stage.updateAll(op.nextPc);
-    stage.observeTrackers(op);
+        predicted = stage.prediction(0);
 
     return {predicted, predicted == op.nextPc, bubble};
+}
+
+template <typename Stage, typename Visit>
+void
+FrontendTape::replay(Stage &stage, Visit &&visit) const
+{
+    size_t indirect = 0;
+    for (size_t i = 0; i < stream_.size(); ++i) {
+        const MicroOp op = stream_.opAt(i);
+        const bool indirect_branch = isIndirectNonReturn(op.branch);
+        FrontendPredictor::stageStep(
+            op, (branches_[i] & kBtbHit) != 0,
+            indirect_branch ? targets_[indirect++] : 0, stage);
+        visit(i, op);
+    }
 }
 
 } // namespace tpred

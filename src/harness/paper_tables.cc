@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <span>
 
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -209,16 +210,32 @@ tracesFor(const TableOptions &opt, const std::vector<std::string> &names)
 }
 
 /**
+ * One front-end tape per trace under @p fe: a render simulates each
+ * (trace, front end) once, and every sweep over it replays the tape.
+ */
+std::vector<FrontendTape>
+tapesFor(const TableOptions &opt, const std::vector<SharedTrace> &traces,
+         const FrontendConfig &fe = {})
+{
+    return mapJobs<FrontendTape>(opt, traces.size(), [&](size_t i) {
+        return recordTape(traces[i], fe);
+    });
+}
+
+/**
  * BTB-only baseline cycles per trace, for the timing tables: a batch
  * of one, so that every timing cell runs on the tape path.
  */
 std::vector<uint64_t>
 baseCyclesFor(const TableOptions &opt,
-              const std::vector<SharedTrace> &traces)
+              const std::vector<SharedTrace> &traces,
+              const std::vector<FrontendTape> &tapes)
 {
     return mapJobs<uint64_t>(opt, traces.size(), [&](size_t i) {
         const std::vector<IndirectConfig> solo = {baselineConfig()};
-        return runTimingSweep(traces[i], solo)[0].cycles;
+        return runTimingSweep(traces[i], solo, CoreParams{},
+                              FrontendConfig{}, tapes[i])[0]
+            .cycles;
     });
 }
 
@@ -265,12 +282,14 @@ sweepCells(const TableOptions &opt, size_t workloads,
 
 /**
  * Fused accuracy cells: every (workload x config) pair's indirect
- * miss rate, one runSweep() per (workload x history-group) job.  Cell
- * values are bit-identical to per-config runAccuracy().
+ * miss rate, one runSweep() per (workload x history-group) job, each
+ * replaying its trace's tape under @p fe.  Cell values are
+ * bit-identical to per-config runAccuracy().
  */
 std::vector<double>
 sweepMissRates(const TableOptions &opt,
                const std::vector<SharedTrace> &traces,
+               std::span<const FrontendTape> tapes,
                const std::vector<IndirectConfig> &configs,
                const FrontendConfig &fe = {})
 {
@@ -278,7 +297,7 @@ sweepMissRates(const TableOptions &opt,
                       [&](size_t w, const auto &batch) {
                           std::vector<double> rates;
                           for (const FrontendStats &s :
-                               runSweep(traces[w], batch, fe))
+                               runSweep(traces[w], batch, fe, tapes[w]))
                               rates.push_back(
                                   s.indirectJumps.missRate());
                           return rates;
@@ -295,14 +314,16 @@ sweepMissRates(const TableOptions &opt,
 std::vector<double>
 sweepReductions(const TableOptions &opt,
                 const std::vector<SharedTrace> &traces,
+                const std::vector<FrontendTape> &tapes,
                 const std::vector<uint64_t> &bases,
                 const std::vector<IndirectConfig> &configs)
 {
     return sweepCells(opt, traces.size(), configs,
                       [&](size_t w, const auto &batch) {
                           std::vector<double> vals;
-                          for (const CoreResult &r :
-                               runTimingSweep(traces[w], batch))
+                          for (const CoreResult &r : runTimingSweep(
+                                   traces[w], batch, CoreParams{},
+                                   FrontendConfig{}, tapes[w]))
                               vals.push_back(
                                   execTimeReduction(bases[w], r.cycles));
                           return vals;
@@ -344,7 +365,8 @@ renderReductionGrid(const TableOptions &opt,
 {
     const auto &names = headlineWorkloads();
     const auto traces = tracesFor(opt, names);
-    const auto bases = baseCyclesFor(opt, traces);
+    const auto tapes = tapesFor(opt, traces);
+    const auto bases = baseCyclesFor(opt, traces, tapes);
 
     const size_t rows = row_labels.size();
     const size_t cols = header.size() - 1;
@@ -359,7 +381,7 @@ renderReductionGrid(const TableOptions &opt,
     for (size_t row = 0; row < rows; ++row)
         for (size_t col = 0; col < cols; ++col)
             configs.push_back(config_at(row, col));
-    const auto cells = sweepReductions(opt, traces, bases, configs);
+    const auto cells = sweepReductions(opt, traces, tapes, bases, configs);
 
     std::string out;
     for (size_t w = 0; w < names.size(); ++w) {
@@ -421,11 +443,14 @@ renderTable2(const TableOptions &opt)
     const auto &names = spec95Names();
     const auto traces = tracesFor(opt, names);
     // A fused batch shares one FrontendConfig, so the 2-bit BTB
-    // column runs as its own (degenerate, batch-of-one) sweep.
-    const auto fused = sweepMissRates(
-        opt, traces, {baselineConfig(), taglessGshare()});
-    const auto two_bit = sweepMissRates(
-        opt, traces, {baselineConfig()}, twoBitBtbFrontend());
+    // column runs as its own (degenerate, batch-of-one) sweep, over
+    // its own tapes.
+    const auto fused = sweepMissRates(opt, traces, tapesFor(opt, traces),
+                                      {baselineConfig(), taglessGshare()});
+    const FrontendConfig two_bit_fe = twoBitBtbFrontend();
+    const auto two_bit =
+        sweepMissRates(opt, traces, tapesFor(opt, traces, two_bit_fe),
+                       {baselineConfig()}, two_bit_fe);
 
     Table table;
     table.setHeader({"Benchmark", "BTB", "2-bit BTB",
@@ -449,7 +474,8 @@ renderTable4(const TableOptions &opt)
         taglessGAs(7, 2),   taglessGshare(),
     };
     const size_t cols = configs.size();
-    const auto cells = sweepMissRates(opt, traces, configs);
+    const auto cells =
+        sweepMissRates(opt, traces, tapesFor(opt, traces), configs);
 
     Table table;
     table.setHeader({"Benchmark", "BTB", "GAg(9)", "GAs(8,1)",
@@ -558,7 +584,8 @@ renderFig1213(const TableOptions &opt)
     const std::vector<unsigned> assocs = {1, 2, 4, 8, 16};
     const auto &names = headlineWorkloads();
     const auto traces = tracesFor(opt, names);
-    const auto bases = baseCyclesFor(opt, traces);
+    const auto tapes = tapesFor(opt, traces);
+    const auto bases = baseCyclesFor(opt, traces, tapes);
 
     // Per workload: cell 0 is the tagless reference, cells 1..n the
     // tagged cache at each associativity; fused timing cells, one
@@ -568,7 +595,7 @@ renderFig1213(const TableOptions &opt)
         configs.push_back(
             taggedConfig(TaggedIndexScheme::HistoryXor, ways));
     const size_t per_workload = configs.size();
-    const auto cells = sweepReductions(opt, traces, bases, configs);
+    const auto cells = sweepReductions(opt, traces, tapes, bases, configs);
 
     std::string out;
     for (size_t w = 0; w < names.size(); ++w) {
@@ -632,6 +659,14 @@ renderBtbPressure(const TableOptions &opt)
 
     const auto &names = btbPressureWorkloads();
     const auto traces = tracesFor(opt, names);
+    const size_t n = names.size();
+
+    // One tape per (variant x trace), index v * n + w: every cell
+    // below over that trace and hierarchy replays it.
+    const auto tapes = mapJobs<FrontendTape>(
+        opt, variants.size() * n, [&](size_t j) {
+            return recordTape(traces[j % n], variants[j / n].fe);
+        });
 
     // Accuracy cells per hierarchy variant: a fused batch shares one
     // FrontendConfig, so each variant runs as its own sweep (the same
@@ -639,10 +674,13 @@ renderBtbPressure(const TableOptions &opt)
     std::vector<std::vector<double>> miss(variants.size());
     std::vector<std::vector<double>> btb_hit(variants.size());
     for (size_t v = 0; v < variants.size(); ++v) {
-        miss[v] = sweepMissRates(opt, traces, configs, variants[v].fe);
-        btb_hit[v] = mapJobs<double>(opt, names.size(), [&](size_t w) {
+        miss[v] = sweepMissRates(opt, traces,
+                                 std::span(tapes).subspan(v * n, n),
+                                 configs, variants[v].fe);
+        btb_hit[v] = mapJobs<double>(opt, n, [&](size_t w) {
             const std::vector<IndirectConfig> solo = {baselineConfig()};
-            const auto stats = runSweep(traces[w], solo, variants[v].fe);
+            const auto stats =
+                runSweep(traces[w], solo, variants[v].fe, tapes[v * n + w]);
             return 1.0 - stats[0].btbHits.missRate();
         });
     }
@@ -652,12 +690,12 @@ renderBtbPressure(const TableOptions &opt)
     // (or a smaller code footprint) recovers.  Batches of one, on the
     // tape path.
     const auto stalls = mapJobs<double>(
-        opt, variants.size() * names.size(), [&](size_t j) {
-            const size_t v = j / names.size();
-            const size_t w = j % names.size();
+        opt, variants.size() * n, [&](size_t j) {
+            const size_t v = j / n;
+            const size_t w = j % n;
             const std::vector<IndirectConfig> solo = {taglessGshare()};
             const CoreResult r = runTimingSweep(traces[w], solo, CoreParams{},
-                                                variants[v].fe)[0];
+                                                variants[v].fe, tapes[j])[0];
             return r.instructions ? 1000.0 *
                                         static_cast<double>(
                                             r.btbMissStallCycles) /
@@ -681,7 +719,7 @@ renderBtbPressure(const TableOptions &opt)
                 formatPercent(miss[v][base + 0], 1),
                 formatPercent(miss[v][base + 1], 1),
                 formatPercent(miss[v][base + 2], 1),
-                formatStallRate(stalls[v * names.size() + w]),
+                formatStallRate(stalls[v * n + w]),
             });
         }
     }

@@ -31,36 +31,29 @@ namespace
 {
 
 /**
- * Everything a batch member's core reads from its front end, for a
- * whole trace: per branch the fetch bubble and, outside indirect
- * (non-return) branches, the correctness every member shares; per
- * indirect branch each member's correctness, one bit per member.
- * Recorded by one predictor pass, replayed by every core of the
- * batch (TapeReplay).
+ * What the members of a batch disagree on, for a whole trace: each
+ * member's correctness at every indirect (non-return) branch, one bit
+ * per member, and that branch's op position.  Everything else a core
+ * reads from its front end — every branch's fetch bubble, and the
+ * correctness at the other branches — every member shares, and the
+ * front-end tape already holds it.  Recorded by one predictor pass,
+ * replayed by every core of the batch (TapeReplay).
  */
 class OutcomeTape
 {
   public:
     static constexpr uint64_t kNever = UINT64_MAX;
 
-    explicit OutcomeTape(size_t members)
-        : members_(members), stride_((members + 63) / 64)
+    OutcomeTape(const FrontendTape &front, size_t members)
+        : front_(&front), members_(members), stride_((members + 63) / 64)
     {
     }
 
-    /** Appends a branch whose outcome every member shares. */
+    /** Appends the indirect branch at op @p pos, member by member. */
     void
-    recordShared(bool correct, unsigned bubble)
+    recordIndirect(uint32_t pos, const BatchedPredictors &batch,
+                   uint64_t next_pc)
     {
-        branches_.push_back(pack(correct, bubble));
-    }
-
-    /** Appends an indirect branch at op @p pos, member by member. */
-    void
-    recordIndirect(uint32_t pos, unsigned bubble,
-                   const BatchedPredictors &batch, uint64_t next_pc)
-    {
-        branches_.push_back(pack(false, bubble));
         indirectPos_.push_back(pos);
         const size_t row = memberBits_.size();
         memberBits_.resize(row + stride_, 0);
@@ -69,8 +62,6 @@ class OutcomeTape
                 memberBits_[row + m / 64] |= uint64_t{1} << (m % 64);
         }
     }
-
-    size_t branches() const { return branches_.size(); }
 
     /**
      * The op position of member @p m's first indirect branch, from the
@@ -90,13 +81,6 @@ class OutcomeTape
   private:
     friend class TapeReplay;
 
-    static uint32_t
-    pack(bool correct, unsigned bubble)
-    {
-        assert(bubble <= UINT32_MAX >> 1);
-        return bubble << 1 | (correct ? 1u : 0u);
-    }
-
     bool
     memberCorrect(size_t indirect, size_t m) const
     {
@@ -104,9 +88,9 @@ class OutcomeTape
         return (word >> (m % 64) & 1) != 0;
     }
 
+    const FrontendTape *front_;
     size_t members_;
     size_t stride_;                      ///< words per indirect branch
-    std::vector<uint32_t> branches_;     ///< bubble << 1 | shared correct
     std::vector<uint32_t> indirectPos_;  ///< op position of each
     std::vector<uint64_t> memberBits_;   ///< stride_ words per row
 };
@@ -129,12 +113,10 @@ class TapeReplay
     {
         if (!op.isBranch())
             return {op.fallthrough, true, 0};
-        const uint32_t word = tape_->branches_[branch_++];
-        bool correct = (word & 1) != 0;
+        PredictionOutcome outcome = tape_->front_->sharedOutcome(branch_++);
         if (isIndirectNonReturn(op.branch))
-            correct = tape_->memberCorrect(indirect_++, member_);
-        // The core never reads predictedNext, so the tape omits it.
-        return {0, correct, word >> 1};
+            outcome.correct = tape_->memberCorrect(indirect_++, member_);
+        return outcome;
     }
 
     /** This replay's position, continuing on member @p m's outcomes. */
@@ -205,64 +187,91 @@ struct Member
     std::unique_ptr<Own> own;
 };
 
+/** The cached branch stream of @p trace, counting a first build. */
+const BranchStream &
+sweepStream(const SharedTrace &trace)
+{
+    static const obs::Counter streams_built =
+        obs::globalMetrics().counter("sweep.streams_built");
+    return trace.compact().branchStream([] { streams_built.inc(); });
+}
+
+void
+checkTape(const FrontendTape &tape, const BranchStream &stream,
+          const FrontendConfig &fe)
+{
+    if (!tape.recordedFrom(stream, fe))
+        throw TapeMismatch("front-end tape replayed against a stream or "
+                           "front end it was not recorded from");
+}
+
 /**
- * The fused predictor pass both sweep entry points share: one walk of
- * @p stream through one architectural front end with every member of
- * @p batch as its indirect stage.  Returns per-member statistics,
- * bit-identical to runAccuracy() per config; with a @p tape it also
- * records what each member's core reads from its front end.
+ * The fused predictor pass both sweep entry points share: @p tape's
+ * front end replayed into every member of @p batch as its indirect
+ * stage.  Returns per-member statistics, bit-identical to
+ * runAccuracy() per config; with @p outcomes it also records what
+ * each member's core reads from its front end.
  */
 std::vector<FrontendStats>
-predictorPass(const BranchStream &stream, BatchedPredictors &batch,
-              const FrontendConfig &fe, OutcomeTape *tape)
+predictorPass(const FrontendTape &tape, BatchedPredictors &batch,
+              OutcomeTape *outcomes)
 {
-    // Trained only with architectural outcomes, so its trajectory is
-    // independent of any member's predictions: one front end stands in
-    // for the per-config copies runAccuracy() would build.
-    FrontendPredictor frontend(fe);
-    const size_t n = stream.size();
-    for (size_t i = 0; i < n; ++i) {
-        const MicroOp op = stream.opAt(i);
-        const PredictionOutcome outcome = frontend.onInstruction(op, batch);
-        if (!tape)
-            continue;
-        if (isIndirectNonReturn(op.branch))
-            tape->recordIndirect(stream.pos[i], outcome.fetchBubbleCycles,
-                                 batch, op.nextPc);
-        else
-            tape->recordShared(outcome.correct, outcome.fetchBubbleCycles);
-    }
-    frontend.skipNonBranches(stream.opCount - n);
+    const BranchStream &stream = tape.stream();
+    tape.replay(batch, [&](size_t i, const MicroOp &op) {
+        if (outcomes && isIndirectNonReturn(op.branch))
+            outcomes->recordIndirect(stream.pos[i], batch, op.nextPc);
+    });
 
-    // One counted pass over the stream, whatever the batch size.
-    creditBtbCounters(frontend.btb().hstats());
+    // Each pass credits one counted walk of the stream, whatever the
+    // batch size and however many passes replay the same tape.
+    creditBtbCounters(tape.btbStats());
 
     std::vector<FrontendStats> out(batch.size());
     for (size_t m = 0; m < out.size(); ++m)
-        out[m] = frontend.statsWith(batch.indirectStats(m));
+        out[m] = tape.sharedStats().withIndirect(batch.indirectStats(m));
     return out;
 }
 
 } // namespace
+
+FrontendTape
+recordTape(const SharedTrace &trace, const FrontendConfig &fe)
+{
+    return FrontendTape(sweepStream(trace), fe);
+}
 
 std::vector<FrontendStats>
 runSweep(const SharedTrace &trace,
          std::span<const IndirectConfig> configs,
          const FrontendConfig &fe)
 {
-    static const obs::Counter streams_built =
-        obs::globalMetrics().counter("sweep.streams_built");
     if (configs.empty())
         return {};
-    const BranchStream &stream =
-        trace.compact().branchStream([] { streams_built.inc(); });
-    return runSweep(stream, configs, fe);
+    return runSweep(trace, configs, fe, recordTape(trace, fe));
 }
 
 std::vector<FrontendStats>
 runSweep(const BranchStream &stream,
          std::span<const IndirectConfig> configs,
          const FrontendConfig &fe)
+{
+    if (configs.empty())
+        return {};
+    return runSweep(stream, configs, fe, FrontendTape(stream, fe));
+}
+
+std::vector<FrontendStats>
+runSweep(const SharedTrace &trace,
+         std::span<const IndirectConfig> configs,
+         const FrontendConfig &fe, const FrontendTape &tape)
+{
+    return runSweep(sweepStream(trace), configs, fe, tape);
+}
+
+std::vector<FrontendStats>
+runSweep(const BranchStream &stream,
+         std::span<const IndirectConfig> configs,
+         const FrontendConfig &fe, const FrontendTape &tape)
 {
     static const obs::Counter batches =
         obs::globalMetrics().counter("sweep.batches");
@@ -277,6 +286,7 @@ runSweep(const BranchStream &stream,
 
     if (configs.empty())
         return {};
+    checkTape(tape, stream, fe);
 
     obs::ScopedTimer timed(phase);
     batches.inc();
@@ -285,7 +295,7 @@ runSweep(const BranchStream &stream,
 
     BatchedPredictors batch(configs);
     history_groups.inc(batch.trackerCount());
-    return predictorPass(stream, batch, fe, nullptr);
+    return predictorPass(tape, batch, nullptr);
 }
 
 std::vector<CoreResult>
@@ -293,8 +303,18 @@ runTimingSweep(const SharedTrace &trace,
                std::span<const IndirectConfig> configs,
                const CoreParams &params, const FrontendConfig &fe)
 {
-    static const obs::Counter streams_built =
-        obs::globalMetrics().counter("sweep.streams_built");
+    if (configs.empty())
+        return {};
+    return runTimingSweep(trace, configs, params, fe,
+                          recordTape(trace, fe));
+}
+
+std::vector<CoreResult>
+runTimingSweep(const SharedTrace &trace,
+               std::span<const IndirectConfig> configs,
+               const CoreParams &params, const FrontendConfig &fe,
+               const FrontendTape &front)
+{
     static const obs::Counter timing_forks =
         obs::globalMetrics().counter("sweep.timing_forks");
     static const obs::Counter shared_cycles =
@@ -322,6 +342,7 @@ runTimingSweep(const SharedTrace &trace,
 
     if (configs.empty())
         return {};
+    checkTape(front, sweepStream(trace), fe);
 
     obs::ScopedTimer timed(phase);
     // Counter parity with N per-config runTiming() calls.
@@ -329,12 +350,10 @@ runTimingSweep(const SharedTrace &trace,
     replayed.inc(trace.size() * configs.size());
 
     // --- Pass 1: every member's predictor, once, onto a tape ------
-    const BranchStream &stream =
-        trace.compact().branchStream([] { streams_built.inc(); });
     BatchedPredictors batch(configs);
-    OutcomeTape tape(configs.size());
+    OutcomeTape tape(front, configs.size());
     const std::vector<FrontendStats> stats =
-        predictorPass(stream, batch, fe, &tape);
+        predictorPass(front, batch, &tape);
 
     // --- Pass 2: cores replay the tape ----------------------------
     // The lead replays member 0's outcomes and is suspended only where
@@ -420,7 +439,7 @@ runTimingSweep(const SharedTrace &trace,
     // Drain the lead, then every member still on its own core, to the
     // end of the trace.
     lead.runSession(replay, lead_outcomes, n, UINT64_MAX);
-    assert(lead_outcomes.branches() == tape.branches());
+    assert(lead_outcomes.branches() == front.stream().size());
     std::vector<CoreResult> out(configs.size());
     out[0] = lead.endSession(stats[0]);
     for (size_t k = 1; k < members.size(); ++k) {

@@ -12,8 +12,11 @@
  *    history register, return address stack) is trained exclusively
  *    with architectural outcomes carried by the trace — never with
  *    predictions — so its state trajectory is identical for every
- *    config sharing one FrontendConfig.  The kernel keeps ONE shared
- *    front-end core per batch instead of N.
+ *    config sharing one FrontendConfig.  It is simulated once per
+ *    (stream, FrontendConfig) into a FrontendTape
+ *    (core/frontend_predictor.hh), and every batch over that stream
+ *    and front end replays the tape instead of N front ends, or one
+ *    per batch.
  *  - Per-member predictor state lives in structure-of-arrays family
  *    groups (harness/batched_predictors.hh): lookups and updates are
  *    tight devirtualized loops over contiguous columns, with one
@@ -29,10 +32,11 @@
  *
  * Timing sweeps fuse too (runTimingSweep), in two passes.  The same
  * predictor pass runs once per batch and records an *outcome tape*:
- * what each member's core would read from its front end — per branch
- * the BTB-miss fetch bubble and a correctness bit, both shared by
- * every member, except that at indirect branches each member has its
- * own correctness bit.  Cores then replay the tape: one lead core
+ * what each member's core would read from its front end.  Per branch
+ * that is the BTB-miss fetch bubble and a correctness bit, both shared
+ * by every member and read from the front-end tape, except that at
+ * indirect branches each member has its own correctness bit, which
+ * the outcome tape keeps.  Cores then replay the tape: one lead core
  * carries member 0, and every other member rides it until an indirect
  * branch whose correctness differs from member 0's, where it continues
  * on a copy of the lead (copy-on-divergence) until its core is equal
@@ -55,12 +59,31 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "harness/experiment.hh"
 
 namespace tpred
 {
+
+/**
+ * Thrown when a FrontendTape is replayed against a stream or a front
+ * end it was not recorded from, instead of returning numbers.
+ */
+class TapeMismatch : public std::invalid_argument
+{
+  public:
+    using std::invalid_argument::invalid_argument;
+};
+
+/**
+ * Records @p trace's front-end tape under @p fe, over the trace's
+ * cached BranchStream (building it on first use, counted in
+ * sweep.streams_built like every sweep's).
+ */
+FrontendTape recordTape(const SharedTrace &trace,
+                        const FrontendConfig &fe = {});
 
 /**
  * Evaluates every config against @p trace in one fused pass.
@@ -90,6 +113,24 @@ runSweep(const BranchStream &stream,
          const FrontendConfig &fe = {});
 
 /**
+ * runSweep() replaying @p tape, recorded from @p trace's stream (or
+ * from @p stream) under @p fe, instead of recording one: the entry
+ * point for callers that sweep one stream many times.  Results and
+ * every counter are those of the one-shot overloads above, which
+ * record a tape and call these.
+ * @throws TapeMismatch if @p tape was not recorded from this stream
+ *         under @p fe.
+ */
+std::vector<FrontendStats> runSweep(const SharedTrace &trace,
+                                    std::span<const IndirectConfig> configs,
+                                    const FrontendConfig &fe,
+                                    const FrontendTape &tape);
+std::vector<FrontendStats> runSweep(const BranchStream &stream,
+                                    std::span<const IndirectConfig> configs,
+                                    const FrontendConfig &fe,
+                                    const FrontendTape &tape);
+
+/**
  * Op spacing of the fused timing sweep's rejoin checks: a member
  * running on its own core is compared with the lead at every op
  * position that is a multiple of this.  Chosen by measurement
@@ -102,8 +143,9 @@ inline constexpr uint64_t kRejoinCheckOps = 128;
  * @p trace with one shared core trajectory, copy-on-divergence forks
  * and rejoin-on-reconvergence.
  *
- * Pass 1 is runSweep()'s predictor pass over the cached BranchStream,
- * recording every member's per-branch outcomes on a tape.  In pass 2
+ * Pass 1 is runSweep()'s predictor pass, replaying the front-end tape
+ * of the trace's cached BranchStream and recording every member's
+ * indirect-branch outcomes on an outcome tape.  In pass 2
  * the lead core replays member 0's outcomes through the resumable-
  * session API.  Every other member rides the lead — a cycle shift and
  * result-counter offsets, no core — until its next indirect branch
@@ -124,6 +166,17 @@ runTimingSweep(const SharedTrace &trace,
                std::span<const IndirectConfig> configs,
                const CoreParams &params = {},
                const FrontendConfig &fe = {});
+
+/**
+ * runTimingSweep() replaying @p tape, recorded from @p trace's stream
+ * under @p fe (recordTape()); the overload above records one.
+ * @throws TapeMismatch if it was not.
+ */
+std::vector<CoreResult>
+runTimingSweep(const SharedTrace &trace,
+               std::span<const IndirectConfig> configs,
+               const CoreParams &params, const FrontendConfig &fe,
+               const FrontendTape &tape);
 
 /**
  * Partitions config indices into groups of equal HistorySpec, first-

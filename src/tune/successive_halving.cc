@@ -78,7 +78,8 @@ struct RungEval
 /**
  * Evaluates @p members (candidate indices) on every workload's
  * @p ops -instruction prefix: one fused runSweep() per (workload x
- * history-group) job, results keyed by job index.
+ * front end x history-group) job, results keyed by job index, each
+ * replaying the front-end tape of its workload and front end.
  */
 std::vector<RungEval>
 evaluateRung(const ConfigSpace &space,
@@ -86,25 +87,18 @@ evaluateRung(const ConfigSpace &space,
              const std::vector<std::string> &workloads, size_t ops,
              uint64_t seed)
 {
-    // Accuracy-only rungs never need the full CompactTrace: the
-    // branch-stream tier serves the dense stream straight from the
-    // corpus (zero-copy) on warm runs, skipping trace decode and
-    // extraction entirely.
-    const ParallelRunner runner;
-    using SharedStream = std::shared_ptr<const BranchStream>;
-    const std::vector<SharedStream> streams =
-        runner.map<SharedStream>(workloads.size(), [&](size_t w) {
-            return cachedBranchStream(workloads[w], ops, seed);
-        });
-
-    // A fused sweep shares one BTB hierarchy and one history spec, so
-    // partition by front end first (the "btb" space's axis; empty key
-    // = the default front end), then by history group within each.
+    // A fused sweep shares one front end, so partition by front end
+    // first (the "btb" space's axis; empty key = the default front
+    // end).  The kernel would take mixed histories in one batch; the
+    // split by history group within each front end sets the job grain
+    // under --jobs, and bench/e2e pins the sweep.batches and
+    // sweep.history_groups it yields.
     struct SweepJob
     {
-        const FrontendConfig *fe = nullptr;
+        size_t frontend = 0;          ///< index into frontends
         std::vector<size_t> members;  ///< indices into @p members
     };
+    std::vector<const FrontendConfig *> frontends;
     std::vector<SweepJob> jobs;
     {
         std::map<std::string, std::vector<size_t>> by_frontend;
@@ -112,6 +106,8 @@ evaluateRung(const ConfigSpace &space,
             by_frontend[space.candidates[members[i]].frontendKey]
                 .push_back(i);
         for (const auto &[key, indices] : by_frontend) {
+            frontends.push_back(
+                &space.candidates[members[indices.front()]].frontend);
             std::vector<IndirectConfig> sub;
             sub.reserve(indices.size());
             for (size_t i : indices)
@@ -119,9 +115,7 @@ evaluateRung(const ConfigSpace &space,
             for (const std::vector<size_t> &group :
                  groupByHistory(sub)) {
                 SweepJob job;
-                job.fe = &space.candidates[members[indices[group
-                                                             .front()]]]
-                              .frontend;
+                job.frontend = frontends.size() - 1;
                 job.members.reserve(group.size());
                 for (size_t g : group)
                     job.members.push_back(indices[g]);
@@ -130,16 +124,38 @@ evaluateRung(const ConfigSpace &space,
         }
     }
 
+    // Accuracy-only rungs never need the full CompactTrace: the
+    // branch-stream tier serves the dense stream straight from the
+    // corpus (zero-copy) on warm runs, skipping trace decode and
+    // extraction entirely.  Each workload's front ends are simulated
+    // once, onto the tapes every job over that workload replays.
+    struct WorkloadInput
+    {
+        std::shared_ptr<const BranchStream> stream;
+        std::vector<FrontendTape> tapes;  ///< one per front end
+    };
+    const ParallelRunner runner;
+    const std::vector<WorkloadInput> inputs =
+        runner.map<WorkloadInput>(workloads.size(), [&](size_t w) {
+            WorkloadInput in;
+            in.stream = cachedBranchStream(workloads[w], ops, seed);
+            in.tapes.reserve(frontends.size());
+            for (const FrontendConfig *fe : frontends)
+                in.tapes.emplace_back(*in.stream, *fe);
+            return in;
+        });
+
     const size_t job_count = workloads.size() * jobs.size();
     const auto parts = runner.map<std::vector<FrontendStats>>(
         job_count, [&](size_t j) {
-            const BranchStream &stream = *streams[j / jobs.size()];
+            const WorkloadInput &in = inputs[j / jobs.size()];
             const SweepJob &job = jobs[j % jobs.size()];
             std::vector<IndirectConfig> batch;
             batch.reserve(job.members.size());
             for (size_t i : job.members)
                 batch.push_back(space.candidates[members[i]].config);
-            return runSweep(stream, batch, *job.fe);
+            return runSweep(*in.stream, batch, *frontends[job.frontend],
+                            in.tapes[job.frontend]);
         });
 
     std::vector<RungEval> evals(members.size());

@@ -431,15 +431,19 @@ class CoreModel
                (!traceEnded_ || headSeq_ != nextSeq_);
     }
 
-    void dispatch(const MicroOp &op, bool mispredicted);
-    void linkSources(uint32_t slot);
-    void markReady(uint32_t slot);
-    void wakeDue();
-    uint64_t nextWakeup() const;
-    void issueOldestReady();
-    void issue(uint32_t slot);
-    void chargeStall(uint64_t cycles);
-    void skipIdleCycles();
+    // runSession()'s per-op and per-cycle steps, defined below.  Always
+    // inlined: at -O2 GCC would keep issue(), skipIdleCycles() and
+    // linkSources() out of line, a call per issued op or per cycle.
+    [[gnu::always_inline]] void dispatch(const MicroOp &op,
+                                         bool mispredicted);
+    [[gnu::always_inline]] void linkSources(uint32_t slot);
+    [[gnu::always_inline]] void markReady(uint32_t slot);
+    [[gnu::always_inline]] void wakeDue();
+    [[gnu::always_inline]] uint64_t nextWakeup() const;
+    [[gnu::always_inline]] void issueOldestReady();
+    [[gnu::always_inline]] void issue(uint32_t slot);
+    [[gnu::always_inline]] void chargeStall(uint64_t cycles);
+    [[gnu::always_inline]] void skipIdleCycles();
     void rebuildWakeups();
 
     CoreParams params_;

@@ -7,7 +7,10 @@
  * that force forEachBranch's block-decode fallback — plus a
  * high-conflict fuzz of the batched tagged banks against the scalar
  * caches, HistorySpec grouping, BranchStream caching, and
- * serial-vs-parallel determinism of the sweep.* counters.
+ * serial-vs-parallel determinism of the sweep.* counters.  A recorded
+ * FrontendTape replayed by many batches, on many threads, must equal
+ * one-shot sweeps and per-config runs, credit btb.* per pass, and
+ * refuse a stream or front end it was not recorded from.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 
 #include "harness/batched_predictors.hh"
 #include "harness/paper_tables.hh"
+#include "harness/parallel_runner.hh"
 #include "harness/sweep_kernel.hh"
 #include "harness/trace_cache.hh"
 #include "obs/metrics.hh"
@@ -649,22 +653,31 @@ TEST(BatchedPredictors, TaggedAndCascadedMatchScalarUnderConflict)
 }
 
 /**
+ * hostileOps() as a trace the core model accepts.  The core contracts
+ * registers to [0, kNumArchRegs), so the fixture's deliberate register
+ * escapes are clamped (the accuracy tests keep them — they never touch
+ * the core); the redirect-on-non-branch and memAddr-on-branch ops
+ * still force the fallback scan.
+ */
+SharedTrace
+hostileTimingTrace(size_t ops)
+{
+    std::vector<MicroOp> raw = hostileOps(ops);
+    for (MicroOp &op : raw) {
+        if (op.dstReg >= static_cast<RegIndex>(kNumArchRegs))
+            op.dstReg = 33;
+    }
+    return SharedTrace(std::move(raw), "hostile");
+}
+
+/**
  * Hostile traces force the block-decode fallback in the branch-stream
  * extractor, and the fused loop suspends the lead core at stream.pos
  * boundaries — both must stay exact there.
  */
 TEST(SweepKernel, FusedTimingMatchesPerConfigOnHostileTraces)
 {
-    // The core model contracts registers to [0, kNumArchRegs); clamp
-    // the fixture's deliberate register escapes (the accuracy tests
-    // keep them — they never touch the core).  The redirect-on-non-
-    // branch and memAddr-on-branch ops still force the fallback scan.
-    std::vector<MicroOp> ops = hostileOps(3000);
-    for (MicroOp &op : ops) {
-        if (op.dstReg >= static_cast<RegIndex>(kNumArchRegs))
-            op.dstReg = 33;
-    }
-    const SharedTrace trace(std::move(ops), "hostile");
+    const SharedTrace trace = hostileTimingTrace(3000);
     ASSERT_FALSE(trace.compact().fastBranchScan());
     const std::vector<IndirectConfig> configs = {
         taglessGshare(),
@@ -861,6 +874,239 @@ TEST(SweepKernel, FusedTimingRunsFewSessions)
     EXPECT_GT(rejoins, 0u);
     EXPECT_LE(sessions,
               (1 + forks + check_points) + (checks + forks - rejoins));
+}
+
+/** The front ends the tape tests cover, by label. */
+std::vector<std::pair<std::string, FrontendConfig>>
+tapeFrontends()
+{
+    FrontendConfig tourney;
+    tourney.direction = DirectionScheme::Tournament;
+    return {
+        {"default", FrontendConfig{}},
+        {"two-bit", twoBitBtbFrontend()},
+        {"small", smallBtbFrontend()},
+        {"two-level", twoLevelBtbFrontend()},
+        {"tournament", tourney},
+    };
+}
+
+/** @p configs cut into batches of at most @p size, in order. */
+std::vector<std::vector<IndirectConfig>>
+batchesOf(const std::vector<IndirectConfig> &configs, size_t size)
+{
+    std::vector<std::vector<IndirectConfig>> out;
+    for (size_t i = 0; i < configs.size(); i += size)
+        out.emplace_back(configs.begin() + static_cast<std::ptrdiff_t>(i),
+                         configs.begin() + static_cast<std::ptrdiff_t>(
+                                               std::min(configs.size(),
+                                                        i + size)));
+    return out;
+}
+
+/**
+ * One tape, recorded once per (trace, front end), replayed by several
+ * batches: every batch equals a one-shot runSweep() and
+ * runTimingSweep() of the same batch, and every member equals its
+ * per-config runAccuracy() and runTiming() — stats, cycles, penalty
+ * breakdown and BTB-miss bubbles — on SPEC traces and on a hostile
+ * one, under the default, 2-bit, small, two-level and tournament
+ * front ends.
+ */
+TEST(FrontendTape, ReplayedByManyBatchesMatchesOneShotAndPerConfig)
+{
+    const std::vector<IndirectConfig> configs = timingFamilyConfigs();
+    const std::vector<SharedTrace> traces = {
+        recordWorkload("gcc", 6000),
+        recordWorkload("perl", 6000),
+        hostileTimingTrace(3000),
+    };
+    ASSERT_FALSE(traces[2].compact().fastBranchScan());
+    for (const SharedTrace &trace : traces) {
+        for (const auto &[label, fe] : tapeFrontends()) {
+            const std::string where = trace.name() + "/" + label;
+            obs::globalMetrics().reset();
+            const FrontendTape tape = recordTape(trace, fe);
+            for (const auto &batch : batchesOf(configs, 3)) {
+                const auto replayed = runSweep(trace, batch, fe, tape);
+                const auto one_shot = runSweep(trace, batch, fe);
+                const auto timed = runTimingSweep(trace, batch,
+                                                  CoreParams{}, fe, tape);
+                const auto timed_one_shot =
+                    runTimingSweep(trace, batch, CoreParams{}, fe);
+                ASSERT_EQ(replayed.size(), batch.size()) << where;
+                ASSERT_EQ(timed.size(), batch.size()) << where;
+                for (size_t k = 0; k < batch.size(); ++k) {
+                    const std::string cell =
+                        where + "/" + batch[k].describe();
+                    expectSameStats(one_shot[k], replayed[k], cell);
+                    expectSameStats(runAccuracy(trace, batch[k], fe),
+                                    replayed[k], cell);
+                    expectSameCoreResult(timed_one_shot[k], timed[k], cell);
+                    expectSameCoreResult(
+                        runTiming(trace, batch[k], CoreParams{}, fe),
+                        timed[k], cell);
+                }
+            }
+            // The replayed sweeps recorded nothing; each one-shot
+            // sweep recorded its own tape.
+            const size_t batches = batchesOf(configs, 3).size();
+            EXPECT_EQ(counterOf(obs::globalMetrics().snapshot(),
+                                "frontend.tapes_recorded"),
+                      1 + 2 * batches)
+                << where;
+        }
+    }
+}
+
+/**
+ * Each replayed pass credits btb.* once, exactly as a per-config run
+ * does, whether it replays a shared tape or records its own; the
+ * recording itself credits nothing.
+ */
+TEST(FrontendTape, EachReplayedPassCreditsBtbLikePerConfig)
+{
+    const auto btb_deltas = [] {
+        std::map<std::string, uint64_t> out;
+        for (const auto &[name, value] :
+             obs::globalMetrics().snapshot().counters)
+            if (name.starts_with("btb."))
+                out[name] = value;
+        return out;
+    };
+    const std::vector<IndirectConfig> batch = {
+        taglessGshare(), taggedConfig(TaggedIndexScheme::HistoryXor, 4)};
+    for (const char *name : {"gcc", "server-dispatch"}) {
+        const SharedTrace trace = recordWorkload(name, 8000);
+        for (const auto &[label, fe] : tapeFrontends()) {
+            const std::string where = std::string(name) + "/" + label;
+            obs::globalMetrics().reset();
+            (void)runAccuracy(trace, batch[0], fe);
+            const auto want = btb_deltas();
+            ASSERT_GT(want.at("btb.l1_hits"), 0u) << where;
+
+            obs::globalMetrics().reset();
+            const FrontendTape tape = recordTape(trace, fe);
+            for (const auto &[counter, value] : btb_deltas())
+                EXPECT_EQ(value, 0u) << where << " " << counter;
+
+            for (int pass = 0; pass < 3; ++pass) {
+                obs::globalMetrics().reset();
+                (void)runSweep(trace, batch, fe, tape);
+                EXPECT_EQ(btb_deltas(), want) << where << " accuracy";
+
+                obs::globalMetrics().reset();
+                (void)runTimingSweep(trace, batch, CoreParams{}, fe, tape);
+                EXPECT_EQ(btb_deltas(), want) << where << " timing";
+            }
+            obs::globalMetrics().reset();
+            (void)runTiming(trace, batch[0], CoreParams{}, fe);
+            EXPECT_EQ(btb_deltas(), want) << where << " runTiming";
+        }
+    }
+}
+
+/**
+ * A tape replayed against a stream or a front end it was not recorded
+ * from throws TapeMismatch instead of returning numbers — even for an
+ * equal stream extracted anew.  A copy of its own stream shares the
+ * columns and is accepted.
+ */
+TEST(FrontendTape, ReplayAgainstAnotherStreamOrFrontEndThrows)
+{
+    const std::vector<IndirectConfig> batch = {taglessGshare()};
+    const SharedTrace gcc = recordWorkload("gcc", 4000);
+    const SharedTrace perl = recordWorkload("perl", 4000);
+    const FrontendTape tape = recordTape(gcc);
+
+    EXPECT_THROW((void)runSweep(perl, batch, {}, tape), TapeMismatch);
+    EXPECT_THROW((void)runSweep(gcc, batch, twoBitBtbFrontend(), tape),
+                 TapeMismatch);
+    EXPECT_THROW((void)runSweep(gcc, batch, twoLevelBtbFrontend(), tape),
+                 TapeMismatch);
+    EXPECT_THROW((void)runTimingSweep(perl, batch, CoreParams{}, {}, tape),
+                 TapeMismatch);
+    EXPECT_THROW((void)runTimingSweep(gcc, batch, CoreParams{},
+                                      smallBtbFrontend(), tape),
+                 TapeMismatch);
+    const BranchStream extracted = BranchStream::extract(gcc.compact());
+    ASSERT_TRUE(extracted == gcc.branchStream());
+    EXPECT_THROW((void)runSweep(extracted, batch, {}, tape), TapeMismatch);
+    EXPECT_THROW((void)runSweep(gcc.branchStream(), batch, {},
+                                FrontendTape()),
+                 TapeMismatch);
+
+    const BranchStream copy = gcc.branchStream();
+    EXPECT_TRUE(tape.recordedFrom(copy, FrontendConfig{}));
+    expectSameStats(runSweep(gcc, batch)[0],
+                    runSweep(copy, batch, {}, tape)[0], "copy");
+}
+
+/**
+ * One tape shared by the batches of a grid running on 1, 4 and 8
+ * runner threads at once gives the same results at every job count
+ * (and races nowhere under the tsan preset).
+ */
+TEST(FrontendTape, SharedAcrossRunnerThreadsIsIdentical)
+{
+    const std::vector<IndirectConfig> configs = allTableConfigs();
+    const SharedTrace trace = recordWorkload("perl", 6000);
+    const FrontendConfig fe = twoLevelBtbFrontend();
+    const FrontendTape tape = recordTape(trace, fe);
+    const auto batches = batchesOf(configs, 8);
+    const std::vector<IndirectConfig> timed = timingFamilyConfigs();
+
+    const auto run = [&](unsigned jobs) {
+        const ParallelRunner runner(jobs);
+        std::vector<FrontendStats> stats(configs.size());
+        runner.forEach(batches.size(), [&](size_t b) {
+            const auto part = runSweep(trace, batches[b], fe, tape);
+            for (size_t k = 0; k < part.size(); ++k)
+                stats[b * 8 + k] = part[k];
+        });
+        const auto cores = runner.map<std::vector<CoreResult>>(
+            4, [&](size_t) {
+                return runTimingSweep(trace, timed, CoreParams{}, fe, tape);
+            });
+        return std::make_pair(stats, cores);
+    };
+    const auto [serial_stats, serial_cores] = run(1);
+    for (size_t c = 0; c < configs.size(); ++c)
+        expectSameStats(runAccuracy(trace, configs[c], fe), serial_stats[c],
+                        configs[c].describe());
+    for (unsigned jobs : {4u, 8u}) {
+        const auto [stats, cores] = run(jobs);
+        for (size_t c = 0; c < configs.size(); ++c)
+            expectSameStats(serial_stats[c], stats[c],
+                            std::to_string(jobs) + " jobs/" +
+                                configs[c].describe());
+        for (size_t r = 0; r < cores.size(); ++r)
+            for (size_t k = 0; k < timed.size(); ++k)
+                expectSameCoreResult(serial_cores[0][k], cores[r][k],
+                                     std::to_string(jobs) + " jobs/" +
+                                         timed[k].describe());
+    }
+}
+
+/**
+ * A paper render simulates each (trace, front end) once: Table 7
+ * (two traces, one front end, a baseline and 15 grid cells each)
+ * records two tapes, Table 2 (eight traces, two front ends) sixteen,
+ * and btb_pressure (five traces, three hierarchies) fifteen.
+ */
+TEST(FrontendTape, PaperRendersRecordOneTapePerTraceAndFrontEnd)
+{
+    const TableOptions opt{.ops = 20000, .threads = 2};
+    const auto tapes_recorded = [&](std::string (*render)(
+                                        const TableOptions &)) {
+        obs::globalMetrics().reset();
+        (void)render(opt);
+        return counterOf(obs::globalMetrics().snapshot(),
+                         "frontend.tapes_recorded");
+    };
+    EXPECT_EQ(tapes_recorded(renderTable7), 2u);
+    EXPECT_EQ(tapes_recorded(renderTable2), 16u);
+    EXPECT_EQ(tapes_recorded(renderBtbPressure), 15u);
 }
 
 /**
