@@ -13,7 +13,8 @@
  *      tournament baseline machine).
  *
  * Every grid runs on the parallel experiment engine; traces are
- * shared across sections through the trace cache.
+ * shared across sections through the trace cache, and sections 1 and
+ * 6 share one SweepGrid over the headline traces.
  */
 
 #include "bench_util.hh"
@@ -21,49 +22,6 @@
 #include "harness/sweep_kernel.hh"
 
 using namespace tpred;
-
-namespace
-{
-
-/**
- * Fused (workload x config) accuracy grid: one runSweep() per
- * (workload x history-group) job, each replaying its workload's
- * front-end tape, results scattered back into grid order.  Cell
- * values are bit-identical to per-config runAccuracy().
- */
-std::vector<double>
-sweepGrid(const ParallelRunner &runner,
-          const std::vector<SharedTrace> &traces,
-          const std::vector<IndirectConfig> &configs)
-{
-    const auto groups = groupByHistory(configs);
-    const auto tapes = runner.map<FrontendTape>(
-        traces.size(), [&](size_t w) { return recordTape(traces[w]); });
-    const auto parts = runner.map<std::vector<double>>(
-        traces.size() * groups.size(), [&](size_t j) {
-            const size_t w = j / groups.size();
-            const auto &group = groups[j % groups.size()];
-            std::vector<IndirectConfig> batch;
-            batch.reserve(group.size());
-            for (size_t c : group)
-                batch.push_back(configs[c]);
-            std::vector<double> rates;
-            rates.reserve(group.size());
-            for (const FrontendStats &s :
-                 runSweep(traces[w], batch, {}, tapes[w]))
-                rates.push_back(s.indirectJumps.missRate());
-            return rates;
-        });
-    std::vector<double> cells(traces.size() * configs.size());
-    for (size_t w = 0; w < traces.size(); ++w)
-        for (size_t g = 0; g < groups.size(); ++g)
-            for (size_t k = 0; k < groups[g].size(); ++k)
-                cells[w * configs.size() + groups[g][k]] =
-                    parts[w * groups.size() + g][k];
-    return cells;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -76,16 +34,17 @@ main(int argc, char **argv)
     const std::vector<std::string> headline = bench::headlinePair();
     const std::vector<SharedTrace> headline_traces =
         bench::recordAll(headline, ops);
+    SweepGrid headline_grid(headline_traces);
 
     // --- 1. History length sweep --------------------------------
     {
         const std::vector<unsigned> lengths = {4, 6, 9, 12, 16};
         // Entry count fixed at 512; longer histories fold through
         // the XOR index.
-        std::vector<IndirectConfig> configs;
+        std::vector<SweepColumn> columns;
         for (unsigned length : lengths)
-            configs.push_back(taglessGshare(patternHistory(length)));
-        const auto cells = sweepGrid(runner, headline_traces, configs);
+            columns.push_back({taglessGshare(patternHistory(length))});
+        const auto cells = headline_grid.accuracy(columns);
         Table table;
         table.setHeader({"Benchmark", "h=4", "h=6", "h=9", "h=12",
                          "h=16"});
@@ -93,7 +52,8 @@ main(int argc, char **argv)
             std::vector<std::string> row = {headline[w]};
             for (size_t k = 0; k < lengths.size(); ++k)
                 row.push_back(formatPercent(
-                    cells[w * lengths.size() + k], 1));
+                    cells[w * lengths.size() + k].indirectJumps.missRate(),
+                    1));
             table.addRow(row);
         }
         std::printf("[history length, tagless gshare 512]\n%s\n",
@@ -122,17 +82,18 @@ main(int argc, char **argv)
         table.setHeader(header);
 
         const auto &names = spec95Names();
-        const std::vector<SharedTrace> traces =
-            bench::recordAll(names, ops);
-        std::vector<IndirectConfig> configs;
+        std::vector<SweepColumn> columns;
         for (const auto &[label, config] : structures)
-            configs.push_back(config);
-        const auto cells = sweepGrid(runner, traces, configs);
+            columns.push_back({config});
+        const auto cells =
+            SweepGrid(bench::recordAll(names, ops)).accuracy(columns);
         for (size_t w = 0; w < names.size(); ++w) {
             std::vector<std::string> row = {names[w]};
             for (size_t k = 0; k < structures.size(); ++k)
                 row.push_back(formatPercent(
-                    cells[w * structures.size() + k], 1));
+                    cells[w * structures.size() + k]
+                        .indirectJumps.missRate(),
+                    1));
             table.addRow(row);
         }
         std::printf("[structures at comparable budget]\n%s\n",
@@ -151,16 +112,16 @@ main(int argc, char **argv)
                               patternHistory(16))},
                 {"cascaded", cascadedConfig()},
             };
-        std::vector<IndirectConfig> batch;
+        std::vector<SweepColumn> columns;
         for (const auto &[label, config] : configs)
-            batch.push_back(config);
-        const auto cells =
-            sweepGrid(runner, std::vector<SharedTrace>{trace}, batch);
+            columns.push_back({config});
+        const auto cells = SweepGrid({trace}).accuracy(columns);
         Table table;
         table.setHeader({"Predictor", "Mispred. rate"});
         for (size_t k = 0; k < configs.size(); ++k)
             table.addRow({configs[k].first,
-                          formatPercent(cells[k], 1)});
+                          formatPercent(
+                              cells[k].indirectJumps.missRate(), 1)});
         std::printf("[cpp-virtual workload]\n%s\n",
                     table.render().c_str());
     }
@@ -221,16 +182,9 @@ main(int argc, char **argv)
     {
         FrontendConfig tourney;
         tourney.direction = DirectionScheme::Tournament;
-        // The two columns differ in FrontendConfig, so each runs as
-        // its own batch-of-one sweep (still hits the cached stream).
-        const std::vector<IndirectConfig> batch = {taglessGshare()};
-        const auto stats = runner.map<FrontendStats>(
-            headline.size() * 2, [&](size_t j) {
-                const SharedTrace &trace = headline_traces[j / 2];
-                return j % 2 == 0
-                           ? runSweep(trace, batch).front()
-                           : runSweep(trace, batch, tourney).front();
-            });
+        const SweepColumn columns[] = {{taglessGshare()},
+                                       {taglessGshare(), tourney}};
+        const auto stats = headline_grid.accuracy(columns);
         Table table;
         table.setHeader({"Benchmark", "gshare dir miss",
                          "tournament dir miss", "ind miss (gshare fe)",

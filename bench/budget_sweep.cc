@@ -66,39 +66,16 @@ main(int argc, char **argv)
     const std::vector<std::string> names = bench::headlinePair();
     const std::vector<SharedTrace> traces = bench::recordAll(names, ops);
 
-    // Flattened grid: (workload x point x {tagless, tagged}).  Every
-    // point shares patternHistory(9), so the whole per-workload grid
-    // collapses into one fused sweep; the job unit is
-    // (workload x history-group).
+    // Columns: (point x {tagless, tagged}).  Every point shares
+    // patternHistory(9), so each workload's cells are one fused sweep.
     const size_t per_workload = kPoints.size() * 2;
-    std::vector<IndirectConfig> configs;
-    configs.reserve(per_workload);
+    std::vector<SweepColumn> columns;
+    columns.reserve(per_workload);
     for (const Point &point : kPoints) {
-        configs.push_back(taglessAt(point));
-        configs.push_back(taggedAt(point));
+        columns.push_back({taglessAt(point)});
+        columns.push_back({taggedAt(point)});
     }
-    const auto groups = groupByHistory(configs);
-    const ParallelRunner runner;
-    const auto parts = runner.map<std::vector<double>>(
-        names.size() * groups.size(), [&](size_t j) {
-            const SharedTrace &trace = traces[j / groups.size()];
-            const auto &group = groups[j % groups.size()];
-            std::vector<IndirectConfig> batch;
-            batch.reserve(group.size());
-            for (size_t c : group)
-                batch.push_back(configs[c]);
-            std::vector<double> rates;
-            rates.reserve(group.size());
-            for (const FrontendStats &s : runSweep(trace, batch))
-                rates.push_back(s.indirectJumps.missRate());
-            return rates;
-        });
-    std::vector<double> cells(names.size() * per_workload);
-    for (size_t w = 0; w < names.size(); ++w)
-        for (size_t g = 0; g < groups.size(); ++g)
-            for (size_t k = 0; k < groups[g].size(); ++k)
-                cells[w * per_workload + groups[g][k]] =
-                    parts[w * groups.size() + g][k];
+    const auto cells = SweepGrid(traces).accuracy(columns);
 
     for (size_t w = 0; w < names.size(); ++w) {
         Table table;
@@ -113,9 +90,13 @@ main(int argc, char **argv)
             table.addRow({
                 std::to_string(budget),
                 std::to_string(1u << point.taglessBits),
-                formatPercent(cells[w * per_workload + p * 2], 1),
+                formatPercent(
+                    cells[w * per_workload + p * 2].indirectJumps.missRate(),
+                    1),
                 std::to_string(point.taggedEntries / 4 * 4),
-                formatPercent(cells[w * per_workload + p * 2 + 1], 1),
+                formatPercent(cells[w * per_workload + p * 2 + 1]
+                                  .indirectJumps.missRate(),
+                              1),
             });
         }
         if (csv) {

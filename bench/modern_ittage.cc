@@ -12,6 +12,7 @@
  */
 
 #include "bench_util.hh"
+#include "harness/sweep_kernel.hh"
 
 using namespace tpred;
 
@@ -48,18 +49,16 @@ main(int argc, char **argv)
     table.setHeader(header);
 
     const auto &names = allWorkloadNames();
-    const std::vector<SharedTrace> traces = bench::recordAll(names, ops);
-    const auto cells = ParallelRunner().map<double>(
-        names.size() * configs.size(), [&](size_t j) {
-            return runAccuracy(traces[j / configs.size()],
-                               configs[j % configs.size()].second)
-                .indirectJumps.missRate();
-        });
+    std::vector<SweepColumn> columns;
+    for (const auto &[label, config] : configs)
+        columns.push_back({config});
+    const auto cells =
+        SweepGrid(bench::recordAll(names, ops)).accuracy(columns);
     for (size_t w = 0; w < names.size(); ++w) {
         std::vector<std::string> row = {names[w]};
         for (size_t k = 0; k < configs.size(); ++k)
-            row.push_back(
-                formatPercent(cells[w * configs.size() + k], 1));
+            row.push_back(formatPercent(
+                cells[w * configs.size() + k].indirectJumps.missRate(), 1));
         table.addRow(row);
     }
     std::printf("%s\n", table.render().c_str());

@@ -40,28 +40,20 @@ main(int argc, char **argv)
         {"with 512-entry target cache", taglessGshare()},
     };
     const auto &names = spec95Names();
-    const std::vector<SharedTrace> traces = bench::recordAll(names, ops);
     // One fused timing sweep per workload: both configs share one
     // core trajectory until they diverge (harness/sweep_kernel.hh).
-    std::vector<IndirectConfig> batch;
-    batch.reserve(configs.size());
+    std::vector<SweepColumn> columns;
     for (const auto &[label, config] : configs)
-        batch.push_back(config);
-    const auto per_workload =
-        ParallelRunner().map<std::vector<CoreResult>>(
-            names.size(),
-            [&](size_t w) { return runTimingSweep(traces[w], batch); });
-    std::vector<CoreResult> results(configs.size() * names.size());
-    for (size_t w = 0; w < names.size(); ++w)
-        for (size_t c = 0; c < configs.size(); ++c)
-            results[c * names.size() + w] = per_workload[w][c];
+        columns.push_back({config});
+    const auto results =
+        SweepGrid(bench::recordAll(names, ops)).timing(columns);
     for (size_t c = 0; c < configs.size(); ++c) {
         Table table;
         table.setHeader({"Benchmark", "cond", "indirect", "return",
                          "uncond/call", "all stalls", "IPC"});
         for (size_t w = 0; w < names.size(); ++w) {
             const std::string &name = names[w];
-            const CoreResult &r = results[c * names.size() + w];
+            const CoreResult &r = results[w * configs.size() + c];
             const auto &s = r.stallCyclesByKind;
             const uint64_t cond =
                 s[static_cast<size_t>(BranchKind::CondDirect)];

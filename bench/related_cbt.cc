@@ -10,6 +10,7 @@
 
 #include "bench_util.hh"
 #include "bpred/cbt.hh"
+#include "harness/sweep_kernel.hh"
 
 using namespace tpred;
 
@@ -67,24 +68,18 @@ main(int argc, char **argv)
                      "Target cache (tagless gshare)"});
     const std::vector<std::string> names = bench::headlinePair();
     const std::vector<SharedTrace> traces = bench::recordAll(names, ops);
-    // Per workload: CBT (its own deterministic Rng per job), BTB and
-    // target-cache metrics — one row's four cells as one job.
-    const auto rows = ParallelRunner().map<std::vector<double>>(
-        names.size(), [&](size_t w) {
-            const SharedTrace &trace = traces[w];
-            CbtResult cbt = runCbt(trace);
-            return std::vector<double>{
-                cbt.oracle_miss, cbt.fetch_miss,
-                runAccuracy(trace, baselineConfig())
-                    .indirectJumps.missRate(),
-                runAccuracy(trace, taglessGshare())
-                    .indirectJumps.missRate()};
-        });
+    // The CBT per workload, each job with its own deterministic Rng;
+    // the BTB and target-cache cells through one grid.
+    const auto cbt = ParallelRunner().map<CbtResult>(
+        names.size(), [&](size_t w) { return runCbt(traces[w]); });
+    const SweepColumn columns[] = {{baselineConfig()}, {taglessGshare()}};
+    const auto cells = SweepGrid(traces).accuracy(columns);
     for (size_t w = 0; w < names.size(); ++w) {
-        table.addRow({names[w], formatPercent(rows[w][0], 1),
-                      formatPercent(rows[w][1], 1),
-                      formatPercent(rows[w][2], 1),
-                      formatPercent(rows[w][3], 1)});
+        table.addRow(
+            {names[w], formatPercent(cbt[w].oracle_miss, 1),
+             formatPercent(cbt[w].fetch_miss, 1),
+             formatPercent(cells[w * 2].indirectJumps.missRate(), 1),
+             formatPercent(cells[w * 2 + 1].indirectJumps.missRate(), 1)});
     }
     std::printf("%s\n", table.render().c_str());
     std::printf("The oracle CBT is nearly perfect but unimplementable "

@@ -69,22 +69,11 @@ struct ProbeRecorder
     void observeTrackers(const MicroOp &) {}
 };
 
-bool
-sameColumns(const BranchStream &a, const BranchStream &b)
-{
-    return a.opCount == b.opCount && a.size() == b.size() &&
-           a.pos.data() == b.pos.data() && a.pc.data() == b.pc.data() &&
-           a.target.data() == b.target.data() &&
-           a.fallthrough.data() == b.fallthrough.data() &&
-           a.kind.data() == b.kind.data() &&
-           a.taken.data() == b.taken.data();
-}
-
 } // namespace
 
 FrontendTape::FrontendTape(const BranchStream &stream,
                            const FrontendConfig &config)
-    : stream_(stream), config_(config)
+    : stream_(stream)
 {
     static const obs::Counter recorded =
         obs::globalMetrics().counter("frontend.tapes_recorded");
@@ -113,13 +102,6 @@ FrontendTape::FrontendTape(const BranchStream &stream,
     shared_ = frontend.shared_;
     btb_ = frontend.btb().hstats();
     recorded.inc();
-}
-
-bool
-FrontendTape::recordedFrom(const BranchStream &stream,
-                           const FrontendConfig &config) const
-{
-    return sameColumns(stream, stream_) && config == config_;
 }
 
 void

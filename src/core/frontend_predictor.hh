@@ -324,9 +324,9 @@ class FrontendPredictor
  * replay() then drives a stage through stageStep() at every branch,
  * without simulating the BTB, the direction predictor or the RAS
  * again.  The tape holds a copy of its stream, so the columns it
- * replays stay alive, and recordedFrom() can tell its own stream from
- * any other.  A recorded tape is immutable and may be replayed by many
- * threads at once.  Each recording counts frontend.tapes_recorded.
+ * replays stay alive.  A recorded tape is immutable and may be
+ * replayed by many threads at once.  Each recording counts
+ * frontend.tapes_recorded.
  */
 class FrontendTape
 {
@@ -339,13 +339,6 @@ class FrontendTape
 
     /** The stream this tape was recorded from. */
     const BranchStream &stream() const { return stream_; }
-
-    /**
-     * Whether this tape was recorded from @p stream (the same columns,
-     * not an equal copy) under @p config.
-     */
-    bool recordedFrom(const BranchStream &stream,
-                      const FrontendConfig &config) const;
 
     /**
      * What the front end told every stage's core at branch @p i: the
@@ -379,7 +372,6 @@ class FrontendTape
     static constexpr unsigned kBubbleShift = 2;
 
     BranchStream stream_;
-    FrontendConfig config_;
     std::vector<uint32_t> branches_;  ///< bubble << 2 | hit | correct
     std::vector<uint64_t> targets_;   ///< per indirect non-return branch
     FrontendStats shared_;

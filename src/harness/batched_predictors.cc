@@ -8,6 +8,13 @@
 namespace tpred
 {
 
+namespace
+{
+
+/**
+ * Appends @p spec to @p specs unless an equal spec is already present.
+ * @return The index of the (found or appended) spec.
+ */
 size_t
 findOrAppendHistorySpec(std::vector<HistorySpec> &specs,
                         const HistorySpec &spec)
@@ -19,6 +26,8 @@ findOrAppendHistorySpec(std::vector<HistorySpec> &specs,
     specs.push_back(spec);
     return specs.size() - 1;
 }
+
+} // namespace
 
 // --- Tagged sets -----------------------------------------------------
 

@@ -80,17 +80,6 @@
 namespace tpred
 {
 
-/**
- * Appends @p spec to @p specs unless an equal spec is already present.
- * @return The index of the (found or appended) spec.
- *
- * The one HistorySpec dedup scan shared by groupByHistory() and the
- * batch constructor — previously two hand-rolled O(n^2) loops that had
- * to be kept in sync.
- */
-size_t findOrAppendHistorySpec(std::vector<HistorySpec> &specs,
-                               const HistorySpec &spec);
-
 /** Tag of an invalid TaggedWay; a real tag is at most 32 bits wide. */
 inline constexpr uint64_t kNoTag = UINT64_MAX;
 

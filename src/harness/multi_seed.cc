@@ -49,11 +49,9 @@ SeedSweepResult::renderPercent(int precision) const
 
 SeedSweepResult
 sweepSeeds(const std::string &workload, size_t ops, unsigned num_seeds,
-           const std::function<double(const SharedTrace &)> &metric,
-           unsigned threads)
+           const std::function<double(const SharedTrace &)> &metric)
 {
-    const ParallelRunner runner(threads);
-    std::vector<double> samples = runner.map<double>(
+    std::vector<double> samples = ParallelRunner().map<double>(
         num_seeds, [&](size_t i) {
             const SharedTrace trace = cachedTrace(
                 workload, ops, static_cast<uint64_t>(i) + 1);

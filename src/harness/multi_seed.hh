@@ -39,16 +39,14 @@ SeedSweepResult summarize(std::vector<double> samples);
  * Records @p workload under @p num_seeds different seeds (through the
  * shared trace cache) and evaluates @p metric on each trace, sharding
  * the seeds across the parallel runner.  Samples are keyed by seed
- * index, so the result is bit-identical for any thread count.
+ * index, so the result is bit-identical for any job count.
  *
  * @param metric Maps a recorded trace to the scalar under study (e.g.
  *        a misprediction rate or an execution-time reduction).
- * @param threads Worker count; 0 = defaultJobs(), 1 = inline/serial.
  */
 SeedSweepResult
 sweepSeeds(const std::string &workload, size_t ops, unsigned num_seeds,
-           const std::function<double(const SharedTrace &)> &metric,
-           unsigned threads = 0);
+           const std::function<double(const SharedTrace &)> &metric);
 
 /** Convenience metric: indirect misprediction rate under @p config. */
 std::function<double(const SharedTrace &)>

@@ -182,60 +182,22 @@ reductionOver(uint64_t baseline_cycles, const SharedTrace &trace,
 // --- Paper-table drivers -------------------------------------------
 //
 // Every driver follows the same shape: record traces through the
-// shared cache, evaluate the experiment grid as index-keyed jobs on
-// the runner (each job is a pure function of its index over immutable
-// traces, so every thread count produces the same bits; one thread
-// runs them inline, in index order), then format the cells in grid
-// order.
+// shared cache, declare the experiment grid's columns and hand them to
+// a SweepGrid over the traces, which batches the cells and returns
+// them in (trace, column) order, then format the cells in grid order.
+// Table 1, one config per trace, runs runAccuracy() on the runner
+// instead.  Every job is a pure function of its index over immutable
+// traces, so every job count produces the same bits.
 
 namespace
 {
-
-/** Runs job(i) for i in [0, count) on opt.threads workers. */
-template <typename T>
-std::vector<T>
-mapJobs(const TableOptions &opt, size_t count,
-        const std::function<T(size_t)> &job)
-{
-    return ParallelRunner(opt.threads).map<T>(count, job);
-}
 
 /** One cached trace per workload name, at opt.ops instructions. */
 std::vector<SharedTrace>
 tracesFor(const TableOptions &opt, const std::vector<std::string> &names)
 {
-    return mapJobs<SharedTrace>(opt, names.size(), [&](size_t i) {
+    return ParallelRunner().map<SharedTrace>(names.size(), [&](size_t i) {
         return cachedTrace(names[i], opt.ops);
-    });
-}
-
-/**
- * One front-end tape per trace under @p fe: a render simulates each
- * (trace, front end) once, and every sweep over it replays the tape.
- */
-std::vector<FrontendTape>
-tapesFor(const TableOptions &opt, const std::vector<SharedTrace> &traces,
-         const FrontendConfig &fe = {})
-{
-    return mapJobs<FrontendTape>(opt, traces.size(), [&](size_t i) {
-        return recordTape(traces[i], fe);
-    });
-}
-
-/**
- * BTB-only baseline cycles per trace, for the timing tables: a batch
- * of one, so that every timing cell runs on the tape path.
- */
-std::vector<uint64_t>
-baseCyclesFor(const TableOptions &opt,
-              const std::vector<SharedTrace> &traces,
-              const std::vector<FrontendTape> &tapes)
-{
-    return mapJobs<uint64_t>(opt, traces.size(), [&](size_t i) {
-        const std::vector<IndirectConfig> solo = {baselineConfig()};
-        return runTimingSweep(traces[i], solo, CoreParams{},
-                              FrontendConfig{}, tapes[i])[0]
-            .cycles;
     });
 }
 
@@ -250,84 +212,21 @@ pathSchemeLabels()
 }
 
 /**
- * Fused cells: evaluates every (workload x config) pair as one
- * @p evaluate(w, batch) job per (workload x history-group) — it
- * returns one value per batch member — and scatters the values back
- * into (workload x config) grid order.
+ * Every (trace, column) cell's execution-time reduction over the
+ * BTB-only baseline on the same trace, in grid order.  The baseline
+ * runs first, as a column of its own.
  */
 std::vector<double>
-sweepCells(const TableOptions &opt, size_t workloads,
-           const std::vector<IndirectConfig> &configs,
-           const std::function<std::vector<double>(
-               size_t w, const std::vector<IndirectConfig> &batch)>
-               &evaluate)
+reductions(SweepGrid &grid, std::span<const SweepColumn> columns)
 {
-    const auto groups = groupByHistory(configs);
-    const auto parts = mapJobs<std::vector<double>>(
-        opt, workloads * groups.size(), [&](size_t j) {
-            std::vector<IndirectConfig> batch;
-            for (size_t c : groups[j % groups.size()])
-                batch.push_back(configs[c]);
-            return evaluate(j / groups.size(), batch);
-        });
-
-    std::vector<double> cells(workloads * configs.size());
-    for (size_t w = 0; w < workloads; ++w)
-        for (size_t g = 0; g < groups.size(); ++g)
-            for (size_t k = 0; k < groups[g].size(); ++k)
-                cells[w * configs.size() + groups[g][k]] =
-                    parts[w * groups.size() + g][k];
-    return cells;
-}
-
-/**
- * Fused accuracy cells: every (workload x config) pair's indirect
- * miss rate, one runSweep() per (workload x history-group) job, each
- * replaying its trace's tape under @p fe.  Cell values are
- * bit-identical to per-config runAccuracy().
- */
-std::vector<double>
-sweepMissRates(const TableOptions &opt,
-               const std::vector<SharedTrace> &traces,
-               std::span<const FrontendTape> tapes,
-               const std::vector<IndirectConfig> &configs,
-               const FrontendConfig &fe = {})
-{
-    return sweepCells(opt, traces.size(), configs,
-                      [&](size_t w, const auto &batch) {
-                          std::vector<double> rates;
-                          for (const FrontendStats &s :
-                               runSweep(traces[w], batch, fe, tapes[w]))
-                              rates.push_back(
-                                  s.indirectJumps.missRate());
-                          return rates;
-                      });
-}
-
-/**
- * Fused timing cells: every (workload x config) pair's execution-time
- * reduction over the BTB baseline, one runTimingSweep() per (workload
- * x history-group) job.  Cell values are bit-identical to per-config
- * runTiming() — the fusion shares one core trajectory and forks
- * members on divergence (docs/sweep_kernel.md).
- */
-std::vector<double>
-sweepReductions(const TableOptions &opt,
-                const std::vector<SharedTrace> &traces,
-                const std::vector<FrontendTape> &tapes,
-                const std::vector<uint64_t> &bases,
-                const std::vector<IndirectConfig> &configs)
-{
-    return sweepCells(opt, traces.size(), configs,
-                      [&](size_t w, const auto &batch) {
-                          std::vector<double> vals;
-                          for (const CoreResult &r : runTimingSweep(
-                                   traces[w], batch, CoreParams{},
-                                   FrontendConfig{}, tapes[w]))
-                              vals.push_back(
-                                  execTimeReduction(bases[w], r.cycles));
-                          return vals;
-                      });
+    const SweepColumn baseline[] = {{baselineConfig()}};
+    const std::vector<CoreResult> base = grid.timing(baseline);
+    const std::vector<CoreResult> cells = grid.timing(columns);
+    std::vector<double> out(cells.size());
+    for (size_t i = 0; i < cells.size(); ++i)
+        out[i] = execTimeReduction(base[i / columns.size()].cycles,
+                                   cells[i].cycles);
+    return out;
 }
 
 HistorySpec
@@ -350,10 +249,32 @@ pathSchemeHistory(const std::string &scheme, unsigned bits_per_target,
 }
 
 /**
- * Shared skeleton of the per-workload timing tables (5-9, Figs
- * 12-13): for each headline workload, a rows x cols grid of
- * execution-time reductions over the BTB baseline, flattened into
- * (workload x row x col)-indexed jobs.
+ * Shared skeleton of the accuracy tables (2, 4): one row per workload,
+ * its indirect miss rate under each column.
+ */
+std::string
+renderMissRates(const TableOptions &opt,
+                const std::vector<std::string> &names,
+                const std::vector<std::string> &header,
+                std::span<const SweepColumn> columns)
+{
+    const auto cells = SweepGrid(tracesFor(opt, names)).accuracy(columns);
+    Table table;
+    table.setHeader(header);
+    for (size_t i = 0; i < names.size(); ++i) {
+        std::vector<std::string> row = {names[i]};
+        for (size_t col = 0; col < columns.size(); ++col)
+            row.push_back(formatPercent(
+                cells[i * columns.size() + col].indirectJumps.missRate(), 1));
+        table.addRow(row);
+    }
+    return table.render();
+}
+
+/**
+ * Shared skeleton of the per-workload timing tables (5-9): for each
+ * headline workload, a rows x cols table of execution-time reductions
+ * over the BTB baseline, its cells the columns of one grid call.
  */
 std::string
 renderReductionGrid(const TableOptions &opt,
@@ -364,24 +285,16 @@ renderReductionGrid(const TableOptions &opt,
                         &config_at)
 {
     const auto &names = headlineWorkloads();
-    const auto traces = tracesFor(opt, names);
-    const auto tapes = tapesFor(opt, traces);
-    const auto bases = baseCyclesFor(opt, traces, tapes);
-
+    SweepGrid grid(tracesFor(opt, names));
     const size_t rows = row_labels.size();
     const size_t cols = header.size() - 1;
     const size_t per_workload = rows * cols;
-
-    // Fused timing cells via runTimingSweep: the parallelism unit
-    // stays one job per (workload x history group), with the whole
-    // group sharing one core trajectory inside the job, so every
-    // thread count produces the same bits as the per-cell layout did.
-    std::vector<IndirectConfig> configs;
-    configs.reserve(per_workload);
+    std::vector<SweepColumn> columns;
+    columns.reserve(per_workload);
     for (size_t row = 0; row < rows; ++row)
         for (size_t col = 0; col < cols; ++col)
-            configs.push_back(config_at(row, col));
-    const auto cells = sweepReductions(opt, traces, tapes, bases, configs);
+            columns.push_back({config_at(row, col)});
+    const auto cells = reductions(grid, columns);
 
     std::string out;
     for (size_t w = 0; w < names.size(); ++w) {
@@ -413,8 +326,8 @@ renderTable1(const TableOptions &opt)
 {
     const auto &names = spec95Names();
     const auto traces = tracesFor(opt, names);
-    const auto rows = mapJobs<std::vector<std::string>>(
-        opt, names.size(), [&](size_t i) {
+    const auto rows = ParallelRunner().map<std::vector<std::string>>(
+        names.size(), [&](size_t i) {
             TraceCounts counts;
             traces[i].forEachOp(
                 [&counts](const MicroOp &op) { counts.observe(op); });
@@ -440,53 +353,28 @@ renderTable1(const TableOptions &opt)
 std::string
 renderTable2(const TableOptions &opt)
 {
-    const auto &names = spec95Names();
-    const auto traces = tracesFor(opt, names);
-    // A fused batch shares one FrontendConfig, so the 2-bit BTB
-    // column runs as its own (degenerate, batch-of-one) sweep, over
-    // its own tapes.
-    const auto fused = sweepMissRates(opt, traces, tapesFor(opt, traces),
-                                      {baselineConfig(), taglessGshare()});
-    const FrontendConfig two_bit_fe = twoBitBtbFrontend();
-    const auto two_bit =
-        sweepMissRates(opt, traces, tapesFor(opt, traces, two_bit_fe),
-                       {baselineConfig()}, two_bit_fe);
-
-    Table table;
-    table.setHeader({"Benchmark", "BTB", "2-bit BTB",
-                     "512-entry target cache"});
-    for (size_t i = 0; i < names.size(); ++i) {
-        table.addRow({names[i],
-                      formatPercent(fused[i * 2 + 0], 1),
-                      formatPercent(two_bit[i], 1),
-                      formatPercent(fused[i * 2 + 1], 1)});
-    }
-    return table.render();
+    const SweepColumn columns[] = {
+        {baselineConfig()},
+        {baselineConfig(), twoBitBtbFrontend()},
+        {taglessGshare()},
+    };
+    return renderMissRates(
+        opt, spec95Names(),
+        {"Benchmark", "BTB", "2-bit BTB", "512-entry target cache"},
+        columns);
 }
 
 std::string
 renderTable4(const TableOptions &opt)
 {
-    const auto &names = headlineWorkloads();
-    const auto traces = tracesFor(opt, names);
-    const std::vector<IndirectConfig> configs = {
-        baselineConfig(),   taglessGAg(9),    taglessGAs(8, 1),
-        taglessGAs(7, 2),   taglessGshare(),
+    const SweepColumn columns[] = {
+        {baselineConfig()},   {taglessGAg(9)},    {taglessGAs(8, 1)},
+        {taglessGAs(7, 2)},   {taglessGshare()},
     };
-    const size_t cols = configs.size();
-    const auto cells =
-        sweepMissRates(opt, traces, tapesFor(opt, traces), configs);
-
-    Table table;
-    table.setHeader({"Benchmark", "BTB", "GAg(9)", "GAs(8,1)",
-                     "GAs(7,2)", "gshare"});
-    for (size_t i = 0; i < names.size(); ++i) {
-        std::vector<std::string> row = {names[i]};
-        for (size_t col = 0; col < cols; ++col)
-            row.push_back(formatPercent(cells[i * cols + col], 1));
-        table.addRow(row);
-    }
-    return table.render();
+    return renderMissRates(
+        opt, headlineWorkloads(),
+        {"Benchmark", "BTB", "GAg(9)", "GAs(8,1)", "GAs(7,2)", "gshare"},
+        columns);
 }
 
 std::string
@@ -583,19 +471,16 @@ renderFig1213(const TableOptions &opt)
 {
     const std::vector<unsigned> assocs = {1, 2, 4, 8, 16};
     const auto &names = headlineWorkloads();
-    const auto traces = tracesFor(opt, names);
-    const auto tapes = tapesFor(opt, traces);
-    const auto bases = baseCyclesFor(opt, traces, tapes);
+    SweepGrid grid(tracesFor(opt, names));
 
     // Per workload: cell 0 is the tagless reference, cells 1..n the
-    // tagged cache at each associativity; fused timing cells, one
-    // runTimingSweep() per (workload x history-group) job.
-    std::vector<IndirectConfig> configs = {taglessGshare()};
+    // tagged cache at each associativity.
+    std::vector<SweepColumn> columns = {{taglessGshare()}};
     for (unsigned ways : assocs)
-        configs.push_back(
-            taggedConfig(TaggedIndexScheme::HistoryXor, ways));
-    const size_t per_workload = configs.size();
-    const auto cells = sweepReductions(opt, traces, tapes, bases, configs);
+        columns.push_back(
+            {taggedConfig(TaggedIndexScheme::HistoryXor, ways)});
+    const size_t per_workload = columns.size();
+    const auto cells = reductions(grid, columns);
 
     std::string out;
     for (size_t w = 0; w < names.size(); ++w) {
@@ -617,11 +502,16 @@ renderFig1213(const TableOptions &opt)
 namespace
 {
 
+/** BTB-miss bubble cycles per 1000 instructions of @p r. */
 std::string
-formatStallRate(double cycles_per_kilo_instr)
+formatStallRate(const CoreResult &r)
 {
+    const double rate =
+        r.instructions ? 1000.0 * static_cast<double>(r.btbMissStallCycles) /
+                             static_cast<double>(r.instructions)
+                       : 0.0;
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.1f", cycles_per_kilo_instr);
+    std::snprintf(buf, sizeof(buf), "%.1f", rate);
     return buf;
 }
 
@@ -658,50 +548,26 @@ renderBtbPressure(const TableOptions &opt)
     };
 
     const auto &names = btbPressureWorkloads();
-    const auto traces = tracesFor(opt, names);
-    const size_t n = names.size();
+    SweepGrid grid(tracesFor(opt, names));
 
-    // One tape per (variant x trace), index v * n + w: every cell
-    // below over that trace and hierarchy replays it.
-    const auto tapes = mapJobs<FrontendTape>(
-        opt, variants.size() * n, [&](size_t j) {
-            return recordTape(traces[j % n], variants[j / n].fe);
-        });
-
-    // Accuracy cells per hierarchy variant: a fused batch shares one
-    // FrontendConfig, so each variant runs as its own sweep (the same
-    // shape as Table 2's 2-bit column).
-    std::vector<std::vector<double>> miss(variants.size());
-    std::vector<std::vector<double>> btb_hit(variants.size());
-    for (size_t v = 0; v < variants.size(); ++v) {
-        miss[v] = sweepMissRates(opt, traces,
-                                 std::span(tapes).subspan(v * n, n),
-                                 configs, variants[v].fe);
-        btb_hit[v] = mapJobs<double>(opt, n, [&](size_t w) {
-            const std::vector<IndirectConfig> solo = {baselineConfig()};
-            const auto stats =
-                runSweep(traces[w], solo, variants[v].fe, tapes[v * n + w]);
-            return 1.0 - stats[0].btbHits.missRate();
-        });
+    // Per hierarchy variant: the accuracy cells, the BTB hit rate (a
+    // baseline column of its own), and the timing cell — BTB-miss
+    // bubble cycles per 1000 instructions with the tagless target
+    // cache in place, the stall a better hierarchy (or a smaller code
+    // footprint) recovers.  Every cell over one trace and hierarchy
+    // replays one tape.
+    std::vector<SweepColumn> miss_columns;
+    std::vector<SweepColumn> btb_columns;
+    std::vector<SweepColumn> stall_columns;
+    for (const Variant &variant : variants) {
+        for (const IndirectConfig &config : configs)
+            miss_columns.push_back({config, variant.fe});
+        btb_columns.push_back({baselineConfig(), variant.fe});
+        stall_columns.push_back({taglessGshare(), variant.fe});
     }
-
-    // Timing cells: BTB-miss bubble cycles per 1000 instructions with
-    // the tagless target cache in place — the stall a better hierarchy
-    // (or a smaller code footprint) recovers.  Batches of one, on the
-    // tape path.
-    const auto stalls = mapJobs<double>(
-        opt, variants.size() * n, [&](size_t j) {
-            const size_t v = j / n;
-            const size_t w = j % n;
-            const std::vector<IndirectConfig> solo = {taglessGshare()};
-            const CoreResult r = runTimingSweep(traces[w], solo, CoreParams{},
-                                                variants[v].fe, tapes[j])[0];
-            return r.instructions ? 1000.0 *
-                                        static_cast<double>(
-                                            r.btbMissStallCycles) /
-                                        static_cast<double>(r.instructions)
-                                  : 0.0;
-        });
+    const auto miss = grid.accuracy(miss_columns);
+    const auto btb = grid.accuracy(btb_columns);
+    const auto stalls = grid.timing(stall_columns);
 
     Table table;
     table.setHeader({"Benchmark", "BTB hierarchy", "BTB hits",
@@ -711,15 +577,20 @@ renderBtbPressure(const TableOptions &opt)
         if (w)
             table.addRule();
         for (size_t v = 0; v < variants.size(); ++v) {
-            const size_t base = w * configs.size();
+            const size_t cell = w * variants.size() + v;
+            const auto miss_rate = [&](size_t k) {
+                return formatPercent(
+                    miss[cell * configs.size() + k].indirectJumps.missRate(),
+                    1);
+            };
             table.addRow({
                 v == 0 ? names[w] : "",
                 variants[v].label,
-                formatPercent(btb_hit[v][w], 1),
-                formatPercent(miss[v][base + 0], 1),
-                formatPercent(miss[v][base + 1], 1),
-                formatPercent(miss[v][base + 2], 1),
-                formatStallRate(stalls[v * n + w]),
+                formatPercent(1.0 - btb[cell].btbHits.missRate(), 1),
+                miss_rate(0),
+                miss_rate(1),
+                miss_rate(2),
+                formatStallRate(stalls[cell]),
             });
         }
     }

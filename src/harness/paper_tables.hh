@@ -98,7 +98,6 @@ double reductionOver(uint64_t baseline_cycles, const SharedTrace &trace,
 struct TableOptions
 {
     size_t ops = kDefaultAccuracyOps;   ///< instructions per trace
-    unsigned threads = 0;  ///< 0 = defaultJobs(); 1 runs jobs inline
 };
 
 /** The paper's headline pair (sections 4.2-4.4 report these two). */
@@ -106,10 +105,11 @@ const std::vector<std::string> &headlineWorkloads();
 
 /**
  * Paper-table drivers.  Each records its traces through the shared
- * trace cache, evaluates its (workload x config) grid through the
- * parallel runner — bit-identical output at any thread count, with
- * cells keyed by grid index — and returns the rendered text the
- * corresponding bench binary prints.
+ * trace cache, evaluates its (workload x config) grid through a
+ * SweepGrid (harness/sweep_kernel.hh; Table 1 through runAccuracy()
+ * per trace) — bit-identical output at any job count, with cells
+ * keyed by grid index — and returns the
+ * rendered text the corresponding bench binary prints.
  */
 std::string renderTable1(const TableOptions &opt);   ///< BTB baseline
 std::string renderTable2(const TableOptions &opt);   ///< 2-bit strategy

@@ -3,29 +3,17 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <stdexcept>
 
 #include "harness/batched_predictors.hh"
+#include "harness/parallel_runner.hh"
 #include "obs/metrics.hh"
 #include "trace/branch_stream.hh"
 
 namespace tpred
 {
-
-std::vector<std::vector<size_t>>
-groupByHistory(std::span<const IndirectConfig> configs)
-{
-    std::vector<std::vector<size_t>> groups;
-    std::vector<HistorySpec> specs;
-    for (size_t i = 0; i < configs.size(); ++i) {
-        const size_t g = findOrAppendHistorySpec(specs,
-                                                 configs[i].history);
-        if (g == groups.size())
-            groups.emplace_back();
-        groups[g].push_back(i);
-    }
-    return groups;
-}
 
 namespace
 {
@@ -196,15 +184,6 @@ sweepStream(const SharedTrace &trace)
     return trace.compact().branchStream([] { streams_built.inc(); });
 }
 
-void
-checkTape(const FrontendTape &tape, const BranchStream &stream,
-          const FrontendConfig &fe)
-{
-    if (!tape.recordedFrom(stream, fe))
-        throw TapeMismatch("front-end tape replayed against a stream or "
-                           "front end it was not recorded from");
-}
-
 /**
  * The fused predictor pass both sweep entry points share: @p tape's
  * front end replayed into every member of @p batch as its indirect
@@ -232,46 +211,9 @@ predictorPass(const FrontendTape &tape, BatchedPredictors &batch,
     return out;
 }
 
-} // namespace
-
-FrontendTape
-recordTape(const SharedTrace &trace, const FrontendConfig &fe)
-{
-    return FrontendTape(sweepStream(trace), fe);
-}
-
+/** The fused accuracy sweep of @p configs, replaying @p tape. */
 std::vector<FrontendStats>
-runSweep(const SharedTrace &trace,
-         std::span<const IndirectConfig> configs,
-         const FrontendConfig &fe)
-{
-    if (configs.empty())
-        return {};
-    return runSweep(trace, configs, fe, recordTape(trace, fe));
-}
-
-std::vector<FrontendStats>
-runSweep(const BranchStream &stream,
-         std::span<const IndirectConfig> configs,
-         const FrontendConfig &fe)
-{
-    if (configs.empty())
-        return {};
-    return runSweep(stream, configs, fe, FrontendTape(stream, fe));
-}
-
-std::vector<FrontendStats>
-runSweep(const SharedTrace &trace,
-         std::span<const IndirectConfig> configs,
-         const FrontendConfig &fe, const FrontendTape &tape)
-{
-    return runSweep(sweepStream(trace), configs, fe, tape);
-}
-
-std::vector<FrontendStats>
-runSweep(const BranchStream &stream,
-         std::span<const IndirectConfig> configs,
-         const FrontendConfig &fe, const FrontendTape &tape)
+sweepBatch(std::span<const IndirectConfig> configs, const FrontendTape &tape)
 {
     static const obs::Counter batches =
         obs::globalMetrics().counter("sweep.batches");
@@ -284,36 +226,23 @@ runSweep(const BranchStream &stream,
     static const obs::Timer phase =
         obs::globalMetrics().timer("phase.sweep");
 
-    if (configs.empty())
-        return {};
-    checkTape(tape, stream, fe);
-
     obs::ScopedTimer timed(phase);
     batches.inc();
     swept_configs.inc(configs.size());
-    branches_fused.inc(stream.size());
+    branches_fused.inc(tape.stream().size());
 
     BatchedPredictors batch(configs);
     history_groups.inc(batch.trackerCount());
     return predictorPass(tape, batch, nullptr);
 }
 
+/**
+ * The fused timing sweep of @p configs over @p trace, replaying
+ * @p front, recorded from the trace's stream.
+ */
 std::vector<CoreResult>
-runTimingSweep(const SharedTrace &trace,
-               std::span<const IndirectConfig> configs,
-               const CoreParams &params, const FrontendConfig &fe)
-{
-    if (configs.empty())
-        return {};
-    return runTimingSweep(trace, configs, params, fe,
-                          recordTape(trace, fe));
-}
-
-std::vector<CoreResult>
-runTimingSweep(const SharedTrace &trace,
-               std::span<const IndirectConfig> configs,
-               const CoreParams &params, const FrontendConfig &fe,
-               const FrontendTape &front)
+timingBatch(const SharedTrace &trace, std::span<const IndirectConfig> configs,
+            const CoreParams &params, const FrontendTape &front)
 {
     static const obs::Counter timing_forks =
         obs::globalMetrics().counter("sweep.timing_forks");
@@ -339,10 +268,6 @@ runTimingSweep(const SharedTrace &trace,
         obs::globalMetrics().counter("core.instructions_retired");
     static const obs::Timer phase =
         obs::globalMetrics().timer("phase.sweep_timing");
-
-    if (configs.empty())
-        return {};
-    checkTape(front, sweepStream(trace), fe);
 
     obs::ScopedTimer timed(phase);
     // Counter parity with N per-config runTiming() calls.
@@ -464,6 +389,153 @@ runTimingSweep(const SharedTrace &trace,
             member_cycles.inc(out[k].cycles - m.inherited);
     }
     return out;
+}
+
+} // namespace
+
+std::vector<FrontendStats>
+runSweep(const SharedTrace &trace,
+         std::span<const IndirectConfig> configs,
+         const FrontendConfig &fe)
+{
+    if (configs.empty())
+        return {};
+    return sweepBatch(configs, FrontendTape(sweepStream(trace), fe));
+}
+
+std::vector<FrontendStats>
+runSweep(const BranchStream &stream,
+         std::span<const IndirectConfig> configs,
+         const FrontendConfig &fe)
+{
+    if (configs.empty())
+        return {};
+    return sweepBatch(configs, FrontendTape(stream, fe));
+}
+
+std::vector<CoreResult>
+runTimingSweep(const SharedTrace &trace,
+               std::span<const IndirectConfig> configs,
+               const CoreParams &params, const FrontendConfig &fe)
+{
+    if (configs.empty())
+        return {};
+    return timingBatch(trace, configs, params,
+                       FrontendTape(sweepStream(trace), fe));
+}
+
+SweepGrid::SweepGrid(std::vector<SharedTrace> traces)
+    : traces_(std::move(traces))
+{
+}
+
+SweepGrid::SweepGrid(std::vector<std::shared_ptr<const BranchStream>> streams)
+    : streams_(std::move(streams))
+{
+}
+
+size_t
+SweepGrid::rows() const
+{
+    return traces_.empty() ? streams_.size() : traces_.size();
+}
+
+/**
+ * The one batching rule: @p sweep(row, configs, tape) runs each batch
+ * of one front end and one history group, members in column order, and
+ * returns one cell per member; cells are scattered back into (row,
+ * column) order.  Front ends the grid has not met yet are recorded
+ * first, one tape per row each, and join the grid only once all their
+ * tapes are.
+ */
+template <typename Cell, typename Sweep>
+std::vector<Cell>
+SweepGrid::run(std::span<const SweepColumn> columns, const Sweep &sweep)
+{
+    if (columns.empty() || rows() == 0)
+        return {};
+    struct Batch
+    {
+        size_t frontend = 0;  ///< index into frontends
+        HistorySpec history;
+        std::vector<size_t> columns;
+        std::vector<IndirectConfig> configs;
+    };
+    std::vector<Batch> batches;
+    std::vector<FrontendConfig> frontends = frontends_;
+    for (size_t c = 0; c < columns.size(); ++c) {
+        const SweepColumn &column = columns[c];
+        const size_t f = static_cast<size_t>(
+            std::find(frontends.begin(), frontends.end(), column.frontend) -
+            frontends.begin());
+        if (f == frontends.size())
+            frontends.push_back(column.frontend);
+        auto batch = std::find_if(
+            batches.begin(), batches.end(), [&](const Batch &b) {
+                return b.frontend == f &&
+                       b.history == column.config.history;
+            });
+        if (batch == batches.end())
+            batch = batches.insert(batches.end(),
+                                   Batch{f, column.config.history, {}, {}});
+        batch->columns.push_back(c);
+        batch->configs.push_back(column.config);
+    }
+
+    const size_t n = rows();
+    const ParallelRunner runner;
+    if (frontends.size() > frontends_.size()) {
+        const size_t recorded = frontends_.size();
+        std::vector<FrontendTape> fresh((frontends.size() - recorded) * n);
+        runner.forEach(fresh.size(), [&](size_t j) {
+            const size_t r = j % n;
+            fresh[j] = FrontendTape(
+                traces_.empty() ? *streams_[r] : sweepStream(traces_[r]),
+                frontends[recorded + j / n]);
+        });
+        tapes_.insert(tapes_.end(), std::make_move_iterator(fresh.begin()),
+                      std::make_move_iterator(fresh.end()));
+        frontends_ = std::move(frontends);
+    }
+
+    const size_t per_row = batches.size();
+    std::vector<std::vector<Cell>> parts =
+        runner.map<std::vector<Cell>>(n * per_row, [&](size_t j) {
+            const size_t r = j / per_row;
+            const Batch &b = batches[j % per_row];
+            return sweep(r, b.configs, tapes_[b.frontend * n + r]);
+        });
+    std::vector<Cell> cells(n * columns.size());
+    for (size_t j = 0; j < parts.size(); ++j) {
+        const Batch &b = batches[j % per_row];
+        for (size_t k = 0; k < b.columns.size(); ++k)
+            cells[j / per_row * columns.size() + b.columns[k]] =
+                std::move(parts[j][k]);
+    }
+    return cells;
+}
+
+std::vector<FrontendStats>
+SweepGrid::accuracy(std::span<const SweepColumn> columns)
+{
+    return run<FrontendStats>(
+        columns, [](size_t, std::span<const IndirectConfig> configs,
+                    const FrontendTape &tape) {
+            return sweepBatch(configs, tape);
+        });
+}
+
+std::vector<CoreResult>
+SweepGrid::timing(std::span<const SweepColumn> columns)
+{
+    if (!streams_.empty())
+        throw std::logic_error("SweepGrid::timing: rows are branch "
+                               "streams, which carry no timing ops");
+    return run<CoreResult>(
+        columns, [&](size_t r, std::span<const IndirectConfig> configs,
+                     const FrontendTape &tape) {
+            return timingBatch(traces_[r], configs, CoreParams{}, tape);
+        });
 }
 
 } // namespace tpred

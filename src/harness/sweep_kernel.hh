@@ -46,11 +46,11 @@
  * each other, so riding members share the lead's cycles exactly, up to
  * their shift; see docs/sweep_kernel.md for the exactness argument.
  *
- * Batching rule (when callers must fall back to separate batches):
- * all members of one batch share one FrontendConfig — grids that vary
- * the front end (Table 2's 2-bit BTB column, ablation 6's tournament
- * machine) issue one batch per front-end variant, down to a batch of
- * one.  Every predictor structure batches, in both kernels.
+ * Grids of cells (SweepGrid) are where sweeps are batched, in one
+ * place for every driver: one front-end tape per (row x front end),
+ * one fused sweep per (row x front end x history group), cells
+ * scattered back in (row, column) order.  A fused batch shares one
+ * FrontendConfig; every predictor structure batches, in both kernels.
  */
 
 #ifndef TPRED_HARNESS_SWEEP_KERNEL_HH
@@ -58,32 +58,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "harness/experiment.hh"
 
 namespace tpred
 {
-
-/**
- * Thrown when a FrontendTape is replayed against a stream or a front
- * end it was not recorded from, instead of returning numbers.
- */
-class TapeMismatch : public std::invalid_argument
-{
-  public:
-    using std::invalid_argument::invalid_argument;
-};
-
-/**
- * Records @p trace's front-end tape under @p fe, over the trace's
- * cached BranchStream (building it on first use, counted in
- * sweep.streams_built like every sweep's).
- */
-FrontendTape recordTape(const SharedTrace &trace,
-                        const FrontendConfig &fe = {});
 
 /**
  * Evaluates every config against @p trace in one fused pass.
@@ -111,24 +93,6 @@ std::vector<FrontendStats>
 runSweep(const BranchStream &stream,
          std::span<const IndirectConfig> configs,
          const FrontendConfig &fe = {});
-
-/**
- * runSweep() replaying @p tape, recorded from @p trace's stream (or
- * from @p stream) under @p fe, instead of recording one: the entry
- * point for callers that sweep one stream many times.  Results and
- * every counter are those of the one-shot overloads above, which
- * record a tape and call these.
- * @throws TapeMismatch if @p tape was not recorded from this stream
- *         under @p fe.
- */
-std::vector<FrontendStats> runSweep(const SharedTrace &trace,
-                                    std::span<const IndirectConfig> configs,
-                                    const FrontendConfig &fe,
-                                    const FrontendTape &tape);
-std::vector<FrontendStats> runSweep(const BranchStream &stream,
-                                    std::span<const IndirectConfig> configs,
-                                    const FrontendConfig &fe,
-                                    const FrontendTape &tape);
 
 /**
  * Op spacing of the fused timing sweep's rejoin checks: a member
@@ -168,23 +132,68 @@ runTimingSweep(const SharedTrace &trace,
                const FrontendConfig &fe = {});
 
 /**
- * runTimingSweep() replaying @p tape, recorded from @p trace's stream
- * under @p fe (recordTape()); the overload above records one.
- * @throws TapeMismatch if it was not.
+ * One column of a SweepGrid: a target-cache config and the front end
+ * it runs under.
  */
-std::vector<CoreResult>
-runTimingSweep(const SharedTrace &trace,
-               std::span<const IndirectConfig> configs,
-               const CoreParams &params, const FrontendConfig &fe,
-               const FrontendTape &tape);
+struct SweepColumn
+{
+    IndirectConfig config;
+    FrontendConfig frontend{};
+};
 
 /**
- * Partitions config indices into groups of equal HistorySpec, first-
- * seen order — the (workload x config-group) unit the paper-table
- * drivers parallelize over.
+ * A (row x column) grid of sweep cells: the one place where fused
+ * sweeps are batched.  Rows are traces (accuracy and timing cells) or
+ * branch streams (accuracy cells only); each call names its columns.
+ *
+ *  - The grid records one FrontendTape per (row x distinct front end)
+ *    on first use, and every later call on the grid replays it.
+ *  - Each call runs one fused sweep per (row x front end x history
+ *    group) as a ParallelRunner job, members in column order.  The
+ *    kernel would take mixed histories in one batch; bench/e2e pins
+ *    the sweep.batches and sweep.history_groups this split yields.
+ *  - Cells come back in (row, column) order, row-major.
+ *
+ * A call may not run concurrently with another call on the same grid
+ * (it records into the grid's tapes); its jobs run in parallel.
  */
-std::vector<std::vector<size_t>>
-groupByHistory(std::span<const IndirectConfig> configs);
+class SweepGrid
+{
+  public:
+    /** A grid whose rows are @p traces. */
+    explicit SweepGrid(std::vector<SharedTrace> traces);
+
+    /** A grid whose rows are @p streams: accuracy() only. */
+    explicit SweepGrid(
+        std::vector<std::shared_ptr<const BranchStream>> streams);
+
+    /**
+     * Cell (r, c), at index r * columns.size() + c, is bit-identical to
+     * runAccuracy() of row r under columns[c].
+     */
+    std::vector<FrontendStats>
+    accuracy(std::span<const SweepColumn> columns);
+
+    /**
+     * Cell (r, c), at index r * columns.size() + c, is bit-identical to
+     * runTiming() of row r under columns[c] on the default machine
+     * (CoreParams{}).
+     * @throws std::logic_error on a grid of branch streams.
+     */
+    std::vector<CoreResult> timing(std::span<const SweepColumn> columns);
+
+  private:
+    size_t rows() const;
+
+    template <typename Cell, typename Sweep>
+    std::vector<Cell> run(std::span<const SweepColumn> columns,
+                          const Sweep &sweep);
+
+    std::vector<SharedTrace> traces_;  ///< rows, or empty
+    std::vector<std::shared_ptr<const BranchStream>> streams_;  ///< or these
+    std::vector<FrontendConfig> frontends_;  ///< distinct, first use first
+    std::vector<FrontendTape> tapes_;        ///< [frontend * rows + row]
+};
 
 } // namespace tpred
 

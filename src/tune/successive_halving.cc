@@ -77,9 +77,9 @@ struct RungEval
 
 /**
  * Evaluates @p members (candidate indices) on every workload's
- * @p ops -instruction prefix: one fused runSweep() per (workload x
- * front end x history-group) job, results keyed by job index, each
- * replaying the front-end tape of its workload and front end.
+ * @p ops -instruction prefix: one SweepGrid call whose rows are the
+ * workloads and whose columns are the members, each under its own
+ * front end.
  */
 std::vector<RungEval>
 evaluateRung(const ConfigSpace &space,
@@ -87,96 +87,31 @@ evaluateRung(const ConfigSpace &space,
              const std::vector<std::string> &workloads, size_t ops,
              uint64_t seed)
 {
-    // A fused sweep shares one front end, so partition by front end
-    // first (the "btb" space's axis; empty key = the default front
-    // end).  The kernel would take mixed histories in one batch; the
-    // split by history group within each front end sets the job grain
-    // under --jobs, and bench/e2e pins the sweep.batches and
-    // sweep.history_groups it yields.
-    struct SweepJob
-    {
-        size_t frontend = 0;          ///< index into frontends
-        std::vector<size_t> members;  ///< indices into @p members
-    };
-    std::vector<const FrontendConfig *> frontends;
-    std::vector<SweepJob> jobs;
-    {
-        std::map<std::string, std::vector<size_t>> by_frontend;
-        for (size_t i = 0; i < members.size(); ++i)
-            by_frontend[space.candidates[members[i]].frontendKey]
-                .push_back(i);
-        for (const auto &[key, indices] : by_frontend) {
-            frontends.push_back(
-                &space.candidates[members[indices.front()]].frontend);
-            std::vector<IndirectConfig> sub;
-            sub.reserve(indices.size());
-            for (size_t i : indices)
-                sub.push_back(space.candidates[members[i]].config);
-            for (const std::vector<size_t> &group :
-                 groupByHistory(sub)) {
-                SweepJob job;
-                job.frontend = frontends.size() - 1;
-                job.members.reserve(group.size());
-                for (size_t g : group)
-                    job.members.push_back(indices[g]);
-                jobs.push_back(std::move(job));
-            }
-        }
-    }
-
     // Accuracy-only rungs never need the full CompactTrace: the
     // branch-stream tier serves the dense stream straight from the
     // corpus (zero-copy) on warm runs, skipping trace decode and
-    // extraction entirely.  Each workload's front ends are simulated
-    // once, onto the tapes every job over that workload replays.
-    struct WorkloadInput
-    {
-        std::shared_ptr<const BranchStream> stream;
-        std::vector<FrontendTape> tapes;  ///< one per front end
-    };
-    const ParallelRunner runner;
-    const std::vector<WorkloadInput> inputs =
-        runner.map<WorkloadInput>(workloads.size(), [&](size_t w) {
-            WorkloadInput in;
-            in.stream = cachedBranchStream(workloads[w], ops, seed);
-            in.tapes.reserve(frontends.size());
-            for (const FrontendConfig *fe : frontends)
-                in.tapes.emplace_back(*in.stream, *fe);
-            return in;
-        });
-
-    const size_t job_count = workloads.size() * jobs.size();
-    const auto parts = runner.map<std::vector<FrontendStats>>(
-        job_count, [&](size_t j) {
-            const WorkloadInput &in = inputs[j / jobs.size()];
-            const SweepJob &job = jobs[j % jobs.size()];
-            std::vector<IndirectConfig> batch;
-            batch.reserve(job.members.size());
-            for (size_t i : job.members)
-                batch.push_back(space.candidates[members[i]].config);
-            return runSweep(*in.stream, batch, *frontends[job.frontend],
-                            in.tapes[job.frontend]);
-        });
+    // extraction entirely.
+    SweepGrid grid(ParallelRunner().map<std::shared_ptr<const BranchStream>>(
+        workloads.size(), [&](size_t w) {
+            return cachedBranchStream(workloads[w], ops, seed);
+        }));
+    std::vector<SweepColumn> columns;
+    columns.reserve(members.size());
+    for (size_t m : members)
+        columns.push_back(
+            {space.candidates[m].config, space.candidates[m].frontend});
+    const std::vector<FrontendStats> cells = grid.accuracy(columns);
 
     std::vector<RungEval> evals(members.size());
-    for (RungEval &e : evals)
+    for (size_t i = 0; i < members.size(); ++i) {
+        RungEval &e = evals[i];
         e.perWorkload.resize(workloads.size());
-    for (size_t w = 0; w < workloads.size(); ++w) {
-        for (size_t g = 0; g < jobs.size(); ++g) {
-            const std::vector<FrontendStats> &stats =
-                parts[w * jobs.size() + g];
-            for (size_t k = 0; k < jobs[g].members.size(); ++k) {
-                const FrontendStats &s = stats[k];
-                WorkloadEval &cell =
-                    evals[jobs[g].members[k]].perWorkload[w];
-                cell.misses = s.indirectJumps.misses();
-                cell.total = s.indirectJumps.total();
-                cell.instructions = s.instructions;
-            }
-        }
-    }
-    for (RungEval &e : evals) {
-        for (const WorkloadEval &cell : e.perWorkload) {
+        for (size_t w = 0; w < workloads.size(); ++w) {
+            const FrontendStats &s = cells[w * members.size() + i];
+            WorkloadEval &cell = e.perWorkload[w];
+            cell.misses = s.indirectJumps.misses();
+            cell.total = s.indirectJumps.total();
+            cell.instructions = s.instructions;
             e.aggMisses += cell.misses;
             e.aggTotal += cell.total;
         }

@@ -9,10 +9,12 @@
  * plus each storage budget's leader, so the cheap end of the eventual
  * Pareto frontier survives a ranking that accuracy alone would starve
  * — to the next rung; only the final rung's survivors pay for
- * full-trace replay.  Cheap rungs are fused runSweep() batches over cached
- * BranchStreams, run as (workload x history-group) ParallelRunner
- * jobs, so one rung costs a handful of trace passes no matter how
- * many hundreds of configs it holds.
+ * full-trace replay.  Each rung is one SweepGrid call over cached
+ * BranchStreams (harness/sweep_kernel.hh): fused sweeps, one per
+ * (workload x front end x history group) ParallelRunner job, over one
+ * front-end tape per (workload x front end), so one rung costs a
+ * handful of trace passes no matter how many hundreds of configs it
+ * holds.
  *
  * Determinism contract (the report byte-identity tests rest on it):
  *

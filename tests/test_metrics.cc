@@ -20,6 +20,7 @@
 #include "harness/trace_cache.hh"
 #include "obs/metrics.hh"
 #include "obs/run_report.hh"
+#include "test_util.hh"
 
 namespace tpred
 {
@@ -169,10 +170,10 @@ TEST(Metrics, ExactUnderParallelRunner)
 TEST(Metrics, DeterministicCountersAgreeSerialVsParallel)
 {
     const auto run = [](unsigned threads) {
+        const test::ScopedJobs jobs(threads);
         obs::globalMetrics().reset();
         globalTraceCache().clear();
-        const TableOptions opt{.ops = 20000, .threads = threads};
-        (void)renderTable4(opt);
+        (void)renderTable4({.ops = 20000});
         return obs::globalMetrics().snapshot();
     };
     const obs::MetricsSnapshot serial = run(1);
@@ -243,8 +244,8 @@ TEST(RunReport, Table4RunIsByteStable)
     const auto render = [] {
         obs::globalMetrics().reset();
         globalTraceCache().clear();
-        const TableOptions opt{.ops = 20000, .threads = 1};
-        const std::string table = renderTable4(opt);
+        const test::ScopedJobs jobs(1);
+        const std::string table = renderTable4({.ops = 20000});
 
         obs::MetricsSnapshot snap = obs::globalMetrics().snapshot();
         snap.runtime.clear();  // timings zeroed: mask the

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "harness/paper_tables.hh"
+#include "test_util.hh"
 
 namespace tpred
 {
@@ -28,8 +29,12 @@ expectSerialParallelMatch(
     const std::function<std::string(const TableOptions &)> &render,
     size_t ops)
 {
-    const std::string serial = render({.ops = ops, .threads = 1});
-    const std::string parallel = render({.ops = ops, .threads = 4});
+    const auto run = [&](unsigned threads) {
+        const test::ScopedJobs jobs(threads);
+        return render({.ops = ops});
+    };
+    const std::string serial = run(1);
+    const std::string parallel = run(4);
     ASSERT_FALSE(serial.empty());
     EXPECT_EQ(serial, parallel);
 }
@@ -83,11 +88,11 @@ TEST(PaperTablesDifferential, ParallelRerunIsStable)
 {
     // Two parallel renderings with different thread counts must also
     // agree with each other (scheduling independence).
-    const std::string two =
-        renderTable4({.ops = kAccuracyOps, .threads = 2});
-    const std::string eight =
-        renderTable4({.ops = kAccuracyOps, .threads = 8});
-    EXPECT_EQ(two, eight);
+    const auto run = [](unsigned threads) {
+        const test::ScopedJobs jobs(threads);
+        return renderTable4({.ops = kAccuracyOps});
+    };
+    EXPECT_EQ(run(2), run(8));
 }
 
 } // namespace

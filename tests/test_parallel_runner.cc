@@ -20,6 +20,7 @@
 #include "harness/paper_tables.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/trace_cache.hh"
+#include "test_util.hh"
 
 namespace tpred
 {
@@ -140,8 +141,8 @@ TEST(ParallelSweep, SeedSweepBitIdenticalAcrossThreadCounts)
         legacy.push_back(metric(cachedTrace("perl", kOps, seed)));
 
     for (unsigned threads : {1u, 2u, 8u}) {
-        const auto result =
-            sweepSeeds("perl", kOps, kSeeds, metric, threads);
+        const test::ScopedJobs jobs(threads);
+        const auto result = sweepSeeds("perl", kOps, kSeeds, metric);
         ASSERT_EQ(result.samples.size(), legacy.size())
             << "threads=" << threads;
         for (size_t i = 0; i < legacy.size(); ++i) {
@@ -158,8 +159,12 @@ TEST(ParallelSweep, SummaryStatsIdenticalAcrossThreadCounts)
 {
     constexpr size_t kOps = 20000;
     const auto metric = indirectMissMetric(baselineConfig());
-    const auto serial = sweepSeeds("gcc", kOps, 4, metric, 1);
-    const auto parallel = sweepSeeds("gcc", kOps, 4, metric, 8);
+    const auto run = [&](unsigned threads) {
+        const test::ScopedJobs jobs(threads);
+        return sweepSeeds("gcc", kOps, 4, metric);
+    };
+    const auto serial = run(1);
+    const auto parallel = run(8);
     EXPECT_EQ(std::memcmp(&serial.mean, &parallel.mean,
                           sizeof(double)),
               0);

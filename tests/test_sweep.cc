@@ -7,10 +7,11 @@
  * that force forEachBranch's block-decode fallback — plus a
  * high-conflict fuzz of the batched tagged banks against the scalar
  * caches, HistorySpec grouping, BranchStream caching, and
- * serial-vs-parallel determinism of the sweep.* counters.  A recorded
- * FrontendTape replayed by many batches, on many threads, must equal
- * one-shot sweeps and per-config runs, credit btb.* per pass, and
- * refuse a stream or front end it was not recorded from.
+ * serial-vs-parallel determinism of the sweep.* counters.  A SweepGrid
+ * records one FrontendTape per (row, front end) and replays it in every
+ * later batch, on many threads: its cells must equal one-shot sweeps
+ * and per-config runs, credit btb.* per pass, and its batches follow
+ * (row x front end x history group).
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "harness/sweep_kernel.hh"
 #include "harness/trace_cache.hh"
 #include "obs/metrics.hh"
+#include "test_util.hh"
 #include "tune/config_space.hh"
 #include "workloads/workload.hh"
 
@@ -185,24 +187,6 @@ hostileOps(size_t count)
         ops.push_back(op);
     }
     return ops;
-}
-
-TEST(SweepKernel, GroupByHistoryPartitionsBySpec)
-{
-    const std::vector<IndirectConfig> configs = {
-        taglessGshare(patternHistory(9)),   // group 0
-        taglessGshare(patternHistory(8)),   // group 1
-        taglessGAg(9),                      // group 0 (same spec)
-        taglessGshare(pathGlobal(PathFilter::Branch)),   // group 2
-        taglessGshare(pathGlobal(PathFilter::Control)),  // group 3
-        taggedConfig(TaggedIndexScheme::HistoryXor, 4),  // group 0
-    };
-    const auto groups = groupByHistory(configs);
-    ASSERT_EQ(groups.size(), 4u);
-    EXPECT_EQ(groups[0], (std::vector<size_t>{0, 2, 5}));
-    EXPECT_EQ(groups[1], (std::vector<size_t>{1}));
-    EXPECT_EQ(groups[2], (std::vector<size_t>{3}));
-    EXPECT_EQ(groups[3], (std::vector<size_t>{4}));
 }
 
 TEST(SweepKernel, EmptyBatchReturnsEmpty)
@@ -904,14 +888,25 @@ batchesOf(const std::vector<IndirectConfig> &configs, size_t size)
     return out;
 }
 
+/** @p configs as grid columns under @p fe. */
+std::vector<SweepColumn>
+columnsOf(const std::vector<IndirectConfig> &configs,
+          const FrontendConfig &fe)
+{
+    std::vector<SweepColumn> columns;
+    for (const IndirectConfig &config : configs)
+        columns.push_back({config, fe});
+    return columns;
+}
+
 /**
- * One tape, recorded once per (trace, front end), replayed by several
- * batches: every batch equals a one-shot runSweep() and
- * runTimingSweep() of the same batch, and every member equals its
- * per-config runAccuracy() and runTiming() — stats, cycles, penalty
- * breakdown and BTB-miss bubbles — on SPEC traces and on a hostile
- * one, under the default, 2-bit, small, two-level and tournament
- * front ends.
+ * One grid per trace, called once per batch of columns and front
+ * end: it records one tape per (trace, front end) and every later call
+ * replays it.  Every call's cells equal a one-shot runSweep() and
+ * runTimingSweep() of the same batch, and per-config runAccuracy() and
+ * runTiming() — stats, cycles, penalty breakdown and BTB-miss bubbles
+ * — on SPEC traces and on a hostile one, under the default, 2-bit,
+ * small, two-level and tournament front ends.
  */
 TEST(FrontendTape, ReplayedByManyBatchesMatchesOneShotAndPerConfig)
 {
@@ -923,15 +918,15 @@ TEST(FrontendTape, ReplayedByManyBatchesMatchesOneShotAndPerConfig)
     };
     ASSERT_FALSE(traces[2].compact().fastBranchScan());
     for (const SharedTrace &trace : traces) {
+        SweepGrid grid({trace});
         for (const auto &[label, fe] : tapeFrontends()) {
             const std::string where = trace.name() + "/" + label;
             obs::globalMetrics().reset();
-            const FrontendTape tape = recordTape(trace, fe);
             for (const auto &batch : batchesOf(configs, 3)) {
-                const auto replayed = runSweep(trace, batch, fe, tape);
+                const auto columns = columnsOf(batch, fe);
+                const auto replayed = grid.accuracy(columns);
                 const auto one_shot = runSweep(trace, batch, fe);
-                const auto timed = runTimingSweep(trace, batch,
-                                                  CoreParams{}, fe, tape);
+                const auto timed = grid.timing(columns);
                 const auto timed_one_shot =
                     runTimingSweep(trace, batch, CoreParams{}, fe);
                 ASSERT_EQ(replayed.size(), batch.size()) << where;
@@ -948,8 +943,8 @@ TEST(FrontendTape, ReplayedByManyBatchesMatchesOneShotAndPerConfig)
                         timed[k], cell);
                 }
             }
-            // The replayed sweeps recorded nothing; each one-shot
-            // sweep recorded its own tape.
+            // The grid recorded this front end's tape once; each
+            // one-shot sweep recorded its own.
             const size_t batches = batchesOf(configs, 3).size();
             EXPECT_EQ(counterOf(obs::globalMetrics().snapshot(),
                                 "frontend.tapes_recorded"),
@@ -960,9 +955,9 @@ TEST(FrontendTape, ReplayedByManyBatchesMatchesOneShotAndPerConfig)
 }
 
 /**
- * Each replayed pass credits btb.* once, exactly as a per-config run
- * does, whether it replays a shared tape or records its own; the
- * recording itself credits nothing.
+ * Each pass over a grid's tape credits btb.* once, exactly as a
+ * per-config run does, whether the call recorded the tape or replays
+ * it: the recording itself credits nothing.
  */
 TEST(FrontendTape, EachReplayedPassCreditsBtbLikePerConfig)
 {
@@ -974,6 +969,7 @@ TEST(FrontendTape, EachReplayedPassCreditsBtbLikePerConfig)
                 out[name] = value;
         return out;
     };
+    // One history group: one pass per call.
     const std::vector<IndirectConfig> batch = {
         taglessGshare(), taggedConfig(TaggedIndexScheme::HistoryXor, 4)};
     for (const char *name : {"gcc", "server-dispatch"}) {
@@ -985,19 +981,18 @@ TEST(FrontendTape, EachReplayedPassCreditsBtbLikePerConfig)
             const auto want = btb_deltas();
             ASSERT_GT(want.at("btb.l1_hits"), 0u) << where;
 
-            obs::globalMetrics().reset();
-            const FrontendTape tape = recordTape(trace, fe);
-            for (const auto &[counter, value] : btb_deltas())
-                EXPECT_EQ(value, 0u) << where << " " << counter;
-
+            SweepGrid grid({trace});
+            const auto columns = columnsOf(batch, fe);
             for (int pass = 0; pass < 3; ++pass) {
                 obs::globalMetrics().reset();
-                (void)runSweep(trace, batch, fe, tape);
-                EXPECT_EQ(btb_deltas(), want) << where << " accuracy";
+                (void)grid.accuracy(columns);
+                EXPECT_EQ(btb_deltas(), want)
+                    << where << " accuracy pass " << pass;
 
                 obs::globalMetrics().reset();
-                (void)runTimingSweep(trace, batch, CoreParams{}, fe, tape);
-                EXPECT_EQ(btb_deltas(), want) << where << " timing";
+                (void)grid.timing(columns);
+                EXPECT_EQ(btb_deltas(), want)
+                    << where << " timing pass " << pass;
             }
             obs::globalMetrics().reset();
             (void)runTiming(trace, batch[0], CoreParams{}, fe);
@@ -1007,85 +1002,101 @@ TEST(FrontendTape, EachReplayedPassCreditsBtbLikePerConfig)
 }
 
 /**
- * A tape replayed against a stream or a front end it was not recorded
- * from throws TapeMismatch instead of returning numbers — even for an
- * equal stream extracted anew.  A copy of its own stream shares the
- * columns and is accepted.
- */
-TEST(FrontendTape, ReplayAgainstAnotherStreamOrFrontEndThrows)
-{
-    const std::vector<IndirectConfig> batch = {taglessGshare()};
-    const SharedTrace gcc = recordWorkload("gcc", 4000);
-    const SharedTrace perl = recordWorkload("perl", 4000);
-    const FrontendTape tape = recordTape(gcc);
-
-    EXPECT_THROW((void)runSweep(perl, batch, {}, tape), TapeMismatch);
-    EXPECT_THROW((void)runSweep(gcc, batch, twoBitBtbFrontend(), tape),
-                 TapeMismatch);
-    EXPECT_THROW((void)runSweep(gcc, batch, twoLevelBtbFrontend(), tape),
-                 TapeMismatch);
-    EXPECT_THROW((void)runTimingSweep(perl, batch, CoreParams{}, {}, tape),
-                 TapeMismatch);
-    EXPECT_THROW((void)runTimingSweep(gcc, batch, CoreParams{},
-                                      smallBtbFrontend(), tape),
-                 TapeMismatch);
-    const BranchStream extracted = BranchStream::extract(gcc.compact());
-    ASSERT_TRUE(extracted == gcc.branchStream());
-    EXPECT_THROW((void)runSweep(extracted, batch, {}, tape), TapeMismatch);
-    EXPECT_THROW((void)runSweep(gcc.branchStream(), batch, {},
-                                FrontendTape()),
-                 TapeMismatch);
-
-    const BranchStream copy = gcc.branchStream();
-    EXPECT_TRUE(tape.recordedFrom(copy, FrontendConfig{}));
-    expectSameStats(runSweep(gcc, batch)[0],
-                    runSweep(copy, batch, {}, tape)[0], "copy");
-}
-
-/**
- * One tape shared by the batches of a grid running on 1, 4 and 8
- * runner threads at once gives the same results at every job count
- * (and races nowhere under the tsan preset).
+ * A grid's tape shared by the jobs of its history groups, at 1, 4 and
+ * 8 jobs, gives the same cells at every job count, equal to per-config
+ * runs (and races nowhere under the tsan preset).
  */
 TEST(FrontendTape, SharedAcrossRunnerThreadsIsIdentical)
 {
-    const std::vector<IndirectConfig> configs = allTableConfigs();
     const SharedTrace trace = recordWorkload("perl", 6000);
     const FrontendConfig fe = twoLevelBtbFrontend();
-    const FrontendTape tape = recordTape(trace, fe);
-    const auto batches = batchesOf(configs, 8);
-    const std::vector<IndirectConfig> timed = timingFamilyConfigs();
+    const auto columns = columnsOf(allTableConfigs(), fe);
+    const auto timed = columnsOf(timingFamilyConfigs(), fe);
 
     const auto run = [&](unsigned jobs) {
-        const ParallelRunner runner(jobs);
-        std::vector<FrontendStats> stats(configs.size());
-        runner.forEach(batches.size(), [&](size_t b) {
-            const auto part = runSweep(trace, batches[b], fe, tape);
-            for (size_t k = 0; k < part.size(); ++k)
-                stats[b * 8 + k] = part[k];
-        });
-        const auto cores = runner.map<std::vector<CoreResult>>(
-            4, [&](size_t) {
-                return runTimingSweep(trace, timed, CoreParams{}, fe, tape);
-            });
-        return std::make_pair(stats, cores);
+        const test::ScopedJobs scoped(jobs);
+        SweepGrid grid({trace});
+        auto stats = grid.accuracy(columns);
+        return std::make_pair(std::move(stats), grid.timing(timed));
     };
     const auto [serial_stats, serial_cores] = run(1);
-    for (size_t c = 0; c < configs.size(); ++c)
-        expectSameStats(runAccuracy(trace, configs[c], fe), serial_stats[c],
-                        configs[c].describe());
+    for (size_t c = 0; c < columns.size(); ++c)
+        expectSameStats(runAccuracy(trace, columns[c].config, fe),
+                        serial_stats[c], columns[c].config.describe());
+    for (size_t k = 0; k < timed.size(); ++k)
+        expectSameCoreResult(runTiming(trace, timed[k].config, CoreParams{}, fe),
+                             serial_cores[k], timed[k].config.describe());
     for (unsigned jobs : {4u, 8u}) {
         const auto [stats, cores] = run(jobs);
-        for (size_t c = 0; c < configs.size(); ++c)
+        for (size_t c = 0; c < columns.size(); ++c)
             expectSameStats(serial_stats[c], stats[c],
                             std::to_string(jobs) + " jobs/" +
-                                configs[c].describe());
-        for (size_t r = 0; r < cores.size(); ++r)
-            for (size_t k = 0; k < timed.size(); ++k)
-                expectSameCoreResult(serial_cores[0][k], cores[r][k],
-                                     std::to_string(jobs) + " jobs/" +
-                                         timed[k].describe());
+                                columns[c].config.describe());
+        for (size_t k = 0; k < timed.size(); ++k)
+            expectSameCoreResult(serial_cores[k], cores[k],
+                                 std::to_string(jobs) + " jobs/" +
+                                     timed[k].config.describe());
     }
+}
+
+/**
+ * The grid's batching rule.  One call with mixed front ends and
+ * histories, then a one-member call on the same rows: the first
+ * records one tape per (row, front end) and the second none, and each
+ * call's sweep.batches and sweep.history_groups equal its (row x front
+ * end x history group) triples.  Cells come back in (row, column)
+ * order, equal to per-config runAccuracy().
+ */
+TEST(SweepGrid, RecordsOneTapePerRowAndFrontEnd)
+{
+    const std::vector<SharedTrace> traces = {recordWorkload("gcc", 4000),
+                                             recordWorkload("perl", 4000)};
+    const FrontendConfig small = smallBtbFrontend();
+    // Default front end: {pattern(9): 0, 2, 5}, {path-branch: 3}.
+    // Small: {pattern(8): 1}, {path-control: 4}, {pattern(9): 6}.
+    const std::vector<SweepColumn> columns = {
+        {taglessGshare(patternHistory(9))},
+        {taglessGshare(patternHistory(8)), small},
+        {taglessGAg(9)},
+        {taglessGshare(pathGlobal(PathFilter::Branch))},
+        {taglessGshare(pathGlobal(PathFilter::Control)), small},
+        {taggedConfig(TaggedIndexScheme::HistoryXor, 4)},
+        {taggedConfig(TaggedIndexScheme::HistoryXor, 4), small},
+    };
+    const uint64_t triples = traces.size() * 5;
+    const auto count = [](const char *name) {
+        return counterOf(obs::globalMetrics().snapshot(), name);
+    };
+
+    SweepGrid grid(traces);
+    obs::globalMetrics().reset();
+    const auto cells = grid.accuracy(columns);
+    EXPECT_EQ(count("frontend.tapes_recorded"), traces.size() * 2);
+    EXPECT_EQ(count("sweep.batches"), triples);
+    EXPECT_EQ(count("sweep.history_groups"), triples);
+
+    const SweepColumn solo[] = {columns[1]};
+    obs::globalMetrics().reset();
+    const auto again = grid.accuracy(solo);
+    EXPECT_EQ(count("frontend.tapes_recorded"), 0u);
+    EXPECT_EQ(count("sweep.batches"), traces.size());
+    EXPECT_EQ(count("sweep.history_groups"), traces.size());
+
+    ASSERT_EQ(cells.size(), traces.size() * columns.size());
+    for (size_t r = 0; r < traces.size(); ++r) {
+        for (size_t c = 0; c < columns.size(); ++c)
+            expectSameStats(runAccuracy(traces[r], columns[c].config,
+                                        columns[c].frontend),
+                            cells[r * columns.size() + c],
+                            traces[r].name() + "/" +
+                                columns[c].config.describe());
+        expectSameStats(cells[r * columns.size() + 1], again[r],
+                        traces[r].name() + "/again");
+    }
+
+    SweepGrid streams({std::make_shared<const BranchStream>(
+        traces[0].branchStream())});
+    EXPECT_THROW((void)streams.timing(solo), std::logic_error);
 }
 
 /**
@@ -1096,11 +1107,11 @@ TEST(FrontendTape, SharedAcrossRunnerThreadsIsIdentical)
  */
 TEST(FrontendTape, PaperRendersRecordOneTapePerTraceAndFrontEnd)
 {
-    const TableOptions opt{.ops = 20000, .threads = 2};
+    const test::ScopedJobs jobs(2);
     const auto tapes_recorded = [&](std::string (*render)(
                                         const TableOptions &)) {
         obs::globalMetrics().reset();
-        (void)render(opt);
+        (void)render({.ops = 20000});
         return counterOf(obs::globalMetrics().snapshot(),
                          "frontend.tapes_recorded");
     };
@@ -1118,10 +1129,10 @@ TEST(FrontendTape, PaperRendersRecordOneTapePerTraceAndFrontEnd)
 TEST(SweepKernel, CountersAgreeSerialVsParallel)
 {
     const auto run = [](unsigned threads) {
+        const test::ScopedJobs jobs(threads);
         obs::globalMetrics().reset();
         globalTraceCache().clear();
-        const TableOptions opt{.ops = 20000, .threads = threads};
-        (void)renderTable4(opt);
+        (void)renderTable4({.ops = 20000});
         return obs::globalMetrics().snapshot();
     };
     const obs::MetricsSnapshot serial = run(1);

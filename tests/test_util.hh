@@ -6,10 +6,24 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "harness/parallel_runner.hh"
 #include "trace/micro_op.hh"
 
 namespace tpred::test
 {
+
+/**
+ * Sets defaultJobs() to @p jobs for one scope, then restores the
+ * automatic value: how a test runs the same work at 1 and N jobs.
+ */
+class ScopedJobs
+{
+  public:
+    explicit ScopedJobs(unsigned jobs) { setDefaultJobs(jobs); }
+    ~ScopedJobs() { setDefaultJobs(0); }
+    ScopedJobs(const ScopedJobs &) = delete;
+    ScopedJobs &operator=(const ScopedJobs &) = delete;
+};
 
 /** A plain non-branch op at @p pc. */
 inline MicroOp
