@@ -17,12 +17,6 @@ CascadedPredictor::CascadedPredictor(const CascadedConfig &config)
     assert(isPowerOfTwo(config.stage1Entries));
 }
 
-uint64_t
-cascadedStage1IndexOf(unsigned stage1_bits, uint64_t pc)
-{
-    return bits(pc >> 2, 0, stage1_bits);
-}
-
 CascadedPredictor::Stage1Entry &
 CascadedPredictor::stage1Slot(uint64_t pc)
 {

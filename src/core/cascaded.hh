@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "common/bits.hh"
 #include "core/indirect_predictor.hh"
 #include "core/tagged_target_cache.hh"
 
@@ -31,12 +32,16 @@ struct CascadedConfig
 };
 
 /**
- * The stage-1 slot index, as a free function over the geometry so the
- * scalar predictor and the SoA-batched sweep kernel
+ * The stage-1 slot index, as an inline free function over the geometry
+ * so the scalar predictor and the batched sweep kernel
  * (harness/batched_predictors.cc) share one definition.  @p stage1_bits
  * is floorLog2(config.stage1Entries), precomputed by the caller.
  */
-uint64_t cascadedStage1IndexOf(unsigned stage1_bits, uint64_t pc);
+inline uint64_t
+cascadedStage1IndexOf(unsigned stage1_bits, uint64_t pc)
+{
+    return bits(pc >> 2, 0, stage1_bits);
+}
 
 /**
  * Two-stage cascaded predictor with misprediction-filtered allocation.

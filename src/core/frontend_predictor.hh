@@ -119,13 +119,15 @@ struct PredictionOutcome
  *
  * The per-branch step is written once, templated on its *indirect
  * stage*: whatever predicts indirect jumps and calls, spoken to
- * through BatchedPredictors' per-branch protocol (predictAll,
- * prediction, recordOutcomes, updateAll, observeTrackers).  The live
- * stage adapts the borrowed IndirectPredictor and HistoryTracker, not
- * owned, so one experiment can share them across machine instances.
- * The fused sweep (harness/sweep_kernel.cc) runs the step once per
- * stream into a FrontendTape, and replays the tape into a whole batch
- * through the same stageStep().
+ * through a per-branch protocol (predictAll, prediction,
+ * recordOutcomes, updateAll, observeTrackers).  The live stage adapts
+ * the borrowed IndirectPredictor and HistoryTracker, not owned, so one
+ * experiment can share them across machine instances.  The fused
+ * sweep (harness/sweep_kernel.cc) runs the step once per stream into a
+ * FrontendTape.  A batch replays the tape through the same stageStep()
+ * to walk its history trackers, reading each one's fetch-time value
+ * before it observes the branch, and runs each member over the
+ * indirect branches that walk met (harness/batched_predictors.hh).
  */
 class FrontendPredictor
 {
@@ -355,10 +357,13 @@ class FrontendTape
 
     /**
      * Replays every branch into @p stage, exactly as onInstruction()
-     * would drive it, and calls @p visit(i, op) after branch @p i.
+     * would drive it.
      */
-    template <typename Stage, typename Visit>
-    void replay(Stage &stage, Visit &&visit) const;
+    template <typename Stage>
+    void replay(Stage &stage) const;
+
+    /** Indirect non-return branches in the stream: the stage's part. */
+    size_t indirectCount() const { return targets_.size(); }
 
     /** The front end's stats of every class but the indirect one. */
     const FrontendStats &sharedStats() const { return shared_; }
@@ -467,9 +472,9 @@ FrontendPredictor::onInstruction(const MicroOp &op, Stage &stage)
     return {predicted, predicted == op.nextPc, bubble};
 }
 
-template <typename Stage, typename Visit>
+template <typename Stage>
 void
-FrontendTape::replay(Stage &stage, Visit &&visit) const
+FrontendTape::replay(Stage &stage) const
 {
     size_t indirect = 0;
     for (size_t i = 0; i < stream_.size(); ++i) {
@@ -478,7 +483,6 @@ FrontendTape::replay(Stage &stage, Visit &&visit) const
         FrontendPredictor::stageStep(
             op, (branches_[i] & kBtbHit) != 0,
             indirect_branch ? targets_[indirect++] : 0, stage);
-        visit(i, op);
     }
 }
 

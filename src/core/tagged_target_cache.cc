@@ -31,45 +31,6 @@ TaggedTargetCache::TaggedTargetCache(const TaggedConfig &config)
 }
 
 std::pair<uint64_t, uint64_t>
-taggedIndexOf(const TaggedConfig &config, unsigned set_bits, uint64_t pc,
-              uint64_t history)
-{
-    const uint64_t addr = pc >> 2;
-    const uint64_t hist = history & mask(config.historyBits);
-    uint64_t set = 0;
-    uint64_t tag = 0;
-    switch (config.scheme) {
-      case TaggedIndexScheme::Address:
-        set = bits(addr, 0, set_bits);
-        // Higher address bits XOR the full history form the tag; the
-        // address is XOR-folded so no identifying bit is discarded.
-        tag = foldXor(addr >> set_bits, config.tagBits) ^
-              (hist & mask(config.tagBits));
-        break;
-      case TaggedIndexScheme::HistoryConcat: {
-        set = bits(hist, 0, set_bits);
-        const unsigned hi_bits = config.historyBits > set_bits
-                                     ? config.historyBits - set_bits
-                                     : 0;
-        const uint64_t hist_hi = hist >> set_bits;
-        tag = (foldXor(addr, config.tagBits > hi_bits
-                                 ? config.tagBits - hi_bits
-                                 : 1)
-               << hi_bits) | hist_hi;
-        tag &= mask(config.tagBits);
-        break;
-      }
-      case TaggedIndexScheme::HistoryXor: {
-        const uint64_t x = addr ^ hist;
-        set = bits(x, 0, set_bits);
-        tag = foldXor(x >> set_bits, config.tagBits);
-        break;
-      }
-    }
-    return {set, tag};
-}
-
-std::pair<uint64_t, uint64_t>
 TaggedTargetCache::indexOf(uint64_t pc, uint64_t history) const
 {
     return taggedIndexOf(config_, setBits_, pc, history);

@@ -12,8 +12,10 @@
 #define TPRED_CORE_TAGGED_TARGET_CACHE_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "common/bits.hh"
 #include "core/indirect_predictor.hh"
 
 namespace tpred
@@ -55,15 +57,51 @@ struct TaggedConfig
 };
 
 /**
- * The (set, tag) derivation, as a free function over the geometry so the
- * scalar predictor and the SoA-batched sweep kernel
- * (harness/batched_predictors.cc) share one definition.  @p set_bits is
+ * The (set, tag) derivation, as an inline free function over the
+ * geometry so the scalar predictor and the batched sweep kernel
+ * (harness/batched_predictors.cc) share one definition, and the
+ * kernel's per-branch loop pays no call for it.  @p set_bits is
  * floorLog2(config.sets()) (0 for a single set), precomputed by the
  * caller.
  */
-std::pair<uint64_t, uint64_t> taggedIndexOf(const TaggedConfig &config,
-                                            unsigned set_bits, uint64_t pc,
-                                            uint64_t history);
+inline std::pair<uint64_t, uint64_t>
+taggedIndexOf(const TaggedConfig &config, unsigned set_bits, uint64_t pc,
+              uint64_t history)
+{
+    const uint64_t addr = pc >> 2;
+    const uint64_t hist = history & mask(config.historyBits);
+    uint64_t set = 0;
+    uint64_t tag = 0;
+    switch (config.scheme) {
+      case TaggedIndexScheme::Address:
+        set = bits(addr, 0, set_bits);
+        // Higher address bits XOR the full history form the tag; the
+        // address is XOR-folded so no identifying bit is discarded.
+        tag = foldXor(addr >> set_bits, config.tagBits) ^
+              (hist & mask(config.tagBits));
+        break;
+      case TaggedIndexScheme::HistoryConcat: {
+        set = bits(hist, 0, set_bits);
+        const unsigned hi_bits = config.historyBits > set_bits
+                                     ? config.historyBits - set_bits
+                                     : 0;
+        const uint64_t hist_hi = hist >> set_bits;
+        tag = (foldXor(addr, config.tagBits > hi_bits
+                                 ? config.tagBits - hi_bits
+                                 : 1)
+               << hi_bits) | hist_hi;
+        tag &= mask(config.tagBits);
+        break;
+      }
+      case TaggedIndexScheme::HistoryXor: {
+        const uint64_t x = addr ^ hist;
+        set = bits(x, 0, set_bits);
+        tag = foldXor(x >> set_bits, config.tagBits);
+        break;
+      }
+    }
+    return {set, tag};
+}
 
 /**
  * Set-associative, true-LRU tagged target cache.

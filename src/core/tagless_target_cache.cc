@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "common/bits.hh"
 #include "common/state_io.hh"
 
 namespace tpred
@@ -31,29 +30,6 @@ TaglessTargetCache::TaglessTargetCache(const TaglessConfig &config)
         assert(config.historyBits <= config.entryBits ||
                config.scheme == TaglessIndexScheme::Gshare);
     }
-}
-
-uint64_t
-taglessIndexOf(const TaglessConfig &config, uint64_t pc,
-               uint64_t history)
-{
-    const uint64_t addr = pc >> 2;  // word-aligned instructions
-    switch (config.scheme) {
-      case TaglessIndexScheme::GAg:
-        return history & mask(config.entryBits);
-      case TaglessIndexScheme::GAs:
-        // Address bits pick the sub-table (high index bits), history
-        // bits pick the entry within it.
-        return ((bits(addr, 0, config.addrBits) << config.historyBits) |
-                (history & mask(config.historyBits)))
-               & mask(config.entryBits);
-      case TaglessIndexScheme::Gshare:
-        // Histories longer than the index are XOR-folded in rather
-        // than truncated, so every history bit influences the index.
-        return (addr ^ foldXor(history, config.entryBits)) &
-               mask(config.entryBits);
-    }
-    return 0;
 }
 
 uint64_t

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bits.hh"
 #include "core/indirect_predictor.hh"
 
 namespace tpred
@@ -50,13 +51,32 @@ struct TaglessConfig
 };
 
 /**
- * The entry-index computation, as a free function over the geometry so
- * the scalar predictor and the SoA-batched sweep kernel
+ * The entry-index computation, as an inline free function over the
+ * geometry so the scalar predictor and the batched sweep kernel
  * (harness/batched_predictors.cc) share one definition — the two paths
  * cannot drift apart.
  */
-uint64_t taglessIndexOf(const TaglessConfig &config, uint64_t pc,
-                        uint64_t history);
+inline uint64_t
+taglessIndexOf(const TaglessConfig &config, uint64_t pc, uint64_t history)
+{
+    const uint64_t addr = pc >> 2;  // word-aligned instructions
+    switch (config.scheme) {
+      case TaglessIndexScheme::GAg:
+        return history & mask(config.entryBits);
+      case TaglessIndexScheme::GAs:
+        // Address bits pick the sub-table (high index bits), history
+        // bits pick the entry within it.
+        return ((bits(addr, 0, config.addrBits) << config.historyBits) |
+                (history & mask(config.historyBits)))
+               & mask(config.entryBits);
+      case TaglessIndexScheme::Gshare:
+        // Histories longer than the index are XOR-folded in rather
+        // than truncated, so every history bit influences the index.
+        return (addr ^ foldXor(history, config.entryBits)) &
+               mask(config.entryBits);
+    }
+    return 0;
+}
 
 /** Interference accounting (simulation-side, costs no "hardware"). */
 struct TaglessStats

@@ -1,69 +1,50 @@
 /**
  * @file
- * SoA-batched indirect-predictor state for the fused sweep kernels.
+ * The fused predictor pass of both sweep kernels, member by member.
  *
  * Both sweep kernels (harness/sweep_kernel.cc) evaluate a batch of
- * IndirectConfigs in one pass over a trace.  BatchedPredictors holds
- * the batch's predictor state as structure-of-arrays, grouped by
- * predictor family, instead of one heap-allocated IndirectPredictor
- * per member behind a virtual call:
+ * IndirectConfigs over one front-end tape (core/frontend_predictor.hh).
+ * Members differ only at the stream's indirect non-return branches, and
+ * no member's state reads another's, so BatchedPredictors::run() takes
+ * the batch one member at a time instead of one branch at a time:
  *
- *  - **tagless** members share one contiguous target column,
- *    `[member][entry]`;
- *  - **tagged** members share one bank of ways, `[member][set][way]`,
- *    each way one `{tag, lastUsed, target}` record, so a set's ways
- *    sit together;
- *  - **cascaded** members share stage-1 valid/tag/target columns plus
- *    a second tagged bank for their stage-2 caches;
- *  - **ITTAGE and oracle** members stay scalar behind the same
- *    interface (their predict() is inherently stateful, and runs in
- *    place exactly as in a per-config front end);
- *  - **BTB-only** members carry no table at all.
+ *  1. **One history walk.**  The tape is replayed once through
+ *     FrontendPredictor's stageStep(), with a stage that keeps, at each
+ *     indirect non-return branch, where the branch sits, the BTB probe
+ *     the tape hands over, and each deduplicated history tracker's
+ *     fetch-time value (read before the tracker observes the branch,
+ *     as in the live step).
+ *  2. **One pass per member** over those indirect branches, reading the
+ *     stream's columns in place, with that member's table hot:
+ *       - a **tagless** member is one target column;
+ *       - **tagged** members that share an *index key* — tracker,
+ *         scheme, set bits, tag bits and history bits, so they differ
+ *         only in ways — share one **LRU stack** per set, as deep as
+ *         their largest ways, and one (set, tag) derivation per
+ *         branch;
+ *       - each **cascaded** member is a one-member stack with its
+ *         stage-1 table and its filtered fill, run by the same code;
+ *       - **ITTAGE and oracle** members run their scalar predictor;
+ *       - **BTB-only** members predict the BTB's target.
  *
- * Per indirect branch the batch shares what its members allow:
+ * The walk hands the branches to the member passes kChunkBranches at a
+ * time, so the pass's scratch stays a few kilobytes per tracker
+ * whatever the stream's length, and the stream columns a chunk touches
+ * stay in cache across the members' passes.
  *
- *  - one history computation per distinct HistorySpec;
- *  - one (set, tag) derivation per distinct *index key* — tracker,
- *    scheme, set bits, tag bits and history bits — for every tagged
- *    member and cascaded stage-2 cache with that key, whatever its
- *    entry count and associativity (caches of equal set count share
- *    a key);
- *  - one set lookup per tagged member and per cascaded stage-2 cache,
- *    made by predictAll() on every indirect branch (the lookup has no
- *    side effects) and cached: the matching way, else the way a fill
- *    would take.  updateAll() fills from the cached lookup; nothing
- *    changes a bank between the two calls.
- *
- * The scalar caches also refresh a hit way's LRU clock when they
- * predict (and the cascaded update()'s presence probe does it again),
- * but update() stamps the same way with a newer clock right after,
- * and a set's clocks are only ever compared with each other.  So the
- * batch leaves those refreshes to the fill: its clocks count fewer
- * ticks, in the same order, and every lookup lands where the scalar
- * one does.
- *
- * A way whose lastUsed clock is 0 is invalid: a valid way's clock is
- * always at least 1, and an invalid way's tag (kNoTag) equals no real
- * tag, which is at most 32 bits wide.  The scalar cache's allocation
- * order — the first invalid way, else the first least recently used —
- * is then simply the first minimum clock, and one plain loop over a
- * set finds the match and the victim together.
+ * A true-LRU W-way set holds exactly the W most recent distinct tags of
+ * its access sequence (Mattson et al., IBM Sys. J. 1970), and every
+ * access — hit or miss, BTB hit or not — writes the resolved target.
+ * So a member with W ways holds a tag iff the tag's stack distance is
+ * below W, and its target is the stack entry's: the one written at the
+ * tag's latest access.  A cascaded stage 2 allocates only when stage 1
+ * could not cover the jump, so its access sequence is its own, and it
+ * never shares a stack (docs/sweep_kernel.md).
  *
  * The index math is the *same code* the scalar predictors run —
- * taglessIndexOf / taggedIndexOf / cascadedStage1IndexOf are free
- * functions over the geometry — so the two paths cannot drift apart.
- *
- * The per-branch protocol is FrontendPredictor's stage protocol, member-wise:
- *
- *   predictAll()      — fetch-time histories, set lookups,
- *                       predictions, and the scalar members' prime();
- *   recordOutcomes()  — predicted-vs-resolved per member;
- *   updateAll()       — resolution-time training from the cached
- *                       lookups and fetch-time histories;
- *   observeTrackers() — history advance, once per branch.
- *
- * Timing sweeps read each member's prediction() in the same pass to
- * record an outcome tape.
+ * taglessIndexOf / taggedIndexOf / cascadedStage1IndexOf are inline
+ * free functions over the geometry — so the two paths cannot drift
+ * apart.
  */
 
 #ifndef TPRED_HARNESS_BATCHED_PREDICTORS_HH
@@ -71,7 +52,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -80,83 +60,59 @@
 namespace tpred
 {
 
-/** Tag of an invalid TaggedWay; a real tag is at most 32 bits wide. */
-inline constexpr uint64_t kNoTag = UINT64_MAX;
-
 /**
- * One way of a set in the batched tagged banks.  lastUsed == 0 marks
- * the way invalid: a valid way's clock is always at least 1.
- */
-struct TaggedWay
-{
-    uint64_t tag = kNoTag;
-    uint64_t lastUsed = 0;
-    uint64_t target = 0;
-};
-
-/** Where a lookup in one set lands. */
-struct WayLookup
-{
-    size_t way = 0;  ///< the matching way, else the fill victim
-    bool hit = false;
-};
-
-/**
- * Looks @p tag up in the ways of one set: the first way holding it
- * (a hit), else the first way with the minimum clock — the scalar
- * cache's allocation order, first invalid way, else true LRU.
- */
-WayLookup lookupSet(std::span<const TaggedWay> set, uint64_t tag);
-
-/**
- * One batch of indirect predictors in SoA layout.
+ * One batch of indirect predictors, run member by member over a
+ * front-end tape.
  *
  * Member indices are batch positions (the order of the configs span
- * given to the constructor).  Histories are deduplicated: one
- * HistoryTracker per distinct HistorySpec among the predictor-carrying
- * members, advanced once per branch.
+ * given to the constructor).  Histories are deduplicated: one tracker
+ * per distinct HistorySpec among the predictor-carrying members.
  */
 class BatchedPredictors
 {
   public:
+    /** Indirect branches the history walk hands over at a time. */
+    static constexpr size_t kChunkBranches = 1024;
+
     explicit BatchedPredictors(std::span<const IndirectConfig> configs);
 
     /** Number of members in the batch. */
     size_t size() const { return members_; }
 
     /** Number of deduplicated history trackers. */
-    size_t trackerCount() const { return trackers_.size(); }
-
-    // --- Per-indirect-branch protocol --------------------------------
+    size_t trackerCount() const { return specs_.size(); }
 
     /**
-     * Computes every member's fetch-time history and predicted target
-     * for indirect branch @p op.  @p btb_hit / @p btb_target describe
-     * the shared front end's BTB probe; as in the per-config path,
-     * predictors are consulted only on a BTB hit, but histories and
-     * set lookups are captured regardless because they drive the
-     * update.  updateAll() must follow for the same branch: it also
-     * makes the tagged caches' hit-time LRU refresh.
+     * LRU stacks run() simulates: one per index key of the tagged
+     * members, one per cascaded member.
      */
-    void predictAll(const MicroOp &op, bool btb_hit, uint64_t btb_target);
+    size_t stackCount() const { return stacks_.size(); }
 
-    /** Member @p m's predicted target from predictAll(). */
-    uint64_t prediction(size_t m) const { return predicted_[m]; }
-
-    /** Records predicted-vs-resolved for every member. */
-    void recordOutcomes(uint64_t next_pc);
+    /** 64-bit words of one member's outcome row over @p tape. */
+    static size_t
+    rowWords(const FrontendTape &tape)
+    {
+        return (tape.indirectCount() + 63) / 64;
+    }
 
     /**
-     * Training phase: update(pc, history, target) for every member,
-     * from the lookups and fetch-time histories predictAll() cached
-     * for the same branch.
+     * Runs every member, from cold tables, over @p tape's indirect
+     * non-return branches, exactly as FrontendPredictor's stage would
+     * predict, score and train it; indirectStats() then holds each
+     * member's outcomes.
+     *
+     * @param rows      Empty, or size() * rowWords(tape) zeroed words:
+     *                  bit j of member m's row (words from
+     *                  m * rowWords(tape)) is set iff m predicted the
+     *                  tape's j-th indirect branch correctly.
+     * @param predicted Empty, or size() * tape.indirectCount() slots:
+     *                  member m's predicted target at the j-th indirect
+     *                  branch goes to m * tape.indirectCount() + j.
      */
-    void updateAll(uint64_t next_pc);
+    void run(const FrontendTape &tape, std::span<uint64_t> rows = {},
+             std::span<uint64_t> predicted = {});
 
-    /** Advances every deduplicated tracker; call once per branch. */
-    void observeTrackers(const MicroOp &op);
-
-    /** Member @p m's accumulated indirect-branch outcomes. */
+    /** Member @p m's indirect-branch outcomes from the last run(). */
     const RatioStat &indirectStats(size_t m) const
     {
         return indirect_[m];
@@ -164,122 +120,44 @@ class BatchedPredictors
 
   private:
     /**
-     * The inputs of one taggedIndexOf() call besides the pc: the
-     * history tracker, the set bits, and the geometry fields the
-     * derivation reads (scheme, tag bits, history bits).  Caches with
-     * equal keys share one derivation per branch.
+     * Tagged caches that share one (set, tag) derivation per branch
+     * and one LRU stack per set: a tagged index key's members, or one
+     * cascaded member's stage 2 (stage1Entries > 0).
      */
-    struct IndexKey
+    struct LruStack
     {
         size_t tracker = 0;
         unsigned setBits = 0;
         TaggedConfig config{};  ///< entries and ways are not read
+        unsigned depth = 0;     ///< the members' largest ways
+        std::vector<size_t> members;
+        std::vector<unsigned> ways;  ///< by position in members
+        unsigned stage1Entries = 0;  ///< cascaded only
 
-        bool
-        sharesDerivation(const IndexKey &o) const
-        {
-            return tracker == o.tracker && setBits == o.setBits &&
-                   config.scheme == o.config.scheme &&
-                   config.tagBits == o.config.tagBits &&
-                   config.historyBits == o.config.historyBits;
-        }
+        /** True iff tagged cache @p cache over @p t shares this key. */
+        bool sharesKey(size_t t, const TaggedConfig &cache) const;
     };
 
-    /**
-     * A bank of set-associative, true-LRU tagged caches: slot j per
-     * member, its ways one contiguous `[set][way]` run.  Used for the
-     * tagged family and again for the cascaded stage-2 caches.  The
-     * per-slot columns hold exactly what the per-branch loops read,
-     * walked stride-1 by slot.
-     */
-    struct TaggedBank
-    {
-        std::vector<size_t> member;
-        std::vector<size_t> key;        ///< index into keys_
-        std::vector<size_t> base;       ///< first way of the slot
-        std::vector<unsigned> ways;
-        std::vector<uint64_t> useClock;
-        // The current branch's lookup, per slot (lookup()).
-        std::vector<size_t> entry;      ///< matching way, else victim
-        std::vector<uint8_t> hit;
-
-        std::vector<TaggedWay> way;
-
-        size_t size() const { return member.size(); }
-
-        /** lookupSet() on slot @p j's set @p set, kept per slot. */
-        void lookup(size_t j, uint64_t set, uint64_t tag);
-
-        /** The scalar update(), into the looked-up way. */
-        void
-        fill(size_t j, uint64_t tag, uint64_t target)
-        {
-            TaggedWay &w = way[entry[j]];
-            w.tag = tag;
-            w.target = target;
-            w.lastUsed = ++useClock[j];
-        }
-    };
-
-    /** Adds member @p m's cache @p config, over @p tracker, to @p bank. */
-    void addTaggedSlot(TaggedBank &bank, size_t m, size_t tracker,
-                       const TaggedConfig &config);
-
-    /** Cascaded slot @p j's stage-1 entry for the current pc. */
-    size_t stage1Entry(size_t j) const;
-
-    struct TaglessHot
-    {
-        std::vector<size_t> member;
-        std::vector<size_t> tracker;
-        std::vector<size_t> base;  ///< first entry in the shared columns
-        std::vector<TaglessConfig> config;
-        std::vector<size_t> index; ///< current branch's entry
-
-        size_t size() const { return member.size(); }
-    };
-
-    struct ScalarMember
+    /** A member that runs alone: its position, tracker and config. */
+    struct Member
     {
         size_t member = 0;
         size_t tracker = 0;
-        uint64_t history = 0;  ///< current branch's fetch-time history
-        std::unique_ptr<IndirectPredictor> predictor;
+        IndirectConfig config;
     };
 
+    /** One run()'s chunk, member state and verdicts (the .cc file). */
+    struct Run;
+
+    /** Runs every member over @p run's chunk, then empties it. */
+    void runChunk(Run &run) const;
+
     size_t members_ = 0;
-
-    // Deduplicated histories.
-    std::vector<HistorySpec> specs_;
-    std::vector<std::unique_ptr<HistoryTracker>> trackers_;
-    std::vector<uint64_t> trackerVal_;  ///< per-branch scratch
-
-    // Deduplicated (set, tag) derivations, with per-branch results.
-    std::vector<IndexKey> keys_;
-    std::vector<uint64_t> keySet_;
-    std::vector<uint64_t> keyTag_;
-
-    // Family groups.
-    TaglessHot taglessHot_;
-    std::vector<uint64_t> taglessTargets_;
-
-    TaggedBank tagged_;
-
-    TaggedBank cascaded_;  ///< stage 2; stage-1 columns by slot below
-    std::vector<unsigned> s1Bits_;
-    std::vector<size_t> s1Base_;
-    std::vector<uint8_t> s1Valid_;
-    std::vector<uint64_t> s1Tag_;
-    std::vector<uint64_t> s1Target_;
-
-    std::vector<ScalarMember> scalar_;
-
-    std::vector<size_t> none_;  ///< BTB-only member indices
-
-    // The current branch.
-    std::vector<uint64_t> predicted_;  ///< by member
-    uint64_t pc_ = 0;
-
+    std::vector<HistorySpec> specs_;  ///< deduplicated, by tracker
+    std::vector<Member> tagless_;
+    std::vector<LruStack> stacks_;
+    std::vector<Member> scalar_;  ///< ITTAGE and oracle
+    std::vector<size_t> none_;    ///< BTB-only member indices
     std::vector<RatioStat> indirect_;
 };
 

@@ -1,6 +1,7 @@
 #include "harness/sweep_kernel.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <iterator>
@@ -21,11 +22,12 @@ namespace
 /**
  * What the members of a batch disagree on, for a whole trace: each
  * member's correctness at every indirect (non-return) branch, one bit
- * per member, and that branch's op position.  Everything else a core
- * reads from its front end — every branch's fetch bubble, and the
- * correctness at the other branches — every member shares, and the
- * front-end tape already holds it.  Recorded by one predictor pass,
- * replayed by every core of the batch (TapeReplay).
+ * row per member (member-major, as the predictor pass writes it), and
+ * each such branch's op position.  Everything else a core reads from
+ * its front end — every branch's fetch bubble, and the correctness at
+ * the other branches — every member shares, and the front-end tape
+ * already holds it.  Recorded by one predictor pass, replayed by every
+ * core of the batch (TapeReplay).
  */
 class OutcomeTape
 {
@@ -33,35 +35,36 @@ class OutcomeTape
     static constexpr uint64_t kNever = UINT64_MAX;
 
     OutcomeTape(const FrontendTape &front, size_t members)
-        : front_(&front), members_(members), stride_((members + 63) / 64)
+        : front_(&front), words_(BatchedPredictors::rowWords(front)),
+          bits_(members * words_, 0)
     {
-    }
-
-    /** Appends the indirect branch at op @p pos, member by member. */
-    void
-    recordIndirect(uint32_t pos, const BatchedPredictors &batch,
-                   uint64_t next_pc)
-    {
-        indirectPos_.push_back(pos);
-        const size_t row = memberBits_.size();
-        memberBits_.resize(row + stride_, 0);
-        for (size_t m = 0; m < members_; ++m) {
-            if (batch.prediction(m) == next_pc)
-                memberBits_[row + m / 64] |= uint64_t{1} << (m % 64);
+        const BranchStream &stream = front.stream();
+        indirectPos_.reserve(front.indirectCount());
+        for (size_t i = 0; i < stream.size(); ++i) {
+            if (isIndirectNonReturn(static_cast<BranchKind>(stream.kind[i])))
+                indirectPos_.push_back(stream.pos[i]);
         }
     }
+
+    /** The rows, for BatchedPredictors::run() to fill. */
+    std::span<uint64_t> rows() { return bits_; }
 
     /**
      * The op position of member @p m's first indirect branch, from the
      * @p from-th on, whose correctness differs from member 0's — where
-     * its core trajectory leaves the lead's — or kNever.
+     * its core trajectory leaves the lead's — or kNever.  Compares the
+     * two rows a word at a time.
      */
     uint64_t
     nextDivergence(size_t m, size_t from) const
     {
-        for (size_t j = from; j < indirectPos_.size(); ++j) {
-            if (memberCorrect(j, m) != memberCorrect(j, 0))
-                return indirectPos_[j];
+        const uint64_t *lead = bits_.data();
+        const uint64_t *own = bits_.data() + m * words_;
+        uint64_t below = ~uint64_t{0} << (from % 64);  // skips [0, from)
+        for (size_t w = from / 64; w < words_; ++w, below = ~uint64_t{0}) {
+            const uint64_t differ = (lead[w] ^ own[w]) & below;
+            if (differ != 0)
+                return indirectPos_[w * 64 + std::countr_zero(differ)];
         }
         return kNever;
     }
@@ -72,15 +75,14 @@ class OutcomeTape
     bool
     memberCorrect(size_t indirect, size_t m) const
     {
-        const uint64_t word = memberBits_[indirect * stride_ + m / 64];
-        return (word >> (m % 64) & 1) != 0;
+        const uint64_t word = bits_[m * words_ + indirect / 64];
+        return (word >> (indirect % 64) & 1) != 0;
     }
 
     const FrontendTape *front_;
-    size_t members_;
-    size_t stride_;                      ///< words per indirect branch
+    size_t words_;                       ///< words per member row
+    std::vector<uint64_t> bits_;         ///< words_ words per member
     std::vector<uint32_t> indirectPos_;  ///< op position of each
-    std::vector<uint64_t> memberBits_;   ///< stride_ words per row
 };
 
 /**
@@ -185,21 +187,21 @@ sweepStream(const SharedTrace &trace)
 }
 
 /**
- * The fused predictor pass both sweep entry points share: @p tape's
- * front end replayed into every member of @p batch as its indirect
- * stage.  Returns per-member statistics, bit-identical to
- * runAccuracy() per config; with @p outcomes it also records what
- * each member's core reads from its front end.
+ * The fused predictor pass both sweep entry points share: every member
+ * of @p batch run over @p tape as its indirect stage, member by member
+ * (BatchedPredictors::run()).  Returns per-member statistics,
+ * bit-identical to runAccuracy() per config; with @p outcomes it also
+ * records what each member's core reads from its front end.
  */
 std::vector<FrontendStats>
 predictorPass(const FrontendTape &tape, BatchedPredictors &batch,
               OutcomeTape *outcomes)
 {
-    const BranchStream &stream = tape.stream();
-    tape.replay(batch, [&](size_t i, const MicroOp &op) {
-        if (outcomes && isIndirectNonReturn(op.branch))
-            outcomes->recordIndirect(stream.pos[i], batch, op.nextPc);
-    });
+    static const obs::Counter lru_stacks =
+        obs::globalMetrics().counter("batch.lru_stacks");
+
+    batch.run(tape, outcomes ? outcomes->rows() : std::span<uint64_t>{});
+    lru_stacks.inc(batch.stackCount());
 
     // Each pass credits one counted walk of the stream, whatever the
     // batch size and however many passes replay the same tape.

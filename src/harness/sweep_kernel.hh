@@ -17,12 +17,13 @@
  *    (core/frontend_predictor.hh), and every batch over that stream
  *    and front end replays the tape instead of N front ends, or one
  *    per batch.
- *  - Per-member predictor state lives in structure-of-arrays family
- *    groups (harness/batched_predictors.hh): lookups and updates are
- *    tight devirtualized loops over contiguous columns, with one
- *    history computation per distinct HistorySpec per branch.
  *  - Per-config divergence exists only at indirect jumps/calls — a
- *    small minority of branches.
+ *    small minority of branches.  So the predictor pass
+ *    (harness/batched_predictors.hh) walks the tape once for the
+ *    history values, one computation per distinct HistorySpec per
+ *    branch, and then runs the batch member by member over the
+ *    indirect branches alone, each member's table hot; tagged caches
+ *    that differ only in ways share one LRU stack per set.
  *
  * The returned FrontendStats are bit-identical to running each config
  * through runAccuracy() separately: shared accumulators cover the

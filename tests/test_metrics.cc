@@ -171,6 +171,7 @@ TEST(Metrics, DeterministicCountersAgreeSerialVsParallel)
 {
     const auto run = [](unsigned threads) {
         const test::ScopedJobs jobs(threads);
+        const test::ScopedNoCorpus recorded_here;
         obs::globalMetrics().reset();
         globalTraceCache().clear();
         (void)renderTable4({.ops = 20000});

@@ -506,14 +506,16 @@ TEST(SweepKernel, FusedTimingMatchesPerConfigUnderBtbFrontends)
 }
 
 /**
- * High-conflict differential of the batched tagged banks against the
+ * High-conflict differential of the batch's LRU stacks against the
  * scalar TaggedTargetCache and CascadedPredictor: 1-16 ways, one to
  * four sets, a few PCs, targets and history values, so sets start
- * all-invalid, overflow and evict.  Each batch also carries a twin of
- * its first cache with the same set count and twice the ways, which
- * shares its (set, tag) derivation.  Then lookupSet() on hand-made
- * sets, where duplicate tags and tied clocks make the first-match and
- * first-invalid-else-LRU orders observable.
+ * all-invalid, overflow and evict, under a two-entry BTB that misses
+ * and mistargets often.  Each batch leads with caches that share one
+ * index key: three tagged members — the first not the largest, one of
+ * them 16-way — and a cascaded cache whose stage 2 has the same key,
+ * which must keep a stack of its own.  run() reports every member's
+ * predicted target at every indirect branch, and each must equal the
+ * scalar cache's, given the same BTB probe and fetch-time history.
  */
 TEST(BatchedPredictors, TaggedAndCascadedMatchScalarUnderConflict)
 {
@@ -521,45 +523,67 @@ TEST(BatchedPredictors, TaggedAndCascadedMatchScalarUnderConflict)
     const TaggedIndexScheme schemes[] = {TaggedIndexScheme::Address,
                                          TaggedIndexScheme::HistoryConcat,
                                          TaggedIndexScheme::HistoryXor};
+    FrontendConfig fe;
+    fe.btb.l1 = BtbConfig{1, 2};
     for (int trial = 0; trial < 60; ++trial) {
         const HistorySpec histories[] = {
             patternHistory(1 + rng() % 4),
             pathGlobal(PathFilter::IndJmp, 1 + rng() % 4)};
-        std::vector<IndirectConfig> configs;
-        for (int i = 0; i < 10; ++i) {
+        const auto random_cache = [&](unsigned sets, unsigned ways) {
             TaggedConfig cache;
             cache.scheme = schemes[rng() % 3];
-            cache.ways = 1 + rng() % 16;
-            cache.entries = cache.ways << (rng() % 3);
+            cache.ways = ways;
+            cache.entries = sets * ways;
             cache.tagBits = 2 + rng() % 8;
             cache.historyBits = 1 + rng() % 4;
+            return cache;
+        };
+        const auto tagged = [](const HistorySpec &h, TaggedConfig cache) {
             IndirectConfig c;
-            c.history = histories[rng() % 2];
-            if (rng() % 3 == 0) {
-                c.structure = IndirectStructure::Cascaded;
-                c.cascaded.stage1Entries = 1u << (rng() % 3);
-                c.cascaded.stage2 = cache;
-            } else {
-                c.structure = IndirectStructure::Tagged;
-                c.tagged = cache;
-            }
-            configs.push_back(c);
+            c.structure = IndirectStructure::Tagged;
+            c.history = h;
+            c.tagged = cache;
+            return c;
+        };
+        const auto cascaded = [&](const HistorySpec &h,
+                                  TaggedConfig cache) {
+            IndirectConfig c;
+            c.structure = IndirectStructure::Cascaded;
+            c.history = h;
+            c.cascaded.stage1Entries = 1u << (rng() % 3);
+            c.cascaded.stage2 = cache;
+            return c;
+        };
+
+        // One shared key: tagged at 1-8 ways, 16 ways and 1-16 ways,
+        // and a cascaded stage 2 of the same key.
+        const HistorySpec &key_history = histories[rng() % 2];
+        const TaggedConfig key =
+            random_cache(1u << (rng() % 3), 1 + rng() % 8);
+        const auto twin = [&](unsigned ways) {
+            TaggedConfig cache = key;
+            cache.ways = ways;
+            cache.entries = key.sets() * ways;
+            return cache;
+        };
+        std::vector<IndirectConfig> configs = {
+            tagged(key_history, key),
+            tagged(key_history, twin(16)),
+            cascaded(key_history, twin(1 + rng() % 16)),
+            tagged(key_history, twin(1 + rng() % 16)),
+        };
+        for (int i = 0; i < 10; ++i) {
+            const TaggedConfig cache =
+                random_cache(1u << (rng() % 3), 1 + rng() % 16);
+            const HistorySpec &h = histories[rng() % 2];
+            configs.push_back(rng() % 3 == 0 ? cascaded(h, cache)
+                                             : tagged(h, cache));
         }
-        IndirectConfig twin = configs[0];
-        TaggedConfig &twin_cache = twin.structure == IndirectStructure::Tagged
-                                       ? twin.tagged
-                                       : twin.cascaded.stage2;
-        twin_cache.ways *= 2;
-        twin_cache.entries *= 2;
-        configs.push_back(twin);
 
-        BatchedPredictors batch(configs);
-        std::vector<PredictorStack> scalar;
-        for (const IndirectConfig &c : configs)
-            scalar.push_back(buildStack(c));
-        std::vector<uint64_t> fetch_history(configs.size());
-
-        for (int step = 0; step < 800; ++step) {
+        // Long enough for the member passes to cross chunk boundaries.
+        BranchStreamBuilder builder;
+        constexpr int kSteps = 4000;
+        for (int step = 0; step < kSteps; ++step) {
             MicroOp op;
             op.cls = InstClass::Branch;
             op.pc = 0x1000 + 4 * (rng() % 6);
@@ -573,67 +597,126 @@ TEST(BatchedPredictors, TaggedAndCascadedMatchScalarUnderConflict)
             } else {
                 op.branch = BranchKind::IndirectJump;
                 op.nextPc = 0x8000 + 4 * (rng() % 8);
-                const bool btb_hit = rng() % 4 != 0;
-                const uint64_t btb_target = 0x9000;
-                batch.predictAll(op, btb_hit, btb_target);
-                for (size_t m = 0; m < configs.size(); ++m) {
-                    fetch_history[m] =
-                        scalar[m].tracker->valueFor(op.pc);
-                    const uint64_t want =
+            }
+            builder.append(static_cast<size_t>(step), op);
+        }
+        builder.opCount = kSteps;
+        const BranchStream stream = std::move(builder).finish();
+        const FrontendTape tape(stream, fe);
+        const size_t n = tape.indirectCount();
+        ASSERT_GT(n, 2 * BatchedPredictors::kChunkBranches);
+
+        BatchedPredictors batch(configs);
+        std::vector<uint64_t> predicted(configs.size() * n);
+        batch.run(tape, {}, predicted);
+
+        // The reference: a live front end whose stage runs every scalar
+        // cache, given the same BTB probe and fetch-time history.
+        struct ScalarStage
+        {
+            std::vector<PredictorStack> scalar;
+            size_t indirects = 0;
+            std::vector<uint64_t> want;  ///< [member * indirects + j]
+            std::vector<uint64_t> history;
+            std::vector<uint64_t> correct;
+            uint64_t pc = 0;
+            size_t j = 0;
+            size_t btbHits = 0;
+
+            void
+            predictAll(const MicroOp &op, bool btb_hit, uint64_t btb_target)
+            {
+                btbHits += btb_hit ? 1 : 0;
+                for (size_t m = 0; m < scalar.size(); ++m) {
+                    history[m] = scalar[m].tracker->valueFor(op.pc);
+                    want[m * indirects + j] =
                         btb_hit ? scalar[m]
-                                      .predictor
-                                      ->predict(op.pc, fetch_history[m])
+                                      .predictor->predict(op.pc, history[m])
                                       .value_or(btb_target)
                                 : op.fallthrough;
-                    ASSERT_EQ(batch.prediction(m), want)
-                        << "trial " << trial << " step " << step << " "
-                        << configs[m].describe();
                 }
-                batch.recordOutcomes(op.nextPc);
-                batch.updateAll(op.nextPc);
-                for (size_t m = 0; m < configs.size(); ++m)
-                    scalar[m].predictor->update(op.pc, fetch_history[m],
-                                                op.nextPc);
+                pc = op.pc;
             }
-            batch.observeTrackers(op);
-            for (PredictorStack &s : scalar)
-                s.tracker->observe(op);
+            uint64_t prediction(size_t) const { return 0; }
+            void
+            recordOutcomes(uint64_t next_pc)
+            {
+                for (size_t m = 0; m < scalar.size(); ++m)
+                    correct[m] += want[m * indirects + j] == next_pc;
+            }
+            void
+            updateAll(uint64_t next_pc)
+            {
+                for (size_t m = 0; m < scalar.size(); ++m)
+                    scalar[m].predictor->update(pc, history[m], next_pc);
+                ++j;
+            }
+            void
+            observeTrackers(const MicroOp &op)
+            {
+                for (PredictorStack &s : scalar)
+                    s.tracker->observe(op);
+            }
+        };
+        ScalarStage reference;
+        for (const IndirectConfig &c : configs)
+            reference.scalar.push_back(buildStack(c));
+        reference.indirects = n;
+        reference.want.resize(configs.size() * n);
+        reference.history.resize(configs.size());
+        reference.correct.resize(configs.size());
+        FrontendPredictor live(fe);
+        for (size_t i = 0; i < stream.size(); ++i)
+            (void)live.onInstruction(stream.opAt(i), reference);
+        ASSERT_EQ(reference.j, n);
+        EXPECT_GT(reference.btbHits, 0u);
+        EXPECT_LT(reference.btbHits, n) << "the BTB must miss sometimes";
+
+        for (size_t m = 0; m < configs.size(); ++m) {
+            for (size_t k = 0; k < n; ++k) {
+                ASSERT_EQ(predicted[m * n + k], reference.want[m * n + k])
+                    << "trial " << trial << " indirect " << k << " "
+                    << configs[m].describe();
+            }
+            EXPECT_EQ(batch.indirectStats(m).hits(), reference.correct[m]);
+            EXPECT_EQ(batch.indirectStats(m).total(), n);
         }
     }
+}
 
-    for (int trial = 0; trial < 20000; ++trial) {
-        const size_t ways = 1 + rng() % 16;
-        std::vector<TaggedWay> set(ways);
-        std::vector<bool> valid(ways);
-        for (size_t w = 0; w < ways; ++w) {
-            valid[w] = rng() % 3 != 0;
-            if (valid[w]) {
-                set[w].tag = rng() % 4;           // duplicate tags
-                set[w].lastUsed = 1 + rng() % 8;  // tied clocks
-            }
-        }
-        const uint64_t tag = rng() % 4;
-
-        // The scalar contract, brute-forced: the first valid match;
-        // else the first invalid way, else the first LRU minimum.
-        size_t want = ways;
-        for (size_t w = 0; w < ways && want == ways; ++w)
-            if (valid[w] && set[w].tag == tag)
-                want = w;
-        const bool want_hit = want != ways;
-        for (size_t w = 0; w < ways && want == ways; ++w)
-            if (!valid[w])
-                want = w;
-        if (want == ways) {
-            want = 0;
-            for (size_t w = 1; w < ways; ++w)
-                if (set[w].lastUsed < set[want].lastUsed)
-                    want = w;
-        }
-        const WayLookup got = lookupSet(set, tag);
-        EXPECT_EQ(got.hit, want_hit);
-        EXPECT_EQ(got.way, want);
-    }
+/**
+ * Tagged caches share a stack exactly when they share an index key:
+ * tracker, scheme, set bits, tag bits and history bits.  Ways and the
+ * entry count that follows from them may differ; a cascaded stage 2
+ * never shares, not even with a key of its own shape.
+ */
+TEST(BatchedPredictors, StacksShareIndexKeysOnly)
+{
+    const auto tagged = [](unsigned entries, unsigned ways,
+                           unsigned history = 9) {
+        return taggedConfig(TaggedIndexScheme::HistoryXor, ways,
+                            patternHistory(history), entries);
+    };
+    IndirectConfig narrow_tag = tagged(64, 2);
+    narrow_tag.tagged.tagBits = 8;
+    IndirectConfig cascade = cascadedConfig(128, 4);
+    cascade.cascaded.stage2 = tagged(128, 4).tagged;
+    const std::vector<IndirectConfig> configs = {
+        tagged(64, 2),    // 32 sets: one key ...
+        tagged(256, 8),   // ... the same key
+        tagged(32, 1),    // ... and again
+        tagged(128, 4),   // ... and again
+        narrow_tag,       // another tag width
+        tagged(64, 4),    // 16 sets
+        tagged(64, 2, 5), // another history: another tracker
+        cascade,          // 32 sets, the first key's shape: apart
+        cascade,          // and apart from its equal, too
+        taglessGshare(),
+        baselineConfig(),
+    };
+    const BatchedPredictors batch(configs);
+    EXPECT_EQ(batch.stackCount(), 6u);
+    EXPECT_EQ(batch.trackerCount(), 2u);
 }
 
 /**
@@ -1130,6 +1213,7 @@ TEST(SweepKernel, CountersAgreeSerialVsParallel)
 {
     const auto run = [](unsigned threads) {
         const test::ScopedJobs jobs(threads);
+        const test::ScopedNoCorpus recorded_here;
         obs::globalMetrics().reset();
         globalTraceCache().clear();
         (void)renderTable4({.ops = 20000});

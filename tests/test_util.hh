@@ -3,10 +3,12 @@
 #ifndef TPRED_TESTS_TEST_UTIL_HH
 #define TPRED_TESTS_TEST_UTIL_HH
 
+#include <memory>
 #include <vector>
 
 #include "common/rng.hh"
 #include "harness/parallel_runner.hh"
+#include "harness/trace_cache.hh"
 #include "trace/micro_op.hh"
 
 namespace tpred::test
@@ -23,6 +25,27 @@ class ScopedJobs
     ~ScopedJobs() { setDefaultJobs(0); }
     ScopedJobs(const ScopedJobs &) = delete;
     ScopedJobs &operator=(const ScopedJobs &) = delete;
+};
+
+/**
+ * Detaches globalTraceCache()'s disk corpus for one scope, then
+ * reattaches the one it had: a test that counts recordings and stream
+ * extractions then counts the same whether or not TPRED_CORPUS_DIR
+ * names a corpus that already holds its traces.
+ */
+class ScopedNoCorpus
+{
+  public:
+    ScopedNoCorpus() : saved_(globalTraceCache().corpus())
+    {
+        globalTraceCache().attachCorpus(nullptr);
+    }
+    ~ScopedNoCorpus() { globalTraceCache().attachCorpus(saved_); }
+    ScopedNoCorpus(const ScopedNoCorpus &) = delete;
+    ScopedNoCorpus &operator=(const ScopedNoCorpus &) = delete;
+
+  private:
+    std::shared_ptr<CorpusManager> saved_;
 };
 
 /** A plain non-branch op at @p pc. */

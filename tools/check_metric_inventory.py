@@ -13,6 +13,13 @@ backticks, comma-separated, as suffixes of that prefix (a name that
 contains a dot is taken whole).  Text outside backticks, such as
 "(Runtime)", is commentary.
 
+It also fails on a deterministic counter (one registered without
+MetricKind::Runtime) whose name starts with a prefix the end-to-end
+benchmark pins (`pinnedCounters` in bench/e2e/tpred_e2e.cc) and that
+is not one of the PINNED names below: such a counter enters every
+workload's counter digest in bench/e2e/expected.json, so adding one
+needs a benchmark change.
+
 Usage:
     python3 tools/check_metric_inventory.py [--root REPO]
 
@@ -26,7 +33,24 @@ import re
 import sys
 
 REGISTRATION = re.compile(r'\b(?:counter|gauge|timer)\(\s*"([^"\\]+)"')
+# A counter() call's name and the rest of its argument list.
+COUNTER = re.compile(r'\bcounter\(\s*"([^"\\]+)"([^)]*)\)')
 HEADING = "### Metric inventory"
+
+# The prefixes bench/e2e/tpred_e2e.cc's pinnedCounters() digests, and
+# the deterministic counters under them that expected.json holds.
+PINNED_PREFIXES = ("core.", "sweep.", "btb.", "tune.", "shard.")
+PINNED = {
+    "core.cycles_simulated", "core.instructions_retired",
+    "sweep.batches", "sweep.configs", "sweep.history_groups",
+    "sweep.branches", "sweep.streams_built", "sweep.timing_forks",
+    "sweep.shared_cycles", "sweep.member_cycles",
+    "btb.l1_hits", "btb.l1_misses", "btb.l2_hits", "btb.prefetches",
+    "btb.victims",
+    "tune.rungs", "tune.evals", "tune.promotions", "tune.full_evals",
+    "tune.frontier_size",
+    "shard.accuracy_runs", "shard.timing_runs", "shard.ops_replayed",
+}
 
 
 def strip_comments(text):
@@ -68,6 +92,23 @@ def registered_names(src):
         for match in REGISTRATION.finditer(code):
             names.setdefault(match.group(1), []).append(
                 str(path.relative_to(src.parent)))
+    return names
+
+
+def unpinned_counters(src):
+    """{name: [files]} for every deterministic counter registered under
+    src/ with a pinned prefix that PINNED does not hold."""
+    names = {}
+    for path in sorted(src.rglob("*")):
+        if path.suffix not in (".cc", ".hh"):
+            continue
+        code = strip_comments(path.read_text(encoding="utf-8"))
+        for match in COUNTER.finditer(code):
+            name, rest = match.group(1), match.group(2)
+            if (name.startswith(PINNED_PREFIXES) and name not in PINNED
+                    and "Runtime" not in rest):
+                names.setdefault(name, []).append(
+                    str(path.relative_to(src.parent)))
     return names
 
 
@@ -118,14 +159,22 @@ def main():
 
     missing = sorted(set(code) - listed)
     stale = sorted(listed - set(code))
+    unpinned = unpinned_counters(args.root / "src")
     for name in missing:
         print(f"registered but not in the inventory: {name} "
               f"({', '.join(sorted(set(code[name])))})")
     for name in stale:
         print(f"in the inventory but registered nowhere: {name}")
+    for name, files in sorted(unpinned.items()):
+        print(f"deterministic counter under a pinned prefix: {name} "
+              f"({', '.join(sorted(set(files)))}) moves the bench/e2e "
+              f"counter digest and needs a benchmark change "
+              f"(bench/e2e/expected.json); name it outside "
+              f"{', '.join(PINNED_PREFIXES)} or make it Runtime")
     if missing or stale:
         print(f"{doc}: metric inventory out of date "
               f"({len(missing)} missing, {len(stale)} stale)")
+    if missing or stale or unpinned:
         return 1
     print(f"metric inventory matches the code: {len(listed)} names")
     return 0
